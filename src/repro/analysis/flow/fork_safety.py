@@ -1,21 +1,24 @@
 """FLOW-FORK: fork-safety capture analysis for parallel task closures.
 
-:func:`repro.parallel.parallel_map` forks one child per task; the task
-closure inherits the parent's entire heap copy-on-write.  That makes
-three capture patterns silently wrong:
+:func:`repro.parallel.parallel_map` forks its workers once per call,
+and each worker runs many tasks; the task closure inherits the
+parent's entire heap copy-on-write.  That makes three capture patterns
+silently wrong:
 
-* **open file handles** — parent and children share the file offset,
+* **open file handles** — parent and workers share the file offset,
   so interleaved reads/writes corrupt each other;
 * **live telemetry objects** (``Tracer`` / ``MetricsRegistry``
   instances captured from the parent) — spans and counters recorded on
-  the parent's object inside a child die with the child; workers must
-  call ``get_tracer()``/``get_metrics()`` *inside* the task so the
+  the parent's object inside a worker never reach the parent; tasks
+  must call ``get_tracer()``/``get_metrics()`` *inside* the task so the
   pool's merge protocol forwards them;
-* **mutation of module globals** — a child's write to a module-level
-  list/dict/set (or ``global`` rebind) is discarded at ``_exit``;
-  code that aggregates into a global under ``parallel_map`` only works
-  serially, which is exactly the bit-identity-breaking divergence the
-  pool exists to prevent.
+* **mutation of module globals** — a task's write to a module-level
+  list/dict/set (or ``global`` rebind) never reaches the parent, and
+  it leaks into every later task the same worker runs, so what a task
+  sees depends on which tasks shared its worker.  Code that aggregates
+  into a global under ``parallel_map`` only works serially, which is
+  exactly the bit-identity-breaking divergence the pool exists to
+  prevent.
 
 The analysis resolves the task-function argument of every
 ``parallel_map``/``run_cells`` call (named local function, module
@@ -157,8 +160,9 @@ class ForkSafetyRule(ProjectRule):
                 self.id,
                 mutated[name],
                 "task closure passed to %s() mutates module global %r; "
-                "fork-per-task discards the child's writes — return the "
-                "value and aggregate in the parent" % (sink_label, name),
+                "the parent never sees a worker's writes, and later tasks "
+                "on that worker do — return the value and aggregate in "
+                "the parent" % (sink_label, name),
                 severity=self.severity,
             )
 

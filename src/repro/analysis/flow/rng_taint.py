@@ -7,7 +7,7 @@ obvious constructions, but taint *flows*: a helper in one module can
 return an unseeded generator that another module hands to a sampler,
 and a module-global generator — even a seeded one — is shared state
 that makes results depend on call order across sweep cells and breaks
-the fork-per-task bit-identity guarantee.
+the pool's bit-identity guarantee.
 
 Taint sources
     * ``np.random.default_rng()`` with no seed (and bare

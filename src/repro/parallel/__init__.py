@@ -2,15 +2,16 @@
 
 Public surface:
 
-* :func:`parallel_map` — fork-based process pool whose results are
-  bit-identical to serial execution for any worker count (per-task
-  seeds derived from position, results assembled in item order).
-* :class:`PersistentPool` — pre-forked supervised worker set for
-  long-lived streamed dispatch (the serve daemon's persistent mode):
-  tasks travel as pickled frames instead of paying a fork each,
-  explicit per-task seeds keep replay byte-identical, and dead/hung
-  workers are SIGKILLed, respawned, and their task re-dispatched under
-  the same seed.
+* :class:`PersistentPool` — the one worker supervisor: a set of
+  workers forked once, fed tasks as pickled frames; explicit per-task
+  seeds keep results byte-identical, and dead/hung workers are
+  SIGKILLed, respawned, and their task re-dispatched under the same
+  seed.  The serve daemon keeps one alive for its whole life.
+* :func:`parallel_map` — a call-scoped ``PersistentPool`` whose results
+  are bit-identical to serial execution for any worker count (per-task
+  seeds derived from position, results assembled in item order); the
+  workers fork after ``fn`` and ``items`` exist, so only indices and
+  results cross the pipes.
 * :func:`run_cells` — batched sweep-cell runner preserving the
   resume/retry/degrade contract of :func:`repro.resilience.run_cell`.
 * :func:`derive_seed` — the position-based seed derivation.
@@ -29,8 +30,9 @@ Public surface:
   queued cells).
 
 The pool is supervised by :mod:`repro.guard`: a per-task wall-clock
-deadline (``task_deadline``) SIGKILLs hung workers and re-dispatches
-their tasks under the same derived seed, preserving bit-exactness.
+deadline (``task_deadline``) SIGKILLs hung workers, and a hung or dead
+worker's task is re-dispatched under the same derived seed, preserving
+bit-exactness.
 
 All process fan-out in this codebase goes through this package — lint
 rule PAR001 flags direct ``multiprocessing``/``concurrent.futures``

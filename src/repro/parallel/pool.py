@@ -1,48 +1,55 @@
-"""Deterministic fork-based process pool.
+"""Deterministic fork-based worker pool with one supervisor.
 
-:func:`parallel_map` fans ``fn(item, seed)`` out over worker processes
-and returns results **in item order** — bit-identical to running the
-same calls serially — regardless of worker count or completion order.
-Three design decisions make that guarantee cheap to keep:
+Every parallel task in this codebase runs on a :class:`PersistentPool`:
+a set of workers forked **once**, fed tasks as length-prefixed pickled
+frames over one pipe pair per worker, and supervised by the parent.
+:func:`parallel_map` is the call-scoped use of it — it forks the pool
+after ``fn`` and ``items`` exist, submits item *indices*, and closes the
+pool before it returns — and the serve daemon keeps one pool alive for
+its whole life.  Three design decisions keep results cheap to trust:
 
 * **Determinism lives in the seeds, not the scheduler.**  Every task
-  gets ``derive_seed(seed_root, index)``, a pure function of the task's
-  position.  Whatever interleaving the OS picks, task *i* always sees
-  the same seed, so an order-preserved result list is enough for
-  bit-exactness.
-* **Fork-per-task, not a pickled job queue.**  Each worker is a fresh
-  ``os.fork()`` of the parent at dispatch time: the closure, its
-  captured arrays and models, and any module-level state (fault plans,
-  cached extractors) are inherited copy-on-write — nothing needs to be
-  picklable except the *result*.  Only results travel, over a dedicated
-  pipe per child, as length-prefixed pickled frames.
-* **Death is observable per task.**  One pipe and one pid per task
-  means a worker that dies (OOM kill, ``os._exit``, segfault) is
-  attributed to exactly the task it was running; the parent turns it
-  into a :class:`TaskFailure` instead of hanging or poisoning a shared
-  queue.  ``stdlib`` pools get this wrong in both directions, which is
-  why the lint gate (rule PAR001) funnels all fan-out through here.
+  runs under an explicit seed — ``derive_seed(seed_root, index)`` in
+  :func:`parallel_map`, ``job_seed(job_id)`` in the daemon — that the
+  parent passes with each dispatch.  Whatever interleaving the OS
+  picks, and whichever worker a re-dispatch lands on, a task sees the
+  same seed, so an order-preserved result list is bit-identical to a
+  serial run.
+* **Fork once, after the work exists.**  Workers inherit the parent's
+  heap copy-on-write at pool construction: ``parallel_map``'s closure,
+  its captured arrays and models, and module-level state (fault plans,
+  cached extractors) need not pickle — only indices travel to a worker
+  and only results travel back.  A long-lived pool ships its items, so
+  those must pickle too.  Module state a task mutates stays in its
+  worker and is seen by the later tasks that worker runs.
+* **Death is observable per task.**  A worker runs one task at a time
+  on its own pipes, so one that dies (OOM kill, ``os._exit``,
+  segfault) is attributed to exactly the task it was running, and the
+  parent turns it into a :class:`TaskFailure` instead of hanging or
+  poisoning a shared queue.  ``stdlib`` pools get this wrong in both
+  directions, which is why the lint gate (rule PAR001) funnels all
+  fan-out through here.
 
-The pool is supervised (see :mod:`repro.guard`):
-
-* **Watchdog** — with ``task_deadline`` set, a worker that produces no
-  result within its wall-clock budget is SIGKILLed and the task is
-  **re-dispatched** with the *same* derived seed (up to
-  ``deadline_retries`` times), so a hung-then-killed-then-rerun task is
-  bit-identical to one that never hung.  A task that hangs on every
-  dispatch becomes ``TaskFailure(reason="WatchdogKilled")`` carrying
-  its elapsed time and the last phase the worker reported
-  (:func:`repro.guard.report_phase` heartbeats stream over the result
-  pipe).
-* **Pre-dispatch short-circuit** — a ``pre_dispatch(item, index)`` hook
-  may return :class:`Skip` to settle a task without forking at all;
-  :func:`repro.parallel.run_cells` uses this to honor open circuit
-  breakers mid-batch.
+Supervision (see :mod:`repro.guard`) follows one retry policy for both
+ways a task can be lost.  A worker that dies mid-task is seen as pipe
+EOF; one that produces no result within ``task_deadline`` is SIGKILLed
+by the watchdog.  Either way the worker is reaped and replaced, and its
+task is re-dispatched under the *same* seed up to ``task_retries``
+times (``deadline_retries`` in :func:`parallel_map`) — a
+hung-then-killed-then-rerun task is bit-identical to one that never
+hung.  A task lost on every dispatch settles as
+``TaskFailure(reason="WorkerDied")`` with the worker's exit status, or
+``"WatchdogKilled"`` with its elapsed time, both naming the last phase
+the worker reported (:func:`repro.guard.report_phase` heartbeats stream
+over the result pipe).  :func:`parallel_map` adds a ``pre_dispatch``
+hook that may return :class:`Skip` to settle a task without running it;
+:func:`repro.parallel.run_cells` uses this to honor open circuit
+breakers mid-batch.
 
 Workers that raise an ordinary ``Exception`` ship the error back as a
 :class:`TaskFailure` payload; raising :class:`BaseException` subclasses
 that are not ``Exception`` (notably ``repro.resilience.SimulatedKill``)
-hard-exit the child so the parent exercises its real dead-worker path.
+hard-exit the worker so the parent exercises its real dead-worker path.
 """
 
 from __future__ import annotations
@@ -89,12 +96,14 @@ _IN_WORKER = False
 class TaskFailure:
     """Parent-side record of one task that did not produce a result.
 
-    ``reason`` is ``"WorkerDied"`` when the child process vanished
+    ``reason`` is ``"WorkerDied"`` when the worker process vanished
     without delivering a payload, ``"WatchdogKilled"`` when the pool's
-    watchdog SIGKILLed a worker that exceeded its task deadline on
-    every dispatch, and otherwise the exception class name raised
-    inside the worker.  Instances are returned in place of the task's
-    result when ``on_error="return"``.
+    watchdog SIGKILLed a worker that exceeded its task deadline — each
+    only once the task was lost on every dispatch — and otherwise the
+    exception class name raised inside the worker.  ``index`` is the
+    task's item index in :func:`parallel_map` and its task id in a
+    :class:`PersistentPool`.  Instances are returned in place of the
+    task's result when ``on_error="return"``.
     """
 
     __slots__ = ("index", "reason", "message", "traceback", "exit_status")
@@ -107,7 +116,7 @@ class TaskFailure:
         self.exit_status = exit_status
 
     def __repr__(self):
-        return "TaskFailure(index=%d, reason=%r, message=%r)" % (
+        return "TaskFailure(index=%r, reason=%r, message=%r)" % (
             self.index, self.reason, self.message,
         )
 
@@ -131,8 +140,8 @@ class PoolInterrupted(KeyboardInterrupt):
     SIGTERM unwinds the pool, *after* every outstanding worker has been
     SIGKILLed and reaped — an interrupted pool never leaks orphan
     processes.  Subclasses ``KeyboardInterrupt`` so existing
-    ``except KeyboardInterrupt`` handlers (including the serve daemon's
-    requeue path) keep working, while callers that care can read:
+    ``except KeyboardInterrupt`` handlers keep working, while callers
+    that care can read:
 
     ``signal_name``
         ``"SIGINT"`` or ``"SIGTERM"``.
@@ -159,9 +168,9 @@ class PoolInterrupted(KeyboardInterrupt):
 class Skip:
     """Sentinel a ``pre_dispatch`` hook returns to settle a task inline.
 
-    The wrapped ``value`` becomes the task's result without a worker
-    ever being forked — how open circuit breakers convert queued cells
-    into immediate failures mid-batch.
+    The wrapped ``value`` becomes the task's result without the task
+    ever reaching a worker — how open circuit breakers convert queued
+    cells into immediate failures mid-batch.
     """
 
     __slots__ = ("value",)
@@ -229,16 +238,14 @@ def _send_frame(write_fd, obj):
         view = view[written:]
 
 
-def _drain_frames(child):
-    """Decode every complete frame buffered for ``child``.
+def _frames(buffer):
+    """Pop and unpickle every complete frame in ``buffer``.
 
-    ``("phase", name)`` heartbeats update the child's last-known phase;
-    the final ``("result", envelope)`` frame carries the task outcome.
-    A trailing partial frame (worker died mid-write) stays in the
-    buffer and is simply never completed — the caller sees a missing
-    envelope and records ``WorkerDied``.
+    A trailing partial frame stays buffered until the rest arrives.  A
+    frame that fails to unpickle — corrupted by a worker dying
+    mid-write — is skipped, which is equivalent to never receiving it:
+    the parent then records the death from the missing result.
     """
-    buffer = child.buffer
     header = _FRAME_HEADER.size
     while len(buffer) >= header:
         (size,) = _FRAME_HEADER.unpack(buffer[:header])
@@ -247,29 +254,39 @@ def _drain_frames(child):
         payload = bytes(buffer[header:header + size])
         del buffer[:header + size]
         try:
-            kind, value = pickle.loads(payload)
+            frame = pickle.loads(payload)
         except Exception:
-            # A frame the child corrupted mid-crash is equivalent to no
-            # frame; the reaper records WorkerDied from the missing envelope.
             continue
-        if kind == "phase":
-            child.phase = value
-        elif kind == "result":
-            child.envelope = value
+        yield frame
 
 
 # ----------------------------------------------------------------------
 # Worker side
 
 
+def _read_tasks(task_fd):
+    """Yield task frames from the pipe until a stop frame or EOF."""
+    buffer = bytearray()
+    while True:
+        chunk = os.read(task_fd, 1 << 16)
+        if not chunk:
+            return  # the parent closed the task pipe
+        buffer.extend(chunk)
+        for frame in _frames(buffer):
+            if frame[0] == "stop":
+                return
+            yield frame[1]
+
+
 def _collect_telemetry(parent_tracer_enabled, parent_metrics_enabled):
     """Install fresh telemetry sinks in the worker; return a drain fn.
 
-    The forked child inherits the parent's Tracer/MetricsRegistry
+    The forked worker inherits the parent's Tracer/MetricsRegistry
     objects, but appending to them is useless — the memory is
     copy-on-write and the parent never sees it.  So when the parent had
-    telemetry enabled, the worker swaps in fresh sinks and ships their
-    contents back in the result envelope for the parent to merge.
+    telemetry enabled, the worker swaps in fresh sinks for each task and
+    ships their contents back in the result envelope for the parent to
+    merge.
     """
     if not (parent_tracer_enabled or parent_metrics_enabled):
         return lambda: (None, None)
@@ -299,9 +316,14 @@ def _collect_telemetry(parent_tracer_enabled, parent_metrics_enabled):
     return drain
 
 
-def _child_main(write_fd, fn, item, index, seed, telemetry_flags,
-                dispatch, label):
-    """Run one task in the forked child; never returns."""
+def _worker_main(task_fd, write_fd, fn, telemetry_flags):
+    """Serve tasks from the pipe until a stop frame or EOF; never returns.
+
+    Each task frame carries the task id, item, label, dispatch count and
+    the seed — the parent derives the seed, so a task re-run on another
+    worker (or after a respawn) sees the identical one and stays
+    byte-identical.
+    """
     global _IN_WORKER
     _IN_WORKER = True
     status = 0
@@ -314,29 +336,23 @@ def _child_main(write_fd, fn, item, index, seed, telemetry_flags,
         set_phase_reporter(
             lambda name: _send_frame(write_fd, ("phase", name))
         )
-        drain = _collect_telemetry(*telemetry_flags)
-        try:
-            maybe_fire("worker.task", index=index, task=label,
-                       dispatch=dispatch)
-            result = fn(item, seed)
-            records, snapshot = drain()
-            envelope = {
-                "ok": True,
-                "result": result,
-                "records": records,
-                "metrics": snapshot,
-            }
-        except Exception as exc:
-            records, snapshot = drain()
-            envelope = {
-                "ok": False,
-                "reason": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-                "records": records,
-                "metrics": snapshot,
-            }
-        _send_frame(write_fd, ("result", envelope))
+        for task in _read_tasks(task_fd):
+            drain = _collect_telemetry(*telemetry_flags)
+            try:
+                maybe_fire("worker.task", index=task["id"],
+                           task=task["label"], dispatch=task["dispatch"])
+                envelope = {"ok": True,
+                            "result": fn(task["item"], task["seed"])}
+            except Exception as exc:
+                envelope = {
+                    "ok": False,
+                    "reason": type(exc).__name__,
+                    "message": str(exc),
+                    "traceback": traceback.format_exc(),
+                }
+            envelope["records"], envelope["metrics"] = drain()
+            _send_frame(write_fd, ("result",
+                                   {"id": task["id"], "envelope": envelope}))
         os.close(write_fd)
     except BaseException:
         # SimulatedKill or anything else non-recoverable: die without a
@@ -352,33 +368,6 @@ def _child_main(write_fd, fn, item, index, seed, telemetry_flags,
 
 # ----------------------------------------------------------------------
 # Parent side
-
-
-class _Child:
-    __slots__ = ("pid", "read_fd", "index", "buffer", "envelope", "phase",
-                 "started", "dispatch")
-
-    def __init__(self, pid, read_fd, index, dispatch):
-        self.pid = pid
-        self.read_fd = read_fd
-        self.index = index
-        self.buffer = bytearray()
-        self.envelope = None
-        self.phase = None
-        self.started = monotonic()
-        self.dispatch = dispatch
-
-
-def _spawn(fn, item, index, seed, telemetry_flags, dispatch, label):
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        _child_main(write_fd, fn, item, index, seed, telemetry_flags,
-                    dispatch, label)
-        os._exit(_KILL_EXIT)  # unreachable; _child_main never returns
-    os.close(write_fd)
-    return _Child(pid, read_fd, index, dispatch)
 
 
 def _exit_status_of(wait_status):
@@ -405,28 +394,27 @@ def _sigkill(pid):
         pass
 
 
-def _reap(child, kill_after=1.0):
-    """Collect the child's exit status without ever blocking the pool.
+def _reap(worker, kill_after=1.0):
+    """Collect the worker's exit status without ever blocking the pool.
 
-    Called once the child's pipe reached EOF (it exited or was
-    SIGKILLed), so exit is imminent: poll ``WNOHANG`` with a short
-    backoff instead of the old blocking ``os.waitpid(pid, 0)``, and
-    escalate to SIGKILL if the child somehow lingers past
-    ``kill_after`` seconds (a hung atexit path must not wedge the
-    supervisor).
+    Called once the worker exited, was SIGKILLed or was told to stop,
+    so exit is imminent: poll ``WNOHANG`` with a short backoff instead
+    of a blocking ``os.waitpid(pid, 0)``, and escalate to SIGKILL if the
+    worker somehow lingers past ``kill_after`` seconds (a hung atexit
+    path must not wedge the supervisor).
     """
     delay = 0.0005
     waited = 0.0
     killed = False
     while True:
         try:
-            pid, wait_status = os.waitpid(child.pid, os.WNOHANG)
+            pid, wait_status = os.waitpid(worker.pid, os.WNOHANG)
         except ChildProcessError:
             return None
         if pid != 0:
             return _exit_status_of(wait_status)
         if not killed and waited >= kill_after:
-            _sigkill(child.pid)
+            _sigkill(worker.pid)
             killed = True
         time.sleep(delay)
         waited += delay
@@ -453,8 +441,9 @@ def parallel_map(fn, items, max_workers=None, seed_root=0, on_error="raise",
     ----------
     fn:
         Callable of ``(item, seed)``.  In parallel mode it runs in a
-        forked child; it may close over arbitrary unpicklable state, but
-        its *return value* must pickle.
+        :class:`PersistentPool` worker forked for this call once ``fn``
+        and ``items`` exist; it may close over arbitrary unpicklable
+        state, but its *return value* must pickle.
     items:
         Sequence of task inputs.
     max_workers:
@@ -482,16 +471,16 @@ def parallel_map(fn, items, max_workers=None, seed_root=0, on_error="raise",
         pool's watchdog (parallel mode only — a serial pool has no
         supervisor process to preempt a hung call).  A worker past its
         deadline is SIGKILLed and the task re-dispatched with the same
-        derived seed; after ``deadline_retries`` re-dispatches it
-        settles as ``TaskFailure(reason="WatchdogKilled")``.
+        derived seed.
     deadline_retries:
-        Re-dispatches allowed per task after a watchdog kill
-        (default 1).
+        Re-dispatches allowed per task after a watchdog kill or a
+        worker death (default 1); a task lost on every dispatch settles
+        as ``TaskFailure(reason="WatchdogKilled")`` or ``"WorkerDied"``.
     pre_dispatch:
         Optional ``pre_dispatch(item, index)`` called in the parent just
-        before a task would fork.  Return :class:`Skip` to settle the
-        task with ``Skip.value`` instead of running it, or None to run
-        normally.
+        before a task would be dispatched.  Return :class:`Skip` to
+        settle the task with ``Skip.value`` instead of running it, or
+        None to run normally.
 
     Returns
     -------
@@ -504,15 +493,15 @@ def parallel_map(fn, items, max_workers=None, seed_root=0, on_error="raise",
         When SIGINT or SIGTERM arrives mid-map.  A temporary SIGTERM
         handler (installed only in the main thread, restored on exit)
         turns termination into the same unwind as Ctrl-C; either way
-        every outstanding worker is SIGKILLed and reaped before the
-        exception escapes, and it carries which task indices settled
-        and which are still pending.
+        every worker is SIGKILLed and reaped before the exception
+        escapes, and it carries which task indices settled and which
+        are still pending.
     """
     if on_error not in ("raise", "return"):
         raise ValueError("on_error must be 'raise' or 'return'; got %r"
                          % (on_error,))
     items = list(items)
-    workers = resolve_workers(max_workers)
+    workers = min(resolve_workers(max_workers), len(items))
     results = [None] * len(items)
     failures = []
     settled = set()
@@ -530,220 +519,78 @@ def parallel_map(fn, items, max_workers=None, seed_root=0, on_error="raise",
     except ValueError:  # not the main thread; SIGTERM keeps its disposition
         previous_term = None
 
-    def interrupted():
-        return PoolInterrupted(
-            interrupt["signal"], sorted(settled),
-            [i for i in range(len(items)) if i not in settled],
-        )
+    def settle(index, value):
+        results[index] = value
+        settled.add(index)
+        if on_result is not None:
+            on_result(index, value)
 
-    def restore_sigterm():
-        if previous_term is not None:
-            signal.signal(signal.SIGTERM, previous_term)
-
-    def settle_skip(index, skip):
+    def skipped(index):
+        """Run ``pre_dispatch``; True when it settled the task inline."""
+        if pre_dispatch is None:
+            return False
+        skip = pre_dispatch(items[index], index)
+        if skip is None:
+            return False
         if not isinstance(skip, Skip):
             raise TypeError(
                 "pre_dispatch must return Skip(value) or None; got %r"
                 % (skip,)
             )
-        results[index] = skip.value
-        settled.add(index)
-        if on_result is not None:
-            on_result(index, skip.value)
+        settle(index, skip.value)
+        return True
 
-    if workers <= 1 or len(items) <= 1:
-        try:
+    try:
+        if workers <= 1:
             for index, item in enumerate(items):
-                if pre_dispatch is not None:
-                    skip = pre_dispatch(item, index)
-                    if skip is not None:
-                        settle_skip(index, skip)
-                        continue
-                seed = derive_seed(seed_root, index)
+                if skipped(index):
+                    continue
                 try:
-                    results[index] = fn(item, seed)
+                    value = fn(item, derive_seed(seed_root, index))
                 except Exception as exc:
                     if on_error == "raise":
                         raise
-                    failure = TaskFailure(
-                        index, type(exc).__name__, str(exc),
-                        traceback.format_exc(),
-                    )
-                    failures.append(failure)
-                    results[index] = failure
-                settled.add(index)
-                if on_result is not None:
-                    on_result(index, results[index])
-        except KeyboardInterrupt:
-            raise interrupted() from None
-        finally:
-            restore_sigterm()
-        return results
-
-    from ..telemetry.metrics import get_metrics
-    from ..telemetry.tracer import get_tracer
-
-    tracer = get_tracer()
-    metrics = get_metrics()
-    telemetry_flags = (tracer.enabled, metrics.enabled)
-
-    def label_of(index):
-        if task_label is not None:
-            return task_label(items[index], index)
-        return str(index)
-
-    sel = selectors.DefaultSelector()
-    pending = iter(enumerate(items))
-    live = 0
-
-    def spawn_task(index, dispatch):
-        nonlocal live
-        child = _spawn(fn, items[index], index,
-                       derive_seed(seed_root, index), telemetry_flags,
-                       dispatch, label_of(index))
-        sel.register(child.read_fd, selectors.EVENT_READ, child)
-        live += 1
-
-    def launch():
-        while True:
-            try:
-                index, item = next(pending)
-            except StopIteration:
-                return False
-            if pre_dispatch is not None:
-                skip = pre_dispatch(item, index)
-                if skip is not None:
-                    settle_skip(index, skip)
-                    continue
-            spawn_task(index, 0)
-            return True
-
-    def settle_failure(failure):
-        failures.append(failure)
-        results[failure.index] = failure
-        settled.add(failure.index)
-        if on_result is not None:
-            on_result(failure.index, failure)
-
-    def finish(child):
-        nonlocal live
-        sel.unregister(child.read_fd)
-        os.close(child.read_fd)
-        live -= 1
-        exit_status = _reap(child)
-        index = child.index
-        envelope = child.envelope
-        if envelope is None:
-            phase = "" if child.phase is None else \
-                ", last phase %r" % child.phase
-            failure = TaskFailure(
-                index, "WorkerDied",
-                "worker process for task %d exited with status %r before "
-                "delivering a result%s" % (index, exit_status, phase),
-                exit_status=exit_status,
-            )
-            tracer.event("parallel.worker_died", task=label_of(index),
-                         exit_status=exit_status, phase=child.phase)
-            settle_failure(failure)
-            return
-        _merge_worker_telemetry(envelope)
-        if envelope["ok"]:
-            results[index] = envelope["result"]
+                    value = TaskFailure(index, type(exc).__name__, str(exc),
+                                        traceback.format_exc())
+                    failures.append(value)
+                settle(index, value)
         else:
-            failure = TaskFailure(
-                index, envelope["reason"], envelope["message"],
-                envelope.get("traceback", ""), exit_status=exit_status,
-            )
-            failures.append(failure)
-            results[index] = failure
-        settled.add(index)
-        if on_result is not None:
-            on_result(index, results[index])
+            with PersistentPool(lambda index, seed: fn(items[index], seed),
+                                workers=workers, task_deadline=task_deadline,
+                                task_retries=deadline_retries) as pool:
+                queue = iter(range(len(items)))
 
-    def watchdog_kill(child, now):
-        """SIGKILL a hung worker; re-dispatch or settle the task.
+                def launch():
+                    """Submit the next task pre_dispatch lets run; 1 if any."""
+                    for index in queue:
+                        if not skipped(index):
+                            pool.submit(
+                                index, index, derive_seed(seed_root, index),
+                                label=(None if task_label is None
+                                       else task_label(items[index], index)),
+                            )
+                            return 1
+                    return 0
 
-        Returns True when the task was re-dispatched (pool occupancy
-        unchanged), False when it settled as a failure (slot freed).
-        """
-        nonlocal live
-        sel.unregister(child.read_fd)
-        os.close(child.read_fd)
-        live -= 1
-        _sigkill(child.pid)
-        _reap(child)
-        index = child.index
-        elapsed = now - child.started
-        tracer.event(
-            "guard.watchdog_kill", task=label_of(index),
-            elapsed=round(elapsed, 3), phase=child.phase,
-            dispatch=child.dispatch,
-        )
-        metrics.counter("guard.watchdog_kills").inc()
-        if child.dispatch < deadline_retries:
-            spawn_task(index, child.dispatch + 1)
-            return True
-        phase = "" if child.phase is None else \
-            ", last phase %r" % child.phase
-        settle_failure(TaskFailure(
-            index, "WatchdogKilled",
-            "task %d (%s) exceeded its %.3gs deadline on %d dispatch(es) "
-            "(%.2fs elapsed%s)" % (index, label_of(index), task_deadline,
-                                   child.dispatch + 1, elapsed, phase),
-        ))
-        return False
-
-    try:
-        try:
-            while live < workers and launch():
-                pass
-            while live:
-                timeout = None
-                if task_deadline is not None:
-                    now = monotonic()
-                    timeout = max(0.0, min(
-                        child.started + task_deadline - now
-                        for child in (key.data
-                                      for key in sel.get_map().values())
-                    ))
-                for key, _ in sel.select(timeout):
-                    child = key.data
-                    chunk = os.read(child.read_fd, 1 << 16)
-                    if chunk:
-                        child.buffer.extend(chunk)
-                        _drain_frames(child)
-                    else:
-                        finish(child)
-                        launch()
-                if task_deadline is not None:
-                    now = monotonic()
-                    for key in list(sel.get_map().values()):
-                        child = key.data
-                        if now - child.started >= task_deadline:
-                            if not watchdog_kill(child, now):
-                                launch()
-        finally:
-            # On an unexpected parent-side error (including SIGINT /
-            # SIGTERM), don't leak (or block on) children: kill
-            # outstanding workers before reaping them.
-            for key in list(sel.get_map().values()):
-                child = key.data
-                try:
-                    os.close(child.read_fd)
-                except OSError:  # repro: noqa[RES002] fd already closed by the normal finish path
-                    pass
-                _sigkill(child.pid)
-                try:
-                    os.waitpid(child.pid, 0)
-                except ChildProcessError:  # repro: noqa[RES002] child already reaped by the normal finish path
-                    pass
-            sel.close()
+                # One launch per settled task keeps pre_dispatch seeing
+                # every earlier completion, as a breaker needs.
+                live = sum(launch() for _ in range(workers))
+                while live:
+                    for index, outcome in pool.poll(None):
+                        if isinstance(outcome, TaskFailure):
+                            failures.append(outcome)
+                        settle(index, outcome)
+                        live += launch() - 1
     except KeyboardInterrupt:
-        # Workers are dead and reaped (the finally above ran first);
+        # Workers are dead and reaped (the pool closed with kill=True);
         # surface a structured interruption instead of a raw ^C.
-        raise interrupted() from None
+        raise PoolInterrupted(
+            interrupt["signal"], sorted(settled),
+            [i for i in range(len(items)) if i not in settled],
+        ) from None
     finally:
-        restore_sigterm()
+        if previous_term is not None:
+            signal.signal(signal.SIGTERM, previous_term)
 
     if failures and on_error == "raise":
         failures.sort(key=lambda f: f.index)
@@ -752,93 +599,10 @@ def parallel_map(fn, items, max_workers=None, seed_root=0, on_error="raise",
 
 
 # ----------------------------------------------------------------------
-# Persistent supervised workers
+# The supervisor
 
 
-def _read_exact(fd, size):
-    """Blocking read of exactly ``size`` bytes; None on EOF."""
-    data = bytearray()
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data.extend(chunk)
-    return bytes(data)
-
-
-def _read_frame(fd):
-    """Blocking read of one length-prefixed pickle frame; None on EOF."""
-    header = _read_exact(fd, _FRAME_HEADER.size)
-    if header is None:
-        return None
-    (size,) = _FRAME_HEADER.unpack(header)
-    payload = _read_exact(fd, size)
-    if payload is None:
-        return None
-    return pickle.loads(payload)
-
-
-def _persistent_child_main(task_fd, write_fd, fn, telemetry_flags):
-    """Serve tasks from the pipe until a stop frame or EOF; never returns.
-
-    The contract difference from the fork-per-task path: the *task
-    items* travel over the pipe here (fork-per-task inherits them
-    copy-on-write), so both items and results must pickle.  The seed
-    arrives with each task — the parent derives it, so a task re-run on
-    a different worker (or after a respawn) sees the identical seed and
-    stays byte-identical.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    status = 0
-    try:
-        from ..guard.phase import set_phase_reporter
-        from ..resilience.faults import maybe_fire
-
-        set_phase_reporter(
-            lambda name: _send_frame(write_fd, ("phase", name))
-        )
-        while True:
-            frame = _read_frame(task_fd)
-            if frame is None or frame[0] == "stop":
-                break
-            task = frame[1]
-            drain = _collect_telemetry(*telemetry_flags)
-            try:
-                maybe_fire("worker.task", index=task["id"],
-                           task=task["label"], dispatch=task["dispatch"])
-                result = fn(task["item"], task["seed"])
-                records, snapshot = drain()
-                envelope = {
-                    "ok": True,
-                    "result": result,
-                    "records": records,
-                    "metrics": snapshot,
-                }
-            except Exception as exc:
-                records, snapshot = drain()
-                envelope = {
-                    "ok": False,
-                    "reason": type(exc).__name__,
-                    "message": str(exc),
-                    "traceback": traceback.format_exc(),
-                    "records": records,
-                    "metrics": snapshot,
-                }
-            _send_frame(write_fd, ("result",
-                                   {"id": task["id"], "envelope": envelope}))
-        os.close(write_fd)
-    except BaseException:
-        # SimulatedKill or anything else non-recoverable: die without a
-        # result frame so the parent takes its genuine dead-worker path.
-        status = _KILL_EXIT
-    finally:
-        sys.stdout.flush()
-        sys.stderr.flush()
-        os._exit(status)
-
-
-class _PWorker:
+class _Worker:
     __slots__ = ("pid", "task_fd", "read_fd", "buffer", "phase", "jobs",
                  "task", "started", "last_beat", "retiring")
 
@@ -858,38 +622,34 @@ class _PWorker:
 class PersistentPool:
     """Pre-forked, supervised worker set for streamed task dispatch.
 
-    Where :func:`parallel_map` forks one child per task (zero pickling
-    of inputs, but a full ``fork`` on every dispatch), a
-    ``PersistentPool`` forks ``workers`` children **once** and streams
-    tasks to them over pipes — the dispatch cost drops from a process
-    fork to one pickled frame each way, which is what makes a
-    long-lived daemon's per-job latency acceptable.  The price is a
-    contract change: task items and results must pickle, and ``fn`` is
-    captured at pool construction (workers inherit it copy-on-write).
+    Forks ``workers`` children once; :meth:`submit` queues a task and
+    :meth:`poll` advances the pool, returning completions in the order
+    they land.  ``fn`` is captured at construction (workers inherit it
+    copy-on-write); task items and results cross the pipes, so they
+    must pickle.
 
     Determinism is caller-owned: :meth:`submit` takes an explicit
-    ``seed`` (the serve daemon passes ``job_seed(job_id)``), so a task
+    ``seed`` (:func:`parallel_map` passes ``derive_seed(seed_root,
+    index)``, the serve daemon ``job_seed(job_id)``), so a task
     re-dispatched after a worker death runs under the identical seed
     and produces byte-identical results on any worker.
 
-    Supervision (the same guarantees :func:`parallel_map` gets from the
-    PR-5 watchdog, kept continuously):
+    Supervision, kept continuously:
 
-    * a worker whose in-flight task exceeds ``task_deadline`` is
-      SIGKILLed and the task re-dispatched (same seed) up to
-      ``task_retries`` times, then settled as
-      ``TaskFailure(reason="WatchdogKilled")``;
     * a worker that dies mid-task (OOM, segfault, ``os._exit``) is
-      detected by pipe EOF, reaped, and replaced; its task is
-      re-dispatched the same way and settles as ``WorkerDied`` when
-      retries run out;
+      detected by pipe EOF, a worker whose task exceeds
+      ``task_deadline`` is SIGKILLed; either is reaped and replaced,
+      and its task re-dispatched (same seed) up to ``task_retries``
+      times, then settled as ``TaskFailure(reason="WorkerDied")`` or
+      ``"WatchdogKilled"``;
     * after ``recycle_after`` completed tasks a worker is retired and
       replaced by a fresh fork (bounds slow memory growth in a daemon
       that runs for weeks).
 
     ``phase`` heartbeats (:func:`repro.guard.report_phase`) stream over
-    the result pipe exactly as in :func:`parallel_map`; the last beat
-    and phase per worker surface in :meth:`stats` for health reporting.
+    the result pipe; the last beat and phase per worker surface in
+    :meth:`stats` for health reporting.  Leaving a ``with`` block on an
+    exception closes the pool with ``kill=True``.
     """
 
     def __init__(self, fn, workers=1, task_deadline=None, task_retries=1,
@@ -911,12 +671,17 @@ class PersistentPool:
         self._metrics = get_metrics()
         self._telemetry_flags = (self._tracer.enabled, self._metrics.enabled)
         self._backlog = deque()
-        self._ordinal = 0
         self._sel = selectors.DefaultSelector()
         self._workers = []
         self._closed = False
-        for _ in range(self.workers):
-            self._spawn_worker()
+        try:
+            for _ in range(self.workers):
+                self._spawn_worker()
+        except BaseException:
+            # An interrupt or failed fork mid-construction must not
+            # orphan the workers already forked.
+            self.close(kill=True)
+            raise
 
     # ------------------------------------------------------------------
     def _spawn_worker(self):
@@ -935,12 +700,12 @@ class PersistentPool:
                     os.close(fd)
                 except OSError:  # repro: noqa[RES002] a sibling fd already closed between snapshot and fork
                     pass
-            _persistent_child_main(task_read, res_write, self.fn,
-                                   self._telemetry_flags)
-            os._exit(_KILL_EXIT)  # unreachable; child main never returns
+            _worker_main(task_read, res_write, self.fn,
+                         self._telemetry_flags)
+            os._exit(_KILL_EXIT)  # unreachable; _worker_main never returns
         os.close(task_read)
         os.close(res_write)
-        worker = _PWorker(pid, task_write, res_read)
+        worker = _Worker(pid, task_write, res_read)
         self._sel.register(res_read, selectors.EVENT_READ, worker)
         self._workers.append(worker)
         return worker
@@ -973,16 +738,13 @@ class PersistentPool:
         """
         if self._closed:
             raise RuntimeError("PersistentPool is closed")
-        self._ordinal += 1
-        task = {
+        self._backlog.append({
             "id": task_id,
             "item": item,
             "seed": seed,
             "label": str(task_id) if label is None else label,
             "dispatch": 0,
-            "ordinal": self._ordinal,
-        }
-        self._backlog.append(task)
+        })
         self._feed()
         return task_id
 
@@ -1008,22 +770,14 @@ class PersistentPool:
 
     # ------------------------------------------------------------------
     def _drain_worker(self, worker):
-        """Decode buffered frames; returns completed result frames."""
+        """Decode buffered frames; returns completed result frames.
+
+        ``("phase", name)`` heartbeats update the worker's last-known
+        phase.  A partial or corrupt frame left by a worker that died
+        mid-write never completes — the EOF path then records the death.
+        """
         completions = []
-        buffer = worker.buffer
-        header = _FRAME_HEADER.size
-        while len(buffer) >= header:
-            (size,) = _FRAME_HEADER.unpack(buffer[:header])
-            if len(buffer) < header + size:
-                break
-            payload = bytes(buffer[header:header + size])
-            del buffer[:header + size]
-            try:
-                kind, value = pickle.loads(payload)
-            except Exception:
-                # A frame corrupted mid-crash is equivalent to no frame;
-                # the EOF path records WorkerDied.
-                continue
+        for kind, value in _frames(worker.buffer):
             if kind == "phase":
                 worker.phase = value
                 worker.last_beat = monotonic()
@@ -1048,13 +802,15 @@ class PersistentPool:
             self.respawns += 1
             self._spawn_worker()
 
-    def _on_death(self, worker, expected=False):
-        """Handle one worker's exit (EOF/SIGKILL); returns completions.
+    def _on_death(self, worker, elapsed=None):
+        """Reap and replace one worker; returns completions.
 
-        An *expected* death (clean recycle) just swaps in a fresh fork.
-        An unexpected one counts in ``deaths``, and its in-flight task is
-        re-dispatched under the same seed — or settled as a
-        :class:`TaskFailure` once ``task_retries`` is exhausted.
+        Called on pipe EOF (a death, or the end of a clean recycle) and,
+        with ``elapsed`` set, by the watchdog for a worker past its task
+        deadline.  Anything but a clean recycle counts in ``deaths``; a
+        lost in-flight task is re-dispatched under the same seed, or
+        settled as ``WorkerDied`` / ``WatchdogKilled`` once
+        ``task_retries`` is exhausted.
         """
         if worker not in self._workers:
             return []  # already handled by an earlier path this poll
@@ -1062,35 +818,41 @@ class PersistentPool:
         exit_status = _reap(worker)
         task = worker.task
         worker.task = None
-        clean_recycle = (expected or worker.retiring) and task is None
         self._retire_or_respawn(worker)
-        if clean_recycle:
+        if task is None and worker.retiring:
             self.recycles += 1
             self._metrics.counter("parallel.pool_recycles").inc()
             self._feed()
             return []
         self.deaths += 1
         self._metrics.counter("parallel.pool_deaths").inc()
-        self._tracer.event(
-            "parallel.worker_died",
-            task=None if task is None else task["label"],
-            exit_status=exit_status, phase=worker.phase,
-        )
+        label = None if task is None else task["label"]
+        if elapsed is None:
+            self._tracer.event("parallel.worker_died", task=label,
+                               exit_status=exit_status, phase=worker.phase)
         completions = []
-        if task is not None:
-            if task["dispatch"] < self.task_retries:
-                task = dict(task, dispatch=task["dispatch"] + 1)
-                self._backlog.appendleft(task)
-            else:
-                phase = "" if worker.phase is None else \
-                    ", last phase %r" % worker.phase
-                completions.append((task["id"], TaskFailure(
-                    task["ordinal"], "WorkerDied",
+        if task is not None and task["dispatch"] < self.task_retries:
+            self._backlog.appendleft(dict(task, dispatch=task["dispatch"] + 1))
+        elif task is not None:
+            phase = "" if worker.phase is None else \
+                ", last phase %r" % worker.phase
+            if elapsed is None:
+                failure = TaskFailure(
+                    task["id"], "WorkerDied",
                     "worker process for task %s exited with status %r "
                     "before delivering a result%s"
-                    % (task["label"], exit_status, phase),
+                    % (label, exit_status, phase),
                     exit_status=exit_status,
-                )))
+                )
+            else:
+                failure = TaskFailure(
+                    task["id"], "WatchdogKilled",
+                    "task %s exceeded its %.3gs deadline on %d dispatch(es) "
+                    "(%.2fs elapsed%s)"
+                    % (label, self.task_deadline, task["dispatch"] + 1,
+                       elapsed, phase),
+                )
+            completions.append((task["id"], failure))
         self._feed()
         return completions
 
@@ -1100,40 +862,18 @@ class PersistentPool:
             return []
         completions = []
         for worker in list(self._workers):
-            if worker.task is None or worker.started is None:
+            if worker.task is None:
                 continue
             elapsed = now - worker.started
             if elapsed < self.task_deadline:
                 continue
-            task = worker.task
             self._tracer.event(
-                "guard.watchdog_kill", task=task["label"],
+                "guard.watchdog_kill", task=worker.task["label"],
                 elapsed=round(elapsed, 3), phase=worker.phase,
-                dispatch=task["dispatch"],
+                dispatch=worker.task["dispatch"],
             )
             self._metrics.counter("guard.watchdog_kills").inc()
-            if task["dispatch"] >= self.task_retries:
-                # Exhausted: settle here (with the watchdog reason) and
-                # hand _on_death a task-less worker to replace.
-                worker.task = None
-                phase = "" if worker.phase is None else \
-                    ", last phase %r" % worker.phase
-                completions.append((task["id"], TaskFailure(
-                    task["ordinal"], "WatchdogKilled",
-                    "task %s exceeded its %.3gs deadline on %d dispatch(es) "
-                    "(%.2fs elapsed%s)"
-                    % (task["label"], self.task_deadline,
-                       task["dispatch"] + 1, elapsed, phase),
-                )))
-                self.deaths += 1
-                self._metrics.counter("parallel.pool_deaths").inc()
-                _sigkill(worker.pid)
-                _reap(worker)
-                self._retire_or_respawn(worker)
-                self._feed()
-            else:
-                _sigkill(worker.pid)
-                completions.extend(self._on_death(worker))
+            completions.extend(self._on_death(worker, elapsed=elapsed))
         return completions
 
     def poll(self, timeout=0.0):
@@ -1141,23 +881,23 @@ class PersistentPool:
 
         Drains finished results, detects and replaces dead workers,
         enforces the task deadline, and feeds backlogged tasks to idle
-        workers.  ``timeout`` bounds the wait when nothing is ready;
-        in-flight deadlines shorten it so a hung worker is killed on
-        time rather than at the caller's cadence.
+        workers.  ``timeout`` bounds the wait when nothing is ready
+        (None waits until something is); in-flight deadlines shorten it
+        so a hung worker is killed on time rather than at the caller's
+        cadence.
         """
         self._feed()
         completions = []
         if self.task_deadline is not None:
             now = monotonic()
-            deadlines = [
-                max(0.0, worker.started + self.task_deadline - now)
-                for worker in self._workers
-                if worker.task is not None and worker.started is not None
-            ]
-            if deadlines:
-                timeout = min(timeout, min(deadlines))
+            for worker in self._workers:
+                if worker.task is not None:
+                    left = max(0.0, worker.started + self.task_deadline - now)
+                    timeout = left if timeout is None else min(timeout, left)
         for key, _ in self._sel.select(timeout):
             worker = key.data
+            if worker not in self._workers:
+                continue  # replaced earlier in this sweep; its fd may be reused
             try:
                 chunk = os.read(worker.read_fd, 1 << 16)
             except OSError:
@@ -1173,7 +913,6 @@ class PersistentPool:
         return completions
 
     def _settle(self, worker, value):
-        task = worker.task
         worker.task = None
         worker.jobs += 1
         worker.last_beat = monotonic()
@@ -1182,10 +921,9 @@ class PersistentPool:
         if envelope["ok"]:
             outcome = envelope["result"]
         else:
-            ordinal = 0 if task is None else task["ordinal"]
             outcome = TaskFailure(
-                ordinal, envelope["reason"], envelope["message"],
-                envelope.get("traceback", ""),
+                value["id"], envelope["reason"], envelope["message"],
+                envelope["traceback"],
             )
         if (self.recycle_after is not None
                 and worker.jobs >= self.recycle_after
@@ -1220,22 +958,26 @@ class PersistentPool:
             "backlog": len(self._backlog),
         }
 
-    def close(self):
-        """Stop every worker (stop frame, then SIGKILL-backed reap)."""
+    def close(self, kill=False):
+        """Stop and reap every worker.
+
+        Closing a worker's task pipe is its stop signal; the reap then
+        waits briefly before escalating to SIGKILL.  ``kill=True``
+        SIGKILLs every worker first, so the reap is immediate — the
+        interrupt path, where in-flight work is being abandoned.
+        """
         if self._closed:
             return
         self._closed = True
         for worker in self._workers:
-            try:
-                _send_frame(worker.task_fd, ("stop",))
-            except OSError:  # repro: noqa[RES002] worker already dead; the reap below collects it
-                pass
-        for worker in self._workers:
+            if kill:
+                _sigkill(worker.pid)
             for fd in (worker.task_fd, worker.read_fd):
                 try:
                     os.close(fd)
                 except OSError:  # repro: noqa[RES002] fd already closed by a death path
                     pass
+        for worker in self._workers:
             _reap(worker, kill_after=0.5)
         self._workers = []
         self._sel.close()
@@ -1244,5 +986,5 @@ class PersistentPool:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self.close()
+        self.close(kill=exc_type is not None)
         return False

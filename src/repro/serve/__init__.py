@@ -13,12 +13,11 @@ machinery of PRs 2–5:
 * **admission control** (:mod:`~repro.serve.admission`) — bounded
   depth and per-client caps shed overload with a structured
   ``retry_after`` instead of accepting work the daemon would drop;
-* **supervised dispatch** — jobs run through
-  :func:`repro.parallel.parallel_map` (fork per job) or a pre-forked
-  :class:`repro.parallel.PersistentPool` (``persistent=True``;
-  watchdog deadlines, dead-worker respawn + same-seed re-dispatch,
-  recycling) with a :class:`repro.guard.CircuitBreaker` keyed per job
-  kind; the ``health`` verb reports ``ok|degraded|draining`` plus
+* **supervised dispatch** — jobs run inline with one worker, or on a
+  :class:`repro.parallel.PersistentPool` forked once with more
+  (watchdog deadlines, dead-worker respawn + same-seed re-dispatch,
+  recycling), behind a :class:`repro.guard.CircuitBreaker` keyed per
+  job kind; the ``health`` verb reports ``ok|degraded|draining`` plus
   per-worker liveness;
 * **graceful shutdown** — SIGTERM/SIGINT drain to a deadline, then a
   clean ``stop`` marker is journaled; anything unfinished stays

@@ -18,10 +18,12 @@ Examples::
     # graceful drain + clean stop marker
     repro-serve stop --socket serve/repro.sock
 
-Long-lived deployments want ``start --persistent --workers N`` (one
-pre-forked supervised worker set instead of a fork per job) and
-``--compact-every M`` (fold the journal into a checkpoint segment every
-M settlements so it stays bounded).
+``start --workers N`` with N > 1 runs jobs on a supervised set of N
+worker processes, forked once on the first job, with dead or hung
+workers respawned; ``--workers 1`` (the default) runs jobs inline.
+Long-lived deployments add ``--recycle-after K`` (replace each worker
+after K jobs) and ``--compact-every M`` (fold the journal into a
+checkpoint segment every M settlements so it stays bounded).
 
 The hidden ``--chaos`` flag on ``start`` installs a
 :class:`repro.resilience.FaultPlan` from a JSON spec — the chaos test
@@ -84,7 +86,6 @@ def _cmd_start(args):
         breaker_threshold=args.breaker_threshold,
         drain_seconds=args.drain_seconds,
         cache=cache,
-        persistent=args.persistent,
         recycle_after=args.recycle_after,
         compact_every=args.compact_every,
         degraded_threshold=args.degraded_threshold,
@@ -141,10 +142,9 @@ def _render_status(status):
         "repro-serve pid=%s health=%s uptime=%.1fs"
         % (status.get("pid"), status.get("health", "?"),
            status.get("uptime_seconds", 0.0)),
-        "  queue: depth=%d outcomes=%d workers=%d mode=%s"
+        "  queue: depth=%d outcomes=%d workers=%d"
         % (status.get("queue_depth", 0), status.get("outcomes", 0),
-           status.get("workers", 1),
-           "persistent" if status.get("persistent") else "fork-per-job"),
+           status.get("workers", 1)),
         "  counters: accepted=%d completed=%d failed=%d shed=%d "
         "replayed=%d compactions=%d"
         % (counters.get("accepted", 0), counters.get("completed", 0),
@@ -209,11 +209,8 @@ def main(argv=None):
                        help="warm ExtractorCache size (0: no cache)")
     start.add_argument("--trace-out", default=None,
                        help="flush a telemetry trace here on exit")
-    start.add_argument("--persistent", action="store_true",
-                       help="pre-fork a supervised worker set instead of "
-                       "forking per job")
     start.add_argument("--recycle-after", type=int, default=None,
-                       help="retire each persistent worker after N jobs")
+                       help="retire each pool worker after N jobs")
     start.add_argument("--compact-every", type=int, default=None,
                        help="fold the journal into a checkpoint segment "
                        "every N settlements")

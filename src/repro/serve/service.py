@@ -16,12 +16,12 @@ socket.  Its reliability contract, end to end:
   control (:mod:`repro.serve.admission`) sheds with a structured
   ``retry_after`` *before* the journal is touched; a shed job was never
   promised.
-* **Overload and poison jobs degrade, not crash.**  Dispatch runs
-  through :mod:`repro.parallel` (fork-per-job via ``parallel_map``, or
-  a supervised :class:`~repro.parallel.PersistentPool` in persistent
-  mode), and a :class:`repro.guard.CircuitBreaker` keyed per job kind
-  settles repeat offenders as ``circuit_open`` failures without
-  dispatching them.
+* **Overload and poison jobs degrade, not crash.**  With one worker
+  jobs run inline; with more they stream to a supervised
+  :class:`~repro.parallel.PersistentPool` that respawns dead or hung
+  workers and re-dispatches their job under the same seed.  A
+  :class:`repro.guard.CircuitBreaker` keyed per job kind settles repeat
+  offenders as ``circuit_open`` failures without dispatching them.
 * **The journal stays bounded.**  With ``compact_every`` set, the
   daemon folds settled history into a checkpoint segment every N
   settlements (:meth:`repro.serve.queue.JobQueue.compact`) — crash-safe
@@ -57,9 +57,10 @@ import json
 import os
 import signal
 import socket
+import traceback
 
 from ..guard import CircuitBreaker, failure_signature
-from ..parallel import Skip, TaskFailure, parallel_map
+from ..parallel import PersistentPool, TaskFailure
 from ..resilience.faults import maybe_fire
 from ..telemetry import get_metrics, get_tracer
 from ..telemetry.clock import monotonic, wall_time
@@ -79,6 +80,9 @@ __all__ = ["ReproService", "ServiceAlreadyRunning"]
 
 #: Selector poll granularity when idle; dispatch latency is bounded by it.
 _POLL_SECONDS = 0.05
+
+#: Listen backlog, and the most connections one accept pass answers.
+_BACKLOG = 16
 
 #: Per-connection socket timeout: a stalled client cannot wedge the loop.
 _CONN_TIMEOUT = 5.0
@@ -112,16 +116,17 @@ class ReproService:
     max_depth, per_client_limit:
         Admission bounds (see :class:`~repro.serve.admission.AdmissionController`).
     workers:
-        Concurrency for job execution.  1 runs jobs inline; >1 forks per
-        job (default) or pre-forks a supervised worker set when
-        ``persistent`` is set.
-    batch:
-        Jobs dispatched per loop iteration in fork-per-job mode
-        (default: ``workers``).
+        Concurrency for job execution.  1 runs jobs inline in the
+        daemon; >1 streams them to a supervised
+        :class:`repro.parallel.PersistentPool`, pre-forked on the first
+        dispatch: a dead or hung worker is respawned and its job
+        re-dispatched under the same ``job_seed``, so results stay
+        byte-identical to inline.
     task_deadline, deadline_retries:
-        Per-job wall-clock budget enforced by the pool watchdog
-        (parallel and persistent modes — a serial dispatch has no
-        supervisor process to preempt a hung call).
+        Per-job wall-clock budget enforced by the pool watchdog, and
+        re-dispatches allowed after a watchdog kill or a worker death
+        (``workers > 1`` only — inline dispatch has no supervisor
+        process to preempt a hung call).
     breaker_threshold:
         Equivalent failures per job kind before its breaker opens.
     drain_seconds:
@@ -132,15 +137,9 @@ class ReproService:
     cache:
         Optional warm :class:`repro.experiments.ExtractorCache` exposed
         to handlers via ``service.cache`` (stats surface in ``status``).
-    persistent:
-        Dispatch through a :class:`repro.parallel.PersistentPool`
-        instead of forking per job: workers are pre-forked once, jobs
-        stream to them as pickled frames, and a supervisor respawns
-        dead/hung workers and re-dispatches their job under the same
-        ``job_seed`` — results stay byte-identical to serial.
     recycle_after:
-        In persistent mode, retire and replace each worker after this
-        many completed jobs (bounds slow memory growth; None disables).
+        Retire and replace each pool worker after this many completed
+        jobs (bounds slow memory growth; None disables).
     compact_every:
         Compact the journal after this many settlements (None disables).
     degraded_threshold:
@@ -149,10 +148,9 @@ class ReproService:
     """
 
     def __init__(self, socket_path, journal_path, max_depth=64,
-                 per_client_limit=None, workers=1, batch=None,
-                 task_deadline=None, deadline_retries=1,
-                 breaker_threshold=3, drain_seconds=5.0, router=None,
-                 cache=None, persistent=False, recycle_after=None,
+                 per_client_limit=None, workers=1, task_deadline=None,
+                 deadline_retries=1, breaker_threshold=3, drain_seconds=5.0,
+                 router=None, cache=None, recycle_after=None,
                  compact_every=None, degraded_threshold=3):
         self.socket_path = os.fspath(socket_path)
         self.journal_path = os.fspath(journal_path)
@@ -164,11 +162,9 @@ class ReproService:
         self.breaker = CircuitBreaker(threshold=breaker_threshold)
         self.cache = cache
         self.workers = max(1, int(workers))
-        self.batch = self.workers if batch is None else max(1, int(batch))
         self.task_deadline = task_deadline
         self.deadline_retries = int(deadline_retries)
         self.drain_seconds = float(drain_seconds)
-        self.persistent = bool(persistent)
         self.recycle_after = recycle_after
         self.compact_every = (
             None if not compact_every else max(1, int(compact_every))
@@ -216,7 +212,7 @@ class ReproService:
                 probe.close()
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(self.socket_path)
-        listener.listen(16)
+        listener.listen(_BACKLOG)
         listener.settimeout(_POLL_SECONDS)
         self._listener = listener
 
@@ -311,13 +307,11 @@ class ReproService:
         }
 
     def _worker_stats(self):
-        if self.persistent:
-            if self._pool is None:
-                return {"mode": "persistent", "count": self.workers,
-                        "started": False}
-            return {"mode": "persistent", "count": self.workers,
-                    "started": True, **self._pool.stats()}
-        return {"mode": "fork-per-job", "count": self.workers}
+        if self.workers == 1:
+            return {"count": 1}
+        if self._pool is None:
+            return {"count": self.workers, "started": False}
+        return {"count": self.workers, "started": True, **self._pool.stats()}
 
     def status(self):
         """The liveness/readiness + telemetry snapshot (``status`` verb)."""
@@ -336,7 +330,6 @@ class ReproService:
             "heartbeats": dict(sorted(self.heartbeats.items())),
             "kinds": self.router.kinds(),
             "workers": self.workers,
-            "persistent": self.persistent,
             "journal_stats": self._journal_stats(),
             "replay": {
                 "recovered": self.counters["replayed"],
@@ -393,7 +386,7 @@ class ReproService:
         ``OSError`` covers the whole family of routine peer failures —
         ``socket.timeout`` (stalled mid-frame), ``ConnectionResetError``
         (peer reset under us), ``BrokenPipeError`` (peer gave up waiting
-        for a slow batch and closed before reading the response).  All of
+        for a slow job and closed before reading the response).  All of
         them end this connection, not the daemon: degrade, not crash.
         """
         conn.settimeout(_CONN_TIMEOUT)
@@ -457,75 +450,49 @@ class ReproService:
 
     def _dispatch_some(self):
         """Advance job execution one step; returns jobs touched."""
-        if self.persistent:
-            return self._dispatch_persistent()
-        return self._dispatch_batch()
+        if self.workers == 1:
+            return self._dispatch_inline()
+        return self._dispatch_pool()
 
-    def _dispatch_batch(self):
-        """Run up to one batch of pending jobs; settle each as it lands.
+    def _short_circuit(self, job):
+        """Settle ``job`` as ``circuit_open`` if its family's breaker is
+        open; True when it did (the job is never run)."""
+        signature = self.breaker.open_signature(_breaker_key(job["kind"]))
+        if signature is None:
+            return False
+        get_metrics().counter("serve.circuit_short_circuit").inc()
+        self._settle_outcome(job, _CircuitOpen(signature))
+        return True
 
-        Settlement happens in the ``on_result`` completion hook, so a
-        crash mid-batch journals every finished job and loses none: the
-        unfinished remainder replays on restart.
+    def _dispatch_inline(self):
+        """Run pending jobs in this process, settling each as it lands.
+
+        The serial reference path: no worker process, so a crash here is
+        a daemon crash and the unsettled jobs replay on restart.  One
+        step runs at least one job and starts no new one after
+        ``_POLL_SECONDS``, so waiting clients and the drain deadline are
+        served between slow jobs.
         """
-        batch = self.queue.take(self.batch)
-        if not batch:
-            return 0
-        tracer = get_tracer()
-        started = monotonic()
-
-        def pre_dispatch(job, _index):
-            signature = self.breaker.open_signature(_breaker_key(job["kind"]))
-            if signature is not None:
-                get_metrics().counter("serve.circuit_short_circuit").inc()
-                return Skip(_CircuitOpen(signature))
-            return None
-
-        settled = 0
-
-        def on_result(index, outcome):
-            nonlocal settled
-            settled += 1
-            self._settle_outcome(batch[index], outcome)
-
-        with tracer.span("serve.batch", jobs=len(batch)):
+        ran = 0
+        step_end = monotonic() + _POLL_SECONDS
+        while self.queue.pending and (not ran or monotonic() < step_end):
+            (job,) = self.queue.take(1)
+            ran += 1
+            if self._short_circuit(job):
+                continue
+            started = monotonic()
             try:
-                parallel_map(
-                    self._run_job,
-                    batch,
-                    max_workers=self.workers,
-                    on_error="return",
-                    task_label=lambda job, _i: "serve/%s/%s"
-                    % (job["kind"], job["job_id"]),
-                    on_result=on_result,
-                    task_deadline=self.task_deadline,
-                    deadline_retries=self.deadline_retries,
-                    pre_dispatch=pre_dispatch,
-                )
-            except KeyboardInterrupt:
-                # PoolInterrupted (SIGTERM/SIGINT mid-batch): unsettled
-                # jobs go back to the queue front — still journaled as
-                # accepted, so even a second crash cannot lose them.
-                for job in reversed(batch):
-                    if self.queue.outcome(job["job_id"]) is None:
-                        self.queue.requeue(job)
-                if self._stop_requested is None:
-                    self._stop_requested = "interrupt"
-        # Mean service time feeds the admission backoff.  Completions in
-        # a concurrent batch share wall-clock, so the honest per-job
-        # figure is the batch duration amortized over what actually
-        # settled — summing per-completion elapsed would double-count.
-        if settled:
-            per_job = (monotonic() - started) / settled
-            for _ in range(settled):
-                self.admission.observe_service(per_job)
-        return len(batch)
+                outcome = self._run_job(job, job_seed(job["job_id"]))
+            except Exception as exc:
+                outcome = TaskFailure(job["job_id"], type(exc).__name__,
+                                      str(exc), traceback.format_exc())
+            self._settle_outcome(job, outcome)
+            self.admission.observe_service(monotonic() - started)
+        return ran
 
     def _ensure_pool(self):
-        """Lazily pre-fork the persistent worker set (first dispatch)."""
+        """Lazily pre-fork the supervised worker set (first dispatch)."""
         if self._pool is None:
-            from ..parallel import PersistentPool
-
             self._pool = PersistentPool(
                 self._run_job,
                 workers=self.workers,
@@ -536,25 +503,18 @@ class ReproService:
             get_tracer().event("serve.pool_started", workers=self.workers)
         return self._pool
 
-    def _dispatch_persistent(self):
-        """Stream jobs to the persistent pool; settle what completed.
+    def _dispatch_pool(self):
+        """Stream jobs to the worker pool; settle what completed.
 
-        Unlike the batch path there is no barrier: jobs flow to idle
-        workers as they free up, and completions settle (journal +
-        admission release) the same loop iteration they land, so
-        submit/result latency is one pool round trip, not one batch.
+        Jobs flow to idle workers as they free up, and completions
+        settle (journal + admission release) the same loop iteration
+        they land, so submit/result latency is one pool round trip.
         """
         pool = self._ensure_pool()
         dispatched = 0
-        while pool.capacity() > 0:
-            batch = self.queue.take(1)
-            if not batch:
-                break
-            job = batch[0]
-            signature = self.breaker.open_signature(_breaker_key(job["kind"]))
-            if signature is not None:
-                get_metrics().counter("serve.circuit_short_circuit").inc()
-                self._settle_outcome(job, _CircuitOpen(signature))
+        while pool.capacity() > 0 and self.queue.pending:
+            (job,) = self.queue.take(1)
+            if self._short_circuit(job):
                 continue
             self._dispatch_started[job["job_id"]] = monotonic()
             pool.submit(
@@ -592,8 +552,10 @@ class ReproService:
             get_tracer().event("serve.degraded_exit")
 
     def _maybe_compact(self):
-        """Compact the journal once enough settlements accrued.
+        """Compact the journal once per ``compact_every`` settlements.
 
+        At most one compaction per loop pass; a pass that settled more
+        than ``compact_every`` jobs is caught up on the following passes.
         Deferred while degraded: a daemon whose workers are dying should
         spend its cycles (and its I/O) on recovery, not on rewriting
         history — the journal stays correct either way, only larger.
@@ -605,7 +567,7 @@ class ReproService:
         if self._degraded:
             return False
         path = self.queue.compact()
-        self._settled_since_compact = 0
+        self._settled_since_compact -= self.compact_every
         self.counters["compactions"] += 1
         get_tracer().event(
             "serve.compacted", segment=os.path.basename(path),
@@ -666,16 +628,17 @@ class ReproService:
         return self.status()
 
     def _poll_accept(self):
-        """Accept and answer every connection currently waiting.
+        """Accept and answer the connections currently waiting.
 
-        With work queued or in flight, the accept poll is non-blocking
-        so dispatch latency stays at one loop iteration; idle, it
-        blocks for ``_POLL_SECONDS`` so an empty daemon does not spin.
+        Idle, the first accept blocks for ``_POLL_SECONDS`` so an empty
+        daemon does not spin.  Every other accept is non-blocking, and a
+        pass answers at most ``_BACKLOG`` connections: a client that
+        reconnects faster than the poll (e.g. polling ``result``) can
+        delay dispatch by one pass, never starve it.
         """
-        self._listener.settimeout(
-            0.0 if (self.queue.pending or self.queue.taken) else _POLL_SECONDS
-        )
-        while True:
+        idle = not (self.queue.pending or self.queue.taken)
+        self._listener.settimeout(_POLL_SECONDS if idle else 0.0)
+        for _ in range(_BACKLOG):
             try:
                 conn, _ = self._listener.accept()
             except (socket.timeout, BlockingIOError):
@@ -684,6 +647,7 @@ class ReproService:
                 if exc.errno in (errno.EBADF, errno.EINVAL):
                     return
                 raise
+            self._listener.settimeout(0.0)
             self._serve_one_connection(conn)
 
     def _drain(self):
@@ -705,8 +669,7 @@ class ReproService:
         """One-line startup summary for the CLI."""
         return (
             "repro-serve pid=%d socket=%s journal=%s depth=%d "
-            "recovered=%d workers=%d mode=%s"
+            "recovered=%d workers=%d"
             % (os.getpid(), self.socket_path, self.journal_path,
-               self.queue.depth(), self.counters["replayed"], self.workers,
-               "persistent" if self.persistent else "fork-per-job")
+               self.queue.depth(), self.counters["replayed"], self.workers)
         )

@@ -88,6 +88,13 @@ class TestParallelMap:
                             max_workers=2)
         assert all(pid != parent for pid in pids)
 
+    def test_workers_fork_once_per_call(self):
+        # Tasks stream to the call's workers; a fork per task would
+        # show up as one pid per item.
+        pids = parallel_map(lambda i, s: os.getpid(), range(20),
+                            max_workers=2)
+        assert len(set(pids)) <= 2
+
     def test_nested_pool_degrades_to_serial(self):
         def fn(_item, _seed):
             return (in_worker(), resolve_workers(4))

@@ -29,6 +29,7 @@ from repro.serve import (
     segment_paths,
     write_message,
 )
+from repro.telemetry import monotonic
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +592,7 @@ class TestServiceHandlers:
         service.queue.close()
 
     def test_dispatch_settles_done_and_failed(self, tmp_path):
-        service = _service(tmp_path, batch=2)
+        service = _service(tmp_path)
         ok = service._handle_submit({"kind": "echo", "client": "a"})
         bad = service._handle_submit(
             {"kind": "fail", "client": "a", "payload": {"message": "kaput"}}
@@ -790,7 +791,7 @@ class TestServiceHealth:
         assert payload["health"] == "ok"
         assert payload["queue_depth"] == 0 and payload["in_flight"] == 0
         assert payload["death_streak"] == 0
-        assert payload["workers"] == {"mode": "fork-per-job", "count": 1}
+        assert payload["workers"] == {"count": 1}
         journal = payload["journal"]
         assert set(journal) == {"segments", "bytes", "corrupt_lines",
                                 "compactions"}
@@ -806,7 +807,6 @@ class TestServiceHealth:
         service = _service(tmp_path)
         payload = service.status()
         assert payload["health"] == "ok"
-        assert payload["persistent"] is False
         stats = payload["journal_stats"]
         assert stats["segments"] == 1 and stats["compactions"] == 0
         assert stats["bytes"] == os.path.getsize(service.journal_path)
@@ -877,8 +877,7 @@ class TestServicePersistent:
         for mode, root in (("fork", tmp_path / "a"),
                            ("persistent", tmp_path / "b")):
             root.mkdir()
-            service = _service(root, workers=2,
-                               persistent=(mode == "persistent"))
+            service = _service(root, workers=2)
             for job_id, payload in jobs:
                 service._handle_submit({"kind": "echo", "client": "a",
                                         "job_id": job_id,
@@ -894,7 +893,7 @@ class TestServicePersistent:
 
     def test_persistent_breaker_short_circuits_without_dispatch(
             self, tmp_path):
-        service = _service(tmp_path, persistent=True, workers=1,
+        service = _service(tmp_path, workers=1,
                            breaker_threshold=1)
         service._handle_submit(
             {"kind": "fail", "client": "a", "payload": {"message": "x"}}
@@ -910,14 +909,28 @@ class TestServicePersistent:
         _close_service(service)
 
     def test_persistent_worker_stats_in_health(self, tmp_path):
-        service = _service(tmp_path, persistent=True, workers=2)
+        service = _service(tmp_path, workers=2)
         assert service.health()["workers"]["started"] is False
         service._handle_submit({"kind": "echo", "client": "a"})
         _drain_service(service, 1)
         workers = service.health()["workers"]
-        assert workers["mode"] == "persistent" and workers["started"]
+        assert workers["started"]
         assert len(workers["workers"]) == 2
         assert all(w["pid"] > 0 for w in workers["workers"])
+        assert workers["deaths"] == 0
+        _close_service(service)
+
+    def test_pool_workers_serve_every_job_without_refork(self, tmp_path):
+        service = _service(tmp_path, workers=2)
+        for i in range(20):
+            service._handle_submit({"kind": "echo", "client": "a",
+                                    "job_id": "e-%02d" % i})
+        _drain_service(service, 20)
+        assert all(service.queue.outcome("e-%02d" % i)["status"] == "done"
+                   for i in range(20))
+        workers = service.health()["workers"]
+        assert len({w["pid"] for w in workers["workers"]}) <= 2
+        assert sum(w["jobs"] for w in workers["workers"]) == 20
         assert workers["deaths"] == 0
         _close_service(service)
 
@@ -1052,6 +1065,19 @@ class TestServiceEndToEnd:
         stats = read_journal(service.journal_path)
         assert stats.clean_stop
         assert final["status"]["stopping"] is True
+
+    def test_fast_result_polling_does_not_starve_dispatch(
+            self, running_service):
+        # A client reconnecting well inside the daemon's accept poll
+        # must not keep it accepting forever with the job undispatched.
+        _, client, _ = running_service
+        job_id = client.submit("echo", {"x": 1})
+        deadline = monotonic() + 2.0
+        response = client.result(job_id)
+        while response["status"] == "pending" and monotonic() < deadline:
+            threading.Event().wait(0.002)
+            response = client.result(job_id)
+        assert response["status"] == "done"
 
     def test_resubmitted_job_id_is_idempotent_over_the_wire(
             self, running_service):

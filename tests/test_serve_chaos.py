@@ -464,7 +464,7 @@ class TestPersistentWorkerChaos:
              "when": {"task": "serve/resample/rs-00", "dispatch": 0}},
         ])
         process, client = _start_daemon(
-            chaos_dir, "--persistent", "--workers", "4", "--chaos", chaos,
+            chaos_dir, "--workers", "4", "--chaos", chaos,
         )
         for kind, payload, job_id in _resample_jobs():
             client.submit(kind, payload, job_id=job_id)
@@ -474,7 +474,6 @@ class TestPersistentWorkerChaos:
         health = client.health()
         assert health["health"] == "ok"  # one death is not a streak
         workers = health["workers"]
-        assert workers["mode"] == "persistent"
         assert workers["deaths"] >= 1, "the injected kill never fired"
         assert workers["respawns"] >= 1
         assert len(workers["workers"]) == 4  # the set was replenished
@@ -489,7 +488,7 @@ class TestPersistentWorkerChaos:
              "seconds": 60.0},
         ])
         process, client = _start_daemon(
-            tmp_path, "--persistent", "--workers", "2",
+            tmp_path, "--workers", "2",
             "--task-deadline", "1.0", "--chaos", chaos,
         )
         client.submit("echo", {"x": 1}, job_id="stuck-1")
