@@ -1,10 +1,14 @@
-"""Client for the resampling daemon: submit, poll, backoff honestly.
+"""Client for the resampling daemon: submit, await, backoff honestly.
 
 One request per connection (connect → frame → response → close), which
 keeps the daemon's accept loop trivially fair and makes every client
 interaction crash-equivalent: a connection that dies mid-submit either
 left an ``accepted`` record (the job will run) or it did not (the job
 was never promised) — there is no third state.
+
+Awaiting a job does not poll on a timer: :meth:`ServeClient.wait` sends
+long-poll ``result`` requests, which the daemon holds open and answers
+as soon as the job's settlement is journaled.
 
 Load shedding surfaces as :class:`LoadShedded`, carrying the daemon's
 structured ``retry_after``/``reason``; :meth:`ServeClient.submit_with_retry`
@@ -152,22 +156,38 @@ class ServeClient:
     def wait(self, job_id, timeout=30.0, poll=0.05):
         """Block until ``job_id`` settles; returns the settlement dict.
 
+        Asks :meth:`result` once, then long-polls: each further
+        ``result`` request carries ``wait`` seconds (at most half this
+        client's socket ``timeout``), and the daemon answers the moment
+        the job settles, or ``pending`` when the wait elapses.  ``poll``
+        is slept only after a ``pending`` that came sooner than asked
+        (the daemon's parked set was full, or it has no long-poll), so
+        the loop never spins.
+
         Raises ``TimeoutError`` if it does not settle in time and
         :class:`ServeError` if the daemon does not know the job.
         """
         deadline = monotonic() + timeout
+        response = self.result(job_id)
         while True:
-            response = self.result(job_id)
             status = response.get("status")
             if status in ("done", "failed"):
                 return response
             if status == "not_found":
                 raise ServeError(response)
-            if monotonic() > deadline:
+            left = deadline - monotonic()
+            if left <= 0.0:
                 raise TimeoutError(
                     "job %s did not settle within %.1fs" % (job_id, timeout)
                 )
-            time.sleep(poll)
+            wait = min(left, self.timeout / 2.0)
+            asked = monotonic()
+            response = self.request(
+                {"verb": "result", "job_id": job_id, "wait": wait}
+            )
+            if (response.get("status") == "pending"
+                    and monotonic() - asked < wait):
+                time.sleep(poll)
 
     def status(self):
         """The daemon's liveness/telemetry snapshot."""

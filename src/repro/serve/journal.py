@@ -90,13 +90,20 @@ def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _wrap_text(text):
+    """One checksummed journal line (no trailing newline) around the
+    canonical text of a body.
+
+    Spliced, not re-encoded: with sorted keys ``"body"`` precedes
+    ``"sha256"``, so this is byte-identical to the canonical encoding of
+    ``{"sha256": ..., "body": body}``.
+    """
+    return '{"body":%s,"sha256":"%s"}' % (text, _digest(text))
+
+
 def _wrap(body):
     """One checksummed journal line (no trailing newline) for ``body``."""
-    return json.dumps(
-        {"sha256": _digest(_canonical(body)), "body": body},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return _wrap_text(_canonical(body))
 
 
 def segment_paths(path):
@@ -307,22 +314,42 @@ class Journal:
     # ------------------------------------------------------------------
     def append(self, record_type, fsync=False, **fields):
         """Write one checksummed record; returns the body written."""
+        body = {"type": record_type, **fields}
+        self._append_text(_canonical(body), record_type, fields.get("job_id"),
+                          fsync)
+        return body
+
+    def append_done(self, job_id, result):
+        """Write a ``done`` record; returns the result's canonical text.
+
+        The result is encoded once and the body spliced around it (keys
+        sort ``job_id`` < ``result`` < ``type``), so the line is
+        byte-identical to ``append("done", job_id=..., result=...)`` and
+        the caller can splice the same text into a response.
+        """
+        result_text = _canonical(result)
+        self._append_text(
+            '{"job_id":%s,"result":%s,"type":"done"}'
+            % (_canonical(job_id), result_text),
+            "done", job_id,
+        )
+        return result_text
+
+    def _append_text(self, text, record_type, job_id, fsync=False):
+        """Append the line wrapping canonical body ``text``."""
         from ..resilience.faults import maybe_fire
 
-        body = {"type": record_type, **fields}
-        line = _wrap(body)
-        fired = maybe_fire("serve.journal", record=record_type,
-                           job_id=fields.get("job_id"))
+        line = _wrap_text(text)
+        fired = maybe_fire("serve.journal", record=record_type, job_id=job_id)
         if fired == "corrupt":
             # Model a torn append: half the record reaches the disk.
             self._handle.write(line[: max(1, len(line) // 2)])
             self._handle.flush()
-            return body
+            return
         self._handle.write(line + "\n")
         self._handle.flush()
         if fsync:
             os.fsync(self._handle.fileno())
-        return body
 
     def compact(self, bodies):
         """Roll the journal over to a fresh segment holding ``bodies``.

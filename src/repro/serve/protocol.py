@@ -18,6 +18,9 @@ Requests are ``{"verb": ..., ...}`` objects; responses always carry a
     accepted the work (see :mod:`repro.serve.admission`).
 ``pending``
     A ``result`` query for a job that is accepted but not yet settled.
+    A long-poll query (``wait`` seconds set) gets it when the wait
+    elapsed, the daemon's parked-connection cap was full, or the daemon
+    began to stop before the job settled.
 ``done`` / ``failed``
     A ``result`` query for a settled job.  ``done`` carries the
     handler's ``result``; ``failed`` carries the typed ``reason`` and
@@ -100,8 +103,17 @@ def read_message(sock):
 
 
 def write_message(sock, obj):
-    """Serialize ``obj`` as one length-prefixed JSON frame."""
-    payload = json.dumps(obj, sort_keys=True).encode("utf-8")
+    """Serialize ``obj`` as one length-prefixed JSON frame.
+
+    The payload is ``obj`` with sorted keys and no whitespace.  ``bytes``
+    are taken as an already-encoded payload (a response spliced around
+    JSON text the daemon encoded once) and framed as they are.
+    """
+    if isinstance(obj, bytes):
+        payload = obj
+    else:
+        payload = json.dumps(obj, sort_keys=True,
+                             separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_FRAME:
         raise ProtocolError(
             "refusing to send a %d-byte frame (limit %d)"

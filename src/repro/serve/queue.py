@@ -77,13 +77,18 @@ class JobQueue:
         return job_id
 
     def settle_done(self, job_id, result):
-        """Journal a completed job's result and retire it from pending."""
-        self.journal.append("done", job_id=job_id, result=result)
+        """Journal a completed job's result and retire it from pending.
+
+        Returns the result's canonical JSON text, encoded once for the
+        journal line; the daemon splices it into its answer to clients
+        waiting on the job.  The text is not kept.
+        """
+        result_text = self.journal.append_done(job_id, result)
         self.pending.pop(job_id, None)
         self.taken.pop(job_id, None)
         self.outcomes[job_id] = {"status": "done", "result": result}
         get_metrics().counter("serve.completed").inc()
-        return self.outcomes[job_id]
+        return result_text
 
     def settle_failed(self, job_id, reason, message=""):
         """Journal a failed job (typed reason) and retire it."""

@@ -26,6 +26,12 @@ socket.  Its reliability contract, end to end:
   daemon folds settled history into a checkpoint segment every N
   settlements (:meth:`repro.serve.queue.JobQueue.compact`) — crash-safe
   at every step, deferred while degraded.
+* **Settlements are pushed, not polled for.**  A ``result`` request
+  carrying ``wait`` seconds on an unsettled job parks its connection in
+  the loop; the settlement is sent the moment it is journaled, spliced
+  around the JSON text the journal line was built from (the result is
+  encoded once).  The wait (at most ``_CONN_TIMEOUT``), a stop, or a
+  full parked set (``max_depth`` connections) answers ``pending``.
 * **Health is observable.**  The ``health`` verb reports an overall
   ``ok | degraded | draining`` state plus queue depth, journal
   segments/bytes, per-worker liveness, and breaker states.  Repeated
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import signal
 import socket
@@ -78,13 +85,16 @@ from .router import default_router, job_seed
 
 __all__ = ["ReproService", "ServiceAlreadyRunning"]
 
-#: Selector poll granularity when idle; dispatch latency is bounded by it.
+#: Longest single wait of the loop (idle accept, pool poll): it bounds
+#: dispatch latency and how late a parked ``result`` wait is answered.
+#: Settlements themselves reach parked clients without waiting on it.
 _POLL_SECONDS = 0.05
 
 #: Listen backlog, and the most connections one accept pass answers.
 _BACKLOG = 16
 
 #: Per-connection socket timeout: a stalled client cannot wedge the loop.
+#: Also the longest a ``result`` request may stay parked.
 _CONN_TIMEOUT = 5.0
 
 
@@ -94,6 +104,13 @@ class ServiceAlreadyRunning(RuntimeError):
 
 def _breaker_key(kind):
     return "serve/%s" % kind
+
+
+def _close_quietly(conn):
+    try:
+        conn.close()
+    except OSError:  # repro: noqa[RES002] closing a reset socket can itself raise; the fd is gone either way
+        pass
 
 
 class _CircuitOpen:
@@ -179,6 +196,7 @@ class ReproService:
         self._listener = None
         self._started_at = monotonic()
         self._client_of = {}
+        self._parked = []  # [(deadline, job_id, conn)] long-poll results
         self._pool = None
         self._dispatch_started = {}
         self._settled_since_compact = 0
@@ -280,15 +298,27 @@ class ReproService:
         self.counters["accepted"] += 1
         return ok_response(job_id=job["job_id"], position=self.queue.depth())
 
-    def _handle_result(self, request):
-        job_id = str(request.get("job_id", ""))
+    def _unsettled(self, job_id):
+        return job_id in self.queue.pending or job_id in self.queue.taken
+
+    def _result_response(self, job_id, result_text=None):
+        """The answer to a ``result`` request for ``job_id``, now.
+
+        ``result_text`` is the canonical JSON of the job's ``done`` result
+        as the journal line just encoded it; the answer is then spliced
+        around it, byte-identical to the frame ``write_message`` would
+        encode from the dict, without encoding the result again.
+        """
         outcome = self.queue.outcome(job_id)
-        if outcome is not None:
-            return {"job_id": job_id, **outcome}
-        if job_id in self.queue.pending or job_id in self.queue.taken:
-            return {"status": "pending", "job_id": job_id,
-                    "depth": self.queue.depth()}
-        return {"status": "not_found", "job_id": job_id}
+        if outcome is None:
+            if self._unsettled(job_id):
+                return {"status": "pending", "job_id": job_id,
+                        "depth": self.queue.depth()}
+            return {"status": "not_found", "job_id": job_id}
+        if result_text is not None:
+            return ('{"job_id":%s,"result":%s,"status":"done"}'
+                    % (json.dumps(job_id), result_text)).encode("utf-8")
+        return {"job_id": job_id, **outcome}
 
     def _health_state(self):
         if self._stop_requested is not None:
@@ -370,7 +400,7 @@ class ReproService:
         if verb == "submit":
             return self._handle_submit(request)
         if verb == "result":
-            return self._handle_result(request)
+            return self._result_response(str(request.get("job_id", "")))
         if verb == "status":
             return self.status()
         if verb == "health":
@@ -388,8 +418,11 @@ class ReproService:
         (peer reset under us), ``BrokenPipeError`` (peer gave up waiting
         for a slow job and closed before reading the response).  All of
         them end this connection, not the daemon: degrade, not crash.
+        A long-poll ``result`` may instead park the connection, which
+        is then answered later by :meth:`_wake` or :meth:`_expire_parked`.
         """
         conn.settimeout(_CONN_TIMEOUT)
+        parked = False
         try:
             request = read_message(conn)
             if request is None:
@@ -397,19 +430,81 @@ class ReproService:
             if not isinstance(request, dict):
                 write_message(conn, error_response("request must be an object"))
                 return
-            write_message(conn, self._handle_request(request))
+            parked = self._park(conn, request)
+            if not parked:
+                write_message(conn, self._handle_request(request))
         except (ProtocolError, OSError) as exc:
-            get_tracer().event("serve.conn_error",
-                               error=type(exc).__name__, detail=str(exc))
-            try:
-                write_message(conn, error_response(str(exc)))
-            except OSError:  # repro: noqa[RES002] peer is already gone; nothing left to tell it
-                pass
+            self._conn_failed(conn, exc)
         finally:
-            try:
-                conn.close()
-            except OSError:  # repro: noqa[RES002] closing a reset socket can itself raise; the fd is gone either way
-                pass
+            if not parked:
+                _close_quietly(conn)
+
+    def _send(self, conn, response):
+        """Answer a parked connection and close it."""
+        try:
+            write_message(conn, response)
+        except (ProtocolError, OSError) as exc:
+            self._conn_failed(conn, exc)
+        finally:
+            _close_quietly(conn)
+
+    def _conn_failed(self, conn, exc):
+        """One ``serve.conn_error`` event and a best-effort error reply."""
+        get_tracer().event("serve.conn_error",
+                           error=type(exc).__name__, detail=str(exc))
+        try:
+            write_message(conn, error_response(str(exc)))
+        except OSError:  # repro: noqa[RES002] peer is already gone; nothing left to tell it
+            pass
+
+    # ------------------------------------------------------------------
+    # Long-poll ``result``
+
+    def _park(self, conn, request):
+        """Hold a ``result`` request with ``wait`` seconds until its job
+        settles; True when ``conn`` joined the parked set.
+
+        Settled and unknown jobs are answered at once, and so is any
+        request while the daemon stops or ``max_depth`` connections are
+        already parked (``pending``, which the client reads as "ask
+        again later").
+        """
+        if request.get("verb") != "result":
+            return False
+        job_id = str(request.get("job_id", ""))
+        try:
+            wait = float(request.get("wait") or 0.0)
+        except (TypeError, ValueError):
+            return False
+        if (not wait > 0.0 or not self._unsettled(job_id)
+                or self._stop_requested is not None
+                or len(self._parked) >= self.admission.max_depth):
+            return False
+        self._parked.append(
+            (monotonic() + min(wait, _CONN_TIMEOUT), job_id, conn)
+        )
+        return True
+
+    def _wake(self, job_id, result_text=None):
+        """Answer every connection parked on ``job_id``, whose settlement
+        was just journaled (``result_text``: see :meth:`_result_response`)."""
+        waiting = [entry for entry in self._parked if entry[1] == job_id]
+        if not waiting:
+            return
+        self._parked = [entry for entry in self._parked if entry[1] != job_id]
+        response = self._result_response(job_id, result_text)
+        for _, _, conn in waiting:
+            self._send(conn, response)
+
+    def _expire_parked(self, until):
+        """Answer ``pending`` to the parked connections due by ``until``
+        (``math.inf`` answers all of them: the daemon is stopping)."""
+        due = [entry for entry in self._parked if entry[0] <= until]
+        if not due:
+            return
+        self._parked = [entry for entry in self._parked if entry[0] > until]
+        for _, job_id, conn in due:
+            self._send(conn, self._result_response(job_id))
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -419,8 +514,10 @@ class ReproService:
         return self.router.dispatch(job)
 
     def _settle_outcome(self, job, outcome):
-        """Journal one job's settlement and release its admission slot."""
+        """Journal one job's settlement, answer its parked clients, and
+        release its admission slot."""
         job_id = job["job_id"]
+        result_text = None
         self.heartbeats[job["kind"]] = round(wall_time(), 3)
         self.heartbeats["worker"] = round(wall_time(), 3)
         if isinstance(outcome, _CircuitOpen):
@@ -440,9 +537,10 @@ class ReproService:
                 get_tracer().event("serve.breaker_opened",
                                    kind=job["kind"], signature=opened)
         else:
-            self.queue.settle_done(job_id, outcome)
+            result_text = self.queue.settle_done(job_id, outcome)
             self.counters["completed"] += 1
             self._death_streak = 0
+        self._wake(job_id, result_text)
         self._settled_since_compact += 1
         client = self._client_of.pop(job_id, job.get("client"))
         if client is not None:
@@ -607,6 +705,7 @@ class ReproService:
             while self._stop_requested is None:
                 self._poll_accept()
                 self._dispatch_some()
+                self._expire_parked(monotonic())
                 self._maybe_compact()
             self._drain()
             self.queue.mark_stop()
@@ -614,6 +713,7 @@ class ReproService:
                                reason=self._stop_requested,
                                depth=self.queue.depth())
         finally:
+            self._expire_parked(math.inf)
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
             if self._listener is not None:
@@ -632,9 +732,10 @@ class ReproService:
 
         Idle, the first accept blocks for ``_POLL_SECONDS`` so an empty
         daemon does not spin.  Every other accept is non-blocking, and a
-        pass answers at most ``_BACKLOG`` connections: a client that
-        reconnects faster than the poll (e.g. polling ``result``) can
-        delay dispatch by one pass, never starve it.
+        pass answers (or parks) at most ``_BACKLOG`` connections: a
+        client that reconnects faster than the poll (e.g. one asking
+        ``result`` without ``wait``) can delay dispatch by one pass,
+        never starve it.
         """
         idle = not (self.queue.pending or self.queue.taken)
         self._listener.settimeout(_POLL_SECONDS if idle else 0.0)
@@ -655,12 +756,15 @@ class ReproService:
 
         Jobs still pending at the deadline stay journaled (accepted,
         unsettled) — the successor daemon replays them; they are *not*
-        marked failed, because nothing about them failed.
+        marked failed, because nothing about them failed.  Parked
+        clients get the settlements the drain produces, or ``pending``
+        when their wait runs out first.
         """
         deadline = monotonic() + self.drain_seconds
         while ((self.queue.pending or self.queue.taken)
                and monotonic() < deadline):
             self._dispatch_some()
+            self._expire_parked(monotonic())
         if self.queue.pending or self.queue.taken:
             get_tracer().event("serve.drain_deadline",
                                left=self.queue.depth())
