@@ -20,7 +20,8 @@ import os
 import sys
 import time
 
-from repro.experiments import ExtractorCache, bench_config, run_table2
+from repro.evals import MatrixSpec, run_matrix
+from repro.experiments import ExtractorCache, bench_config
 
 WORKER_COUNTS = (1, 4)
 LOSSES = ("ce",)
@@ -29,7 +30,8 @@ SAMPLERS = ("none", "smote", "eos")
 
 def timed_run(config, workers):
     start = time.perf_counter()
-    out = run_table2(config, losses=LOSSES, samplers=SAMPLERS,
+    out = run_matrix(MatrixSpec("table2", config=config, losses=LOSSES,
+                                samplers=SAMPLERS),
                      cache=ExtractorCache(), workers=workers)
     return time.perf_counter() - start, out
 

@@ -6,7 +6,7 @@ Paper shape: applying EOS as a pixel-space pre-processing step loses
 
 from conftest import run_once
 
-from repro.experiments import run_eos_pixel_vs_embedding
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_eos_pixel_vs_embedding(benchmark, config, cache):
@@ -16,9 +16,8 @@ def test_eos_pixel_vs_embedding(benchmark, config, cache):
     # pixel space is far less linearly separable than our synthetic
     # families' pixel space — see EXPERIMENTS.md.)
     small = config.with_overrides(scale="small")
-    out = run_once(
-        benchmark, lambda: run_eos_pixel_vs_embedding(small, cache=cache)
-    )
+    spec = MatrixSpec("eos_pixel_vs_embedding", config=small)
+    out = run_once(benchmark, lambda: run_matrix(spec, cache=cache))
     print("\n" + out["report"])
     # Embedding-space EOS must not lose to pixel-space EOS.
     assert out["delta_bac"] > -0.03

@@ -8,11 +8,12 @@ cannot change feature ranges); only EOS flattens the minority tail.
 import numpy as np
 from conftest import run_once
 
-from repro.experiments import run_figure3
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_figure3_gap_curves(benchmark, config, cache):
-    out = run_once(benchmark, lambda: run_figure3(config, cache=cache))
+    spec = MatrixSpec("figure3", config=config)
+    out = run_once(benchmark, lambda: run_matrix(spec, cache=cache))
     print("\n" + out["report"])
     curves = out["curves"]
     for loss in ("ce", "asl", "focal", "ldam"):

@@ -6,16 +6,13 @@ true positives on every dataset.
 
 from conftest import run_once
 
-from repro.experiments import run_figure4
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_figure4_tp_fp_gap(benchmark, config, cache):
-    out = run_once(
-        benchmark,
-        lambda: run_figure4(
-            config, datasets=("cifar10_like", "celeba_like"), cache=cache
-        ),
-    )
+    spec = MatrixSpec("figure4", config=config,
+                      datasets=("cifar10_like", "celeba_like"))
+    out = run_once(benchmark, lambda: run_matrix(spec, cache=cache))
     print("\n" + out["report"])
     for dataset, gaps in out["results"].items():
         assert gaps["fp"] > gaps["tp"], (

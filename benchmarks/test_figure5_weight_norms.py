@@ -8,14 +8,12 @@ majority to the minority classes; re-training on balanced embeddings
 import numpy as np
 from conftest import run_once
 
-from repro.experiments import run_figure5
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_figure5_weight_norms(benchmark, config, cache):
-    out = run_once(
-        benchmark,
-        lambda: run_figure5(config, losses=("ce", "ldam"), cache=cache),
-    )
+    spec = MatrixSpec("figure5", config=config, losses=("ce", "ldam"))
+    out = run_once(benchmark, lambda: run_matrix(spec, cache=cache))
     print("\n" + out["report"])
     profiles = out["profiles"]
 

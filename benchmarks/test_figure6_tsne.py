@@ -9,16 +9,13 @@ and their normalized mean nearest-neighbor distance does not explode.
 import numpy as np
 from conftest import run_once
 
-from repro.experiments import run_figure6
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_figure6_tsne(benchmark, config, cache):
-    out = run_once(
-        benchmark,
-        lambda: run_figure6(
-            config, majority_class=1, minority_class=9, cache=cache
-        ),
-    )
+    spec = MatrixSpec("figure6", config=config,
+                      options={"majority_class": 1, "minority_class": 9})
+    out = run_once(benchmark, lambda: run_matrix(spec, cache=cache))
     print("\n" + out["report"])
     embeddings = out["embeddings"]
     coords_base, labels_base = embeddings["none"]

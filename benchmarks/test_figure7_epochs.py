@@ -7,13 +7,12 @@ re-training; training longer buys at most marginal improvement.
 import numpy as np
 from conftest import run_once
 
-from repro.experiments import run_figure7
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_figure7_epochs(benchmark, config, cache):
-    out = run_once(
-        benchmark, lambda: run_figure7(config, epochs=30, cache=cache)
-    )
+    spec = MatrixSpec("figure7", config=config, options={"epochs": 30})
+    out = run_once(benchmark, lambda: run_matrix(spec, cache=cache))
     print("\n" + out["report"])
     for name, history in out["curves"].items():
         bacs = np.array([rec["test_bac"] for rec in history])

@@ -9,11 +9,12 @@ low-dimensional embeddings.
 
 from conftest import run_once
 
-from repro.experiments import run_runtime_comparison
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_runtime_comparison(benchmark, config):
-    out = run_once(benchmark, lambda: run_runtime_comparison(config))
+    spec = MatrixSpec("runtime_comparison", config=config)
+    out = run_once(benchmark, lambda: run_matrix(spec))
     print("\n" + out["report"])
     # The pre-processing pipeline must be meaningfully slower (paper: ~3x;
     # we only require a robust >1.3x at bench scale).

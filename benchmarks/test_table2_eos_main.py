@@ -8,14 +8,12 @@ in most rows.
 
 from conftest import run_once
 
-from repro.experiments import run_table2
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_table2_eos_main(benchmark, config, cache):
-    out = run_once(
-        benchmark,
-        lambda: run_table2(config, datasets=("cifar10_like",), cache=cache),
-    )
+    spec = MatrixSpec("table2", config=config, datasets=("cifar10_like",))
+    out = run_once(benchmark, lambda: run_matrix(spec, cache=cache))
     print("\n" + out["report"])
     results = out["results"]
     for loss in ("ce", "asl", "focal", "ldam"):

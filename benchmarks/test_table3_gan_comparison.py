@@ -7,14 +7,12 @@ last column).
 
 from conftest import run_once
 
-from repro.experiments import run_table3
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_table3_gan_comparison(benchmark, config, cache):
-    out = run_once(
-        benchmark,
-        lambda: run_table3(config, datasets=("cifar10_like",), cache=cache),
-    )
+    spec = MatrixSpec("table3", config=config, datasets=("cifar10_like",))
+    out = run_once(benchmark, lambda: run_matrix(spec, cache=cache))
     print("\n" + out["report"])
     results = out["results"]
     eos = results[("cifar10_like", "ce", "eos")]["bac"]

@@ -7,17 +7,13 @@ sweeps proportionally smaller K for the tiny dataset).
 
 from conftest import run_once
 
-from repro.experiments import run_table4
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_table4_knn_sweep(benchmark, config, cache):
-    out = run_once(
-        benchmark,
-        lambda: run_table4(
-            config, datasets=("cifar10_like",), k_values=(2, 5, 10, 20, 40),
-            cache=cache,
-        ),
-    )
+    spec = MatrixSpec("table4", config=config, datasets=("cifar10_like",),
+                      k_values=(2, 5, 10, 20, 40))
+    out = run_once(benchmark, lambda: run_matrix(spec, cache=cache))
     print("\n" + out["report"])
     bacs = [out["results"][("cifar10_like", k)]["bac"] for k in (2, 5, 10, 20, 40)]
     # Larger neighborhoods should not collapse accuracy: the best of the

@@ -7,11 +7,12 @@ of the same families here).
 
 from conftest import run_once
 
-from repro.experiments import run_table5
+from repro.evals import MatrixSpec, run_matrix
 
 
 def test_table5_architectures(benchmark, config, cache):
-    out = run_once(benchmark, lambda: run_table5(config, cache=cache))
+    spec = MatrixSpec("table5", config=config)
+    out = run_once(benchmark, lambda: run_matrix(spec, cache=cache))
     print("\n" + out["report"])
     results = out["results"]
     improved = 0

@@ -7,8 +7,8 @@
   predicates); :func:`compile_matrix` turns it into a deterministic
   cell plan.
 * :func:`run_matrix` executes any spec through the full
-  resilience/guard contract — the single entry point behind the legacy
-  ``run_table*`` / ``run_figure*`` wrappers.
+  resilience/guard contract — the one entry point for every paper
+  view.
 * :class:`ResultStore` is the append-only, schema-versioned sqlite
   archive of every cell result, telemetry snapshot, config/git
   fingerprint, and BENCH entry across runs.

@@ -4,12 +4,11 @@ A :class:`MatrixSpec` names one paper view (``table1`` … ``table5``, the
 figures, or the two §V-E studies) plus the axes to sweep — datasets,
 losses, samplers, seeds, and arbitrary config-field hyper-parameter
 axes — and optional ``include`` / ``exclude`` predicates.
+:func:`validate_spec` rejects an axis the view does not read, and
 :func:`compile_matrix` turns a table spec into a :class:`MatrixPlan`: an
-ordered tuple of :class:`MatrixCell` records carrying exactly the
+ordered tuple of :class:`MatrixCell` records carrying each cell's
 results-dict key, checkpoint ``cell_id``, row label, config overrides
-and evaluation kwargs the legacy ``run_table*`` runners produced, so a
-plan executed through :func:`repro.evals.run_matrix` is byte-identical
-to the runner it replaces.
+and evaluation kwargs, which :func:`repro.evals.run_matrix` executes.
 
 Compilation is pure and deterministic: the same spec compiles to the
 same cell ordering regardless of worker count, process, or platform —
@@ -27,7 +26,7 @@ training stack.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "ALL_VIEWS",
@@ -40,6 +39,7 @@ __all__ = [
     "plan_from_payload",
     "plan_to_payload",
     "spec_to_payload",
+    "validate_spec",
 ]
 
 TABLE_VIEWS = ("table1", "table2", "table3", "table4", "table5")
@@ -54,7 +54,7 @@ FIGURE_VIEWS = (
 )
 ALL_VIEWS = TABLE_VIEWS + FIGURE_VIEWS
 
-#: Default axis values per view, matching the legacy runner signatures.
+#: The axes each view reads, with their paper defaults.
 _DEFAULTS = {
     "table1": {"datasets": ("cifar10_like",),
                "samplers": ("smote", "bsmote", "balsvm")},
@@ -91,7 +91,7 @@ _METRIC_HEADERS = ("BAC", "GM", "FM")
 class MatrixCell:
     """One grid cell of a compiled plan.
 
-    ``key`` is the results-dict key the runners always used (e.g.
+    ``key`` is the cell's key in the view's ``results`` dict (e.g.
     ``("cifar10_like", "ce", "eos")``), ``cell_id`` the checkpoint /
     store identifier (``"t2/cifar10_like/ce/eos"``), ``row`` the
     leading label columns of the rendered table.  ``kind`` selects the
@@ -137,13 +137,25 @@ class MatrixPlan:
 class MatrixSpec:
     """Declarative description of one experiment matrix.
 
-    Any axis left as ``None`` takes the view's paper default (the same
-    default the legacy runner signature carried).  ``seeds`` and
-    ``hyper`` add extra grid axes: each combination re-runs every base
-    cell with the named config fields overridden, an extra key
-    component, an extra table column, and a ``/field=value`` cell-id
-    suffix.  ``include`` / ``exclude`` are predicates over
-    :class:`MatrixCell` applied after axis expansion.
+    Any axis left as ``None`` takes the view's paper default; an axis
+    the view does not read must stay ``None`` (:func:`validate_spec`).
+    On table views, ``seeds`` and ``hyper`` add extra grid axes: each
+    combination re-runs every base cell with the named config fields
+    overridden, an extra key component, an extra table column, and a
+    ``/field=value`` cell-id suffix; ``include`` / ``exclude`` are
+    predicates over :class:`MatrixCell` applied after axis expansion.
+
+    ``mode`` (table3) selects where the GAN samplers run:
+    ``"embedding"`` (default: every method on identical footing inside
+    the three-phase framework) or ``"pixel"`` (the paper's literal
+    protocol: the GANs balance the raw images as pre-processing,
+    followed by full re-training, while EOS still runs in embedding
+    space).  Pixel mode is several times slower since each GAN row
+    retrains the CNN.  The ``k_values`` default (table4) scales the
+    sweep to the bench dataset size; pass the paper's K in {10..300}
+    at larger scales.  ``options`` are the keyword arguments of figure6
+    (``majority_class=1``, ``minority_class=9``, ``max_points=150``)
+    and figure7 (``epochs=30``).
     """
 
     view: str
@@ -170,6 +182,30 @@ class MatrixSpec:
         return value
 
 
+def validate_spec(spec):
+    """Raise :class:`ValueError` if ``spec`` sets an axis its view ignores.
+
+    A view reads its ``_DEFAULTS`` axes; table views also read
+    ``seeds`` / ``hyper`` / ``include`` / ``exclude``, and figure6 and
+    figure7 read ``options``.  Anything else would be dropped silently.
+    """
+    if spec.view not in _DEFAULTS:
+        raise ValueError("unknown view %r (valid: %s)"
+                         % (spec.view, ", ".join(ALL_VIEWS)))
+    allowed = set(_DEFAULTS[spec.view])
+    if spec.view in TABLE_VIEWS:
+        allowed.update(("seeds", "hyper", "include", "exclude"))
+    if spec.view in ("figure6", "figure7"):
+        allowed.add("options")
+    for axis in fields(spec):
+        if (axis.name not in ("view", "config")
+                and getattr(spec, axis.name) is not None
+                and axis.name not in allowed):
+            raise ValueError("view %r does not read the %r axis (it reads: %s)"
+                             % (spec.view, axis.name,
+                                ", ".join(sorted(allowed)) or "none"))
+
+
 def spec_to_payload(spec):
     """JSON-able snapshot of a spec (for fingerprints and the store)."""
     payload = {"view": spec.view}
@@ -193,7 +229,7 @@ def spec_to_payload(spec):
 
 
 # ----------------------------------------------------------------------
-# Per-view base grids (pre axis-expansion), mirroring the legacy runners
+# Per-view base grids (pre axis-expansion)
 # ----------------------------------------------------------------------
 def _compile_table1(spec):
     datasets = spec.resolved("datasets")
@@ -402,14 +438,12 @@ def _derive_prewarm(cells):
 
 def compile_matrix(spec):
     """Compile a table spec into a deterministic :class:`MatrixPlan`."""
-    if spec.view not in _VIEW_COMPILERS:
-        if spec.view in FIGURE_VIEWS:
-            raise ValueError(
-                "view %r is a figure view; run_matrix executes it "
-                "directly without a cell plan" % spec.view
-            )
-        raise ValueError("unknown view %r (valid: %s)"
-                         % (spec.view, ", ".join(ALL_VIEWS)))
+    validate_spec(spec)
+    if spec.view in FIGURE_VIEWS:
+        raise ValueError(
+            "view %r is a figure view; run_matrix executes it "
+            "directly without a cell plan" % spec.view
+        )
     base = _VIEW_COMPILERS[spec.view](spec)
     names = _axis_names(spec)
     cells = list(base["cells"])

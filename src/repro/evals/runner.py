@@ -25,8 +25,8 @@ import subprocess
 
 from ..resilience import CellFailure, fingerprint_of
 from ..telemetry import get_metrics, get_tracer, monotonic
-from .matrix import FIGURE_VIEWS, TABLE_VIEWS, MatrixSpec, compile_matrix
-from .matrix import plan_to_payload, spec_to_payload
+from .matrix import TABLE_VIEWS, MatrixSpec, compile_matrix
+from .matrix import plan_to_payload, spec_to_payload, validate_spec
 from .store import ResultStore
 from .views import render_view
 
@@ -36,20 +36,22 @@ __all__ = ["run_matrix"]
 def run_matrix(spec, *, store=None, cache=None, registry=None,
                retry_policy=None, fail_soft=True, workers=None,
                breaker=None):
-    """Execute one experiment matrix and return a ``RunResult``.
+    """Execute one paper view and return a ``RunResult``.
 
-    Parameters mirror the legacy table runners: ``cache`` shares
-    phase-1 extractors across calls, ``registry`` checkpoints cells
-    and artifacts, ``retry_policy`` / ``fail_soft`` / ``breaker``
-    control the failure path, ``workers`` fans cells out across
-    processes.  ``store`` — a :class:`ResultStore` or a path — records
-    the run; pass a path to have the store opened and closed around
-    this call.
+    ``spec`` is a :class:`MatrixSpec` or a bare view name; a spec that
+    sets an axis its view does not read raises :class:`ValueError`
+    before any work.  ``cache`` shares phase-1 extractors across calls.
+    On table views, ``registry`` checkpoints cells and artifacts,
+    ``retry_policy`` / ``fail_soft`` / ``breaker`` control the failure
+    path, and ``workers`` fans cells out across processes.  ``store`` —
+    a :class:`ResultStore` or a path — records the run; pass a path to
+    have the store opened and closed around this call.
     """
     from ..experiments.result import RunResult
 
     if isinstance(spec, str):
         spec = MatrixSpec(view=spec)
+    validate_spec(spec)
     own_store = store is not None and not isinstance(store, ResultStore)
     if own_store:
         store = ResultStore(store)
@@ -62,13 +64,8 @@ def run_matrix(spec, *, store=None, cache=None, registry=None,
                     spec, store, cache, registry, retry_policy,
                     fail_soft, workers, breaker,
                 )
-            elif spec.view in FIGURE_VIEWS:
-                data, run_id, cell_rows = _run_figure(spec, store, cache)
             else:
-                raise ValueError(
-                    "unknown view %r (valid: %s)"
-                    % (spec.view, ", ".join(TABLE_VIEWS + FIGURE_VIEWS))
-                )
+                data, run_id, cell_rows = _run_figure(spec, store, cache)
         info = {
             "runner": spec.view,
             "enabled": tracer.enabled,
@@ -272,14 +269,10 @@ def _coerce_scalar(value):
 # ----------------------------------------------------------------------
 def _run_figure(spec, store, cache):
     from ..experiments import runners as R
+    from ..experiments.config import bench_config
 
-    for axis in ("seeds", "hyper", "include", "exclude"):
-        if getattr(spec, axis, None):
-            raise ValueError(
-                "%s is only supported for table views, not %r"
-                % (axis, spec.view)
-            )
-    config = spec.config
+    config = spec.config if spec.config is not None else bench_config()
+    cache = R._make_cache(cache, None, None)
     options = dict(spec.options or {})
     run_id = None
     if store is not None:
@@ -287,7 +280,7 @@ def _run_figure(spec, store, cache):
             spec.view,
             fingerprint=fingerprint_of(
                 "evals", json.dumps(spec_to_payload(spec), sort_keys=True),
-                repr(config),
+                repr(spec.config),
             ),
             spec=spec_to_payload(spec),
             git_sha=_git_sha(),

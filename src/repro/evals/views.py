@@ -120,7 +120,7 @@ def render_view(plan, results, timing=None):
     :class:`CellFailure`; ``timing`` (for ``show_seconds`` plans) maps
     keys to resample+tune seconds or None.  Returns ``(report,
     extras)`` where ``extras`` carries the summary statistics
-    (``post_wins`` / ``eos_wins`` …) the legacy runners exposed.
+    (``post_wins`` / ``eos_wins`` …) of the view's output.
     """
     timing = timing or {}
     rows = []

@@ -1,4 +1,4 @@
-"""Experiment harness: configs, pipelines and per-table/figure runners."""
+"""Experiment harness: configs, pipelines, statistics and sweeps."""
 
 from .config import (
     LOSS_NAMES,
@@ -16,23 +16,9 @@ from .pipeline import (
     train_phase1,
     train_preprocessed,
 )
-from .result import RunResult, traced_runner
+from .result import RunResult
 from .stats import aggregate_metrics, repeated_sampler_comparison, run_seeds
 from .sweeps import grid_sweep, sweep_report
-from .runners import (
-    run_eos_pixel_vs_embedding,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_runtime_comparison,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-)
 
 __all__ = [
     "ExperimentConfig",
@@ -48,19 +34,6 @@ __all__ = [
     "train_phase1",
     "train_preprocessed",
     "RunResult",
-    "traced_runner",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-    "run_figure3",
-    "run_figure4",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_runtime_comparison",
-    "run_eos_pixel_vs_embedding",
     "aggregate_metrics",
     "run_seeds",
     "repeated_sampler_comparison",

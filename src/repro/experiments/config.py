@@ -6,8 +6,8 @@ neighborhood.  Two presets are provided:
 
 * ``bench_config()`` — a minutes-scale configuration used by the
   benchmark suite (tiny synthetic datasets, compact CNN, few epochs);
-* ``full_config()`` — the larger configuration for the
-  ``examples/reproduce_paper.py`` driver.
+* ``full_config()`` — a larger configuration (ResNet-8 extractor,
+  20 phase-1 epochs) for runs beyond the bench scale.
 
 ``build_sampler`` is the single factory the runners use to construct
 any over-sampler (classic, SVM-based, GAN-based, or EOS) by name.
@@ -105,7 +105,7 @@ def bench_config(**overrides):
 
 
 def full_config(**overrides):
-    """Larger configuration for the standalone reproduction driver."""
+    """Larger configuration (ResNet-8, 20 phase-1 epochs) than the bench."""
     config = ExperimentConfig(
         dataset="cifar10_like",
         scale="small",

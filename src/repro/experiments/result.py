@@ -1,10 +1,14 @@
-"""Structured runner results: :class:`RunResult` + the tracing wrapper.
+"""Structured runner results: :class:`RunResult`.
 
-:class:`RunResult` is the typed record every runner —
-:func:`repro.evals.run_matrix` and the legacy deprecated wrappers —
-returns.  The structured fields are attributes:
+:class:`RunResult` is what :func:`repro.evals.run_matrix` returns for
+every view.  It is a read-only :class:`collections.abc.Mapping` over the
+view's own outputs (``out["results"]``, ``out["report"]``, a table's
+summary counts, a figure's ``curves`` / ``profiles`` / ``embeddings``,
+the runtime study's ``speedup`` …) plus the ``telemetry`` and
+``degraded`` keys.  The fields every view shares are also attributes:
 
-* ``cells`` (alias ``results``) — the per-cell results mapping;
+* ``cells`` — the view's ``results`` mapping (per-cell metrics on
+  table views; empty when the view has none);
 * ``report`` — the rendered table/figure text;
 * ``telemetry`` — the runner's wall time plus, when telemetry is
   enabled, the metrics snapshot captured as the runner finished;
@@ -12,42 +16,23 @@ returns.  The structured fields are attributes:
   :class:`~repro.resilience.CellFailure` (empty for clean runs);
 * ``store_run_id`` — the :class:`repro.evals.ResultStore` run this
   invocation recorded into (None when no store was attached).
-
-Dict-style access (``out["report"]``, ``dict(out)``) still works — the
-record stays a :class:`collections.abc.Mapping` over the original
-runner output keys — but is deprecated in favor of the attributes and
-emits a :class:`DeprecationWarning` for one release.
-
-:func:`traced_runner` is the decorator that wraps a plain-dict runner
-in a ``runner`` span and converts its dict into a :class:`RunResult`;
-``run_matrix`` inlines the same span/telemetry protocol.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
 from collections.abc import Mapping
 
 from ..resilience import CellFailure
-from ..telemetry import get_metrics, get_tracer, monotonic
 
-__all__ = ["RunResult", "traced_runner"]
-
-
-_DICT_ACCESS_MESSAGE = (
-    "dict-style access to RunResult is deprecated; use the attributes "
-    "(.cells, .report, .telemetry, .degraded, .store_run_id)"
-)
+__all__ = ["RunResult"]
 
 
 class RunResult(Mapping):
-    """Typed runner result with a deprecated Mapping compatibility shim.
+    """A view's outputs as a read-only mapping, plus typed shared fields.
 
-    Dict-style consumers (``out["report"]``, ``"results" in out``,
-    ``dict(out)``) see every original key plus ``telemetry`` and
-    ``degraded`` (and ``store_run_id`` when a result store recorded the
-    run), exactly as before — behind a :class:`DeprecationWarning`.
+    The mapping holds every output key of the view plus ``telemetry``
+    and ``degraded`` (and ``store_run_id`` when a result store recorded
+    the run).
     """
 
     def __init__(self, data, telemetry=None, store_run_id=None):
@@ -59,28 +44,19 @@ class RunResult(Mapping):
         if store_run_id is not None and "store_run_id" not in self._data:
             self._data["store_run_id"] = store_run_id
 
-    # -- deprecated mapping shim -----------------------------------------
     def __getitem__(self, key):
-        warnings.warn(_DICT_ACCESS_MESSAGE, DeprecationWarning, stacklevel=2)
         return self._data[key]
 
     def __iter__(self):
-        warnings.warn(_DICT_ACCESS_MESSAGE, DeprecationWarning, stacklevel=2)
         return iter(self._data)
 
     def __len__(self):
         return len(self._data)
 
-    # -- structured fields -----------------------------------------------
     @property
     def cells(self):
-        """Per-cell results mapping (empty for figure-style runners)."""
+        """The view's ``results`` mapping (empty when it has none)."""
         return self._data.get("results", {})
-
-    @property
-    def results(self):
-        """Alias of :attr:`cells` (the historical name)."""
-        return self.cells
 
     @property
     def report(self):
@@ -114,31 +90,3 @@ def _failed_cells(results):
         return []
     return [key for key, value in results.items()
             if isinstance(value, CellFailure)]
-
-
-def traced_runner(name):
-    """Wrap a runner: ``runner`` span + dict -> :class:`RunResult`.
-
-    With telemetry disabled this adds two clock reads and a null-span
-    context enter/exit; the wrapped runner's dict content is unchanged.
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            tracer = get_tracer()
-            start = monotonic()
-            with tracer.span("runner", runner=name):
-                out = fn(*args, **kwargs)
-            info = {
-                "runner": name,
-                "enabled": tracer.enabled,
-                "seconds": monotonic() - start,
-            }
-            if tracer.enabled:
-                info["metrics"] = get_metrics().snapshot()
-            return RunResult(out, telemetry=info)
-
-        return wrapper
-
-    return decorate

@@ -1,29 +1,15 @@
-"""Legacy runner entry points + the figure/study implementations.
+"""Cell thunks and figure/study implementations behind ``run_matrix``.
 
-The table and figure runners (``run_table1`` … ``run_figure7``,
-``run_runtime_comparison``, ``run_eos_pixel_vs_embedding``) are now
-thin deprecated wrappers: each builds a
-:class:`repro.evals.MatrixSpec` and delegates to
-:func:`repro.evals.run_matrix`, which compiles the spec to the same
-cell grid, runs it through the resilience layer
-(:func:`repro.parallel.run_cells` — resume, retry with seed-bump +
-LR-backoff, FAILED-cell degradation, circuit breakers, bit-identical
-parallel results), renders the report through
-:mod:`repro.evals.views`, and optionally records every cell in the
-sqlite :class:`~repro.evals.ResultStore`.  Their output is
-byte-identical to calling ``run_matrix`` directly; new code should use
-``run_matrix``.
-
-What stays here: the cell-thunk helpers ``run_matrix`` executes
-(``_sampler_cell`` / ``_timed_sampler_cell`` / ``_preprocessed_cell``
-/ ``_CellGrid``) and the figure/study implementations
-(``_figure3_impl`` …), whose row data is not cell-structured.
+:func:`repro.evals.run_matrix` is the one entry point for every paper
+view.  This module holds what it executes: the cell-thunk helpers of
+the table views (``_sampler_cell`` / ``_timed_sampler_cell`` /
+``_preprocessed_cell``, batched by ``_CellGrid``) and the figure/study
+implementations (``_figure3_impl`` …), whose row data is not
+cell-structured.  ``run_matrix`` resolves the config and the extractor
+cache before it calls any of them.
 """
 
 from __future__ import annotations
-
-import functools
-import warnings
 
 import numpy as np
 
@@ -35,27 +21,12 @@ from ..metrics import evaluate_predictions
 from ..resilience import CellFailure
 from ..telemetry import monotonic
 from ..utils import format_float, format_table
-from .config import bench_config, build_sampler
+from .config import build_sampler
 from .pipeline import (
     ExtractorCache,
     evaluate_sampler,
     train_preprocessed,
 )
-
-__all__ = [
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-    "run_figure3",
-    "run_figure4",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_runtime_comparison",
-    "run_eos_pixel_vs_embedding",
-]
 
 
 def _make_cache(cache, registry, retry_policy):
@@ -135,10 +106,10 @@ class _CellGrid:
     ``cell_id`` and thunk; cells whose outcome is already decided (a
     failed extractor degrading every dependent cell) are stamped
     directly.  :meth:`run` evaluates the batch through
-    :func:`repro.parallel.run_cells` — at one worker this is exactly the
-    per-cell ``run_cell`` loop the runners used to inline (same resume,
-    retry, degradation and registry-write behavior); above one worker
-    the cells fan out across processes with identical results.
+    :func:`repro.parallel.run_cells` — at one worker a per-cell
+    ``run_cell`` loop (resume, retry, degradation and registry writes);
+    above one worker the cells fan out across processes with identical
+    results.
     """
 
     def __init__(self, registry=None, retry_policy=None, fail_soft=True,
@@ -175,187 +146,10 @@ class _CellGrid:
         return results
 
 
-def _deprecated_runner(fn):
-    """Legacy entry point: warn once, then delegate to ``run_matrix``."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        warnings.warn(
-            "%s() is deprecated; build a repro.evals.MatrixSpec and call "
-            "repro.evals.run_matrix() instead" % fn.__name__,
-            DeprecationWarning, stacklevel=2,
-        )
-        return fn(*args, **kwargs)
-
-    return wrapper
-
-
-# ----------------------------------------------------------------------
-# Table I-V — deprecated wrappers over run_matrix
-# ----------------------------------------------------------------------
-@_deprecated_runner
-def run_table1(config=None, datasets=("cifar10_like",), cache=None,
-               registry=None, retry_policy=None, fail_soft=True,
-               workers=None, breaker=None, store=None):
-    """Pre- vs post- (embedding-space) over-sampling under CE loss.
-
-    Paper shape: in most dataset x sampler cells, the *Post-* variant
-    (over-sampling on feature embeddings + head fine-tuning) beats the
-    *Pre-* variant (pixel-space over-sampling + full retraining).
-    """
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("table1", config=config, datasets=tuple(datasets)),
-        store=store, cache=cache, registry=registry,
-        retry_policy=retry_policy, fail_soft=fail_soft, workers=workers,
-        breaker=breaker,
-    )
-
-
-@_deprecated_runner
-def run_table2(
-    config=None,
-    datasets=("cifar10_like",),
-    losses=("ce", "asl", "focal", "ldam"),
-    samplers=("none", "smote", "bsmote", "balsvm", "eos"),
-    cache=None,
-    registry=None,
-    retry_policy=None,
-    fail_soft=True,
-    workers=None,
-    breaker=None,
-    store=None,
-):
-    """The paper's main accuracy table.
-
-    Paper shape: EOS is the best sampler in nearly every dataset x loss
-    row; every embedding-space sampler beats the raw baseline.
-    """
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("table2", config=config, datasets=tuple(datasets),
-                   losses=tuple(losses), samplers=tuple(samplers)),
-        store=store, cache=cache, registry=registry,
-        retry_policy=retry_policy, fail_soft=fail_soft, workers=workers,
-        breaker=breaker,
-    )
-
-
-@_deprecated_runner
-def run_table3(
-    config=None,
-    datasets=("cifar10_like",),
-    losses=("ce",),
-    samplers=("gamo", "bagan", "cgan", "eos"),
-    mode="embedding",
-    cache=None,
-    registry=None,
-    retry_policy=None,
-    fail_soft=True,
-    workers=None,
-    breaker=None,
-    store=None,
-):
-    """GAN over-samplers vs EOS.
-
-    Paper shape: GAMO and BAGAN trail EOS clearly; CGAN is competitive
-    but needs one generative model per class (cost recorded in
-    ``seconds``), while EOS needs none.
-
-    ``mode`` selects where the GAN samplers run: ``"embedding"``
-    (default — every method on identical footing inside the three-phase
-    framework) or ``"pixel"`` (the paper's literal protocol: GANs
-    balance the raw images as pre-processing, followed by full
-    re-training, while EOS still runs in embedding space).  Pixel mode
-    is several times slower since each GAN row retrains the CNN.
-    """
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("table3", config=config, datasets=tuple(datasets),
-                   losses=tuple(losses), samplers=tuple(samplers),
-                   mode=mode),
-        store=store, cache=cache, registry=registry,
-        retry_policy=retry_policy, fail_soft=fail_soft, workers=workers,
-        breaker=breaker,
-    )
-
-
-@_deprecated_runner
-def run_table4(
-    config=None,
-    datasets=("cifar10_like",),
-    k_values=(2, 5, 10, 20, 40),
-    cache=None,
-    registry=None,
-    retry_policy=None,
-    fail_soft=True,
-    workers=None,
-    breaker=None,
-    store=None,
-):
-    """EOS K-nearest-neighbor sweep (paper: K in {10..300}, BAC rises
-    with K then plateaus).  ``k_values`` defaults scale the sweep to the
-    bench dataset size; pass the paper's values at larger scales.
-    """
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("table4", config=config, datasets=tuple(datasets),
-                   k_values=tuple(k_values)),
-        store=store, cache=cache, registry=registry,
-        retry_policy=retry_policy, fail_soft=fail_soft, workers=workers,
-        breaker=breaker,
-    )
-
-
-@_deprecated_runner
-def run_table5(config=None, architectures=None, cache=None,
-               registry=None, retry_policy=None, fail_soft=True,
-               workers=None, breaker=None, store=None):
-    """EOS across CNN architectures (paper: EOS helps every backbone)."""
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("table5", config=config,
-                   architectures=(tuple(architectures)
-                                  if architectures is not None else None)),
-        store=store, cache=cache, registry=registry,
-        retry_policy=retry_policy, fail_soft=fail_soft, workers=workers,
-        breaker=breaker,
-    )
-
-
 # ----------------------------------------------------------------------
 # Figure 3 — per-class generalization-gap curves
 # ----------------------------------------------------------------------
-@_deprecated_runner
-def run_figure3(
-    config=None,
-    losses=("ce", "asl", "focal", "ldam"),
-    samplers=("none", "smote", "bsmote", "balsvm", "eos"),
-    cache=None,
-):
-    """Per-class gap curves per loss and sampler.
-
-    Paper shape: the gap rises with class index (imbalance); SMOTE-family
-    curves overlap the baseline (no range change); only EOS flattens the
-    tail-class gap.
-    """
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("figure3", config=config, losses=tuple(losses),
-                   samplers=tuple(samplers)),
-        cache=cache,
-    )
-
-
 def _figure3_impl(config, losses, samplers, cache):
-    config = config if config is not None else bench_config()
-    cache = cache if cache is not None else ExtractorCache()
     curves = {}
     rows = []
     for loss in losses:
@@ -412,20 +206,7 @@ def _figure3_impl(config, losses, samplers, cache):
 # ----------------------------------------------------------------------
 # Figure 4 — gap for true positives vs false positives
 # ----------------------------------------------------------------------
-@_deprecated_runner
-def run_figure4(config=None, datasets=("cifar10_like",), cache=None):
-    """TP vs FP generalization gap (paper: FP gap is ~2-4x the TP gap)."""
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("figure4", config=config, datasets=tuple(datasets)),
-        cache=cache,
-    )
-
-
 def _figure4_impl(config, datasets, cache):
-    config = config if config is not None else bench_config()
-    cache = cache if cache is not None else ExtractorCache()
     results = {}
     rows = []
     for dataset in datasets:
@@ -467,30 +248,7 @@ def _figure4_impl(config, datasets, cache):
 # ----------------------------------------------------------------------
 # Figure 5 — classifier weight norms per class
 # ----------------------------------------------------------------------
-@_deprecated_runner
-def run_figure5(
-    config=None,
-    losses=("ce", "asl", "focal", "ldam"),
-    samplers=("none", "smote", "bsmote", "balsvm", "eos"),
-    cache=None,
-):
-    """Per-class classifier weight norms by loss and sampler.
-
-    Paper shape: baseline norms decay from majority to minority classes;
-    EOS yields the largest and most-even norms.
-    """
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("figure5", config=config, losses=tuple(losses),
-                   samplers=tuple(samplers)),
-        cache=cache,
-    )
-
-
 def _figure5_impl(config, losses, samplers, cache):
-    config = config if config is not None else bench_config()
-    cache = cache if cache is not None else ExtractorCache()
     profiles = {}
     rows = []
     for loss in losses:
@@ -516,40 +274,8 @@ def _figure5_impl(config, losses, samplers, cache):
 # ----------------------------------------------------------------------
 # Figure 6 — t-SNE of a 2-class decision boundary
 # ----------------------------------------------------------------------
-@_deprecated_runner
-def run_figure6(
-    config=None,
-    majority_class=1,
-    minority_class=9,
-    samplers=("none", "smote", "bsmote", "balsvm", "eos"),
-    max_points=150,
-    cache=None,
-):
-    """t-SNE embeddings of majority-vs-minority class structure.
-
-    Paper shape (qualitative): under EOS the minority manifold becomes
-    denser/more uniform.  We report embedding coordinates plus two
-    quantitative proxies: the minority class's mean nearest-neighbor
-    distance in the t-SNE plane (lower = denser), and the minority's
-    mean nearest-*enemy* distance (EOS intentionally shrinks this — its
-    synthesis targets the class boundary, while SMOTE-family points stay
-    interior).
-    """
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("figure6", config=config, samplers=tuple(samplers),
-                   options={"majority_class": majority_class,
-                            "minority_class": minority_class,
-                            "max_points": max_points}),
-        cache=cache,
-    )
-
-
 def _figure6_impl(config, samplers, cache, majority_class=1,
                   minority_class=9, max_points=150):
-    config = config if config is not None else bench_config()
-    cache = cache if cache is not None else ExtractorCache()
     artifacts = cache.get(config, "ce")
     embeddings = {}
     rows = []
@@ -620,22 +346,7 @@ def _class_margin(coords, labels, minority_class):
 # ----------------------------------------------------------------------
 # Figure 7 — BAC vs fine-tuning epochs
 # ----------------------------------------------------------------------
-@_deprecated_runner
-def run_figure7(config=None, epochs=30, samplers=("smote", "eos"), cache=None):
-    """Fine-tuning length study (paper: both EOS and SMOTE plateau by
-    ~epoch 10; EOS keeps a small edge afterwards)."""
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("figure7", config=config, samplers=tuple(samplers),
-                   options={"epochs": epochs}),
-        cache=cache,
-    )
-
-
 def _figure7_impl(config, samplers, cache, epochs=30):
-    config = config if config is not None else bench_config()
-    cache = cache if cache is not None else ExtractorCache()
     artifacts = cache.get(config, "ce")
     from ..core import finetune_classifier
 
@@ -710,23 +421,7 @@ def _figure7_impl(config, samplers, cache, epochs=30):
 # ----------------------------------------------------------------------
 # §V-E2 — runtime comparison
 # ----------------------------------------------------------------------
-@_deprecated_runner
-def run_runtime_comparison(config=None, samplers=("smote", "bsmote", "balsvm")):
-    """Wall-clock cost: pixel-space pre-processing vs the EOS framework.
-
-    Paper shape: pre-processed full training costs ~3x the EOS pipeline
-    (train on imbalanced data + embed + fine-tune 10 epochs).
-    """
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("runtime_comparison", config=config,
-                   samplers=tuple(samplers)),
-    )
-
-
 def _runtime_comparison_impl(config, samplers):
-    config = config if config is not None else bench_config()
     pre_seconds = []
     rows = []
     for name in samplers:
@@ -760,24 +455,7 @@ def _runtime_comparison_impl(config, samplers):
 # ----------------------------------------------------------------------
 # §V-E3 — EOS in pixel space vs embedding space
 # ----------------------------------------------------------------------
-@_deprecated_runner
-def run_eos_pixel_vs_embedding(config=None, cache=None):
-    """EOS applied as pixel-space pre-processing vs in embedding space.
-
-    Paper shape: pixel-space EOS loses ~7 BAC points vs embedding-space
-    EOS on CIFAR-10.
-    """
-    from ..evals import MatrixSpec, run_matrix
-
-    return run_matrix(
-        MatrixSpec("eos_pixel_vs_embedding", config=config),
-        cache=cache,
-    )
-
-
 def _eos_pixel_vs_embedding_impl(config, cache):
-    config = config if config is not None else bench_config()
-    cache = cache if cache is not None else ExtractorCache()
     pixel_metrics, _ = train_preprocessed(config, "ce", "eos")
     artifacts = cache.get(config, "ce")
     embedding_metrics = evaluate_sampler(artifacts, "eos")

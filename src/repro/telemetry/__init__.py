@@ -18,9 +18,10 @@ behave byte-identically to uninstrumented code.  Turn everything on for
 a region with :func:`session`::
 
     from repro import telemetry
+    from repro.evals import MatrixSpec, run_matrix
 
     with telemetry.session(trace_out="trace.jsonl"):
-        run_table2(config)
+        run_matrix(MatrixSpec("table2", config=config))
 
     # later: python -m repro.telemetry trace.jsonl   (or `repro-trace`)
 

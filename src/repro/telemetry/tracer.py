@@ -11,7 +11,7 @@ Usage::
     from repro import telemetry
 
     with telemetry.session(trace_out="trace.jsonl"):
-        run_table2(config)          # instrumented internally
+        run_matrix(MatrixSpec("table2", config=config))  # instrumented
 
     # or manually:
     tracer = telemetry.get_tracer()

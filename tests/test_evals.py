@@ -1,10 +1,10 @@
-"""Tests for repro.evals: the declarative experiment matrix, the sqlite
-result store, store-backed regeneration, the ``repro-report`` CLI, the
-deprecated runner wrappers, and the EVAL001 lint rule.
+"""Tests for repro.evals: the declarative experiment matrix and its
+axis check, the sqlite result store, store-backed regeneration, the
+``repro-report`` CLI, and the EVAL001 lint rule.
 
 The store/regeneration tests run on synthetic cell payloads (no
-training); only the wrapper-equivalence and worker-determinism tests
-execute a real (micro-scale, one/two-cell) sweep.
+training); only the worker-determinism test executes a real
+(micro-scale, two-cell) sweep.
 
 Note: nothing here imports sqlite3 — EVAL001 pins all sqlite access to
 ``repro.evals.store``, and the lint gate checks this tree too.
@@ -29,10 +29,10 @@ from repro.evals import (
     run_matrix,
     spec_to_payload,
 )
+from repro.evals import runner as runner_module
 from repro.evals import store as store_module
 from repro.evals.__main__ import main as report_main
-from repro.experiments import ExtractorCache, bench_config, run_table2
-from repro.experiments import runners as runners_module
+from repro.experiments import ExtractorCache, bench_config
 from repro.experiments.result import RunResult
 from repro.resilience import CellFailure
 
@@ -143,9 +143,37 @@ class TestMatrixCompile:
         with pytest.raises(KeyError):
             run_matrix(spec)
 
+    @pytest.mark.parametrize("view, axis, value", [
+        ("table1", "losses", ("ldam",)),
+        ("table4", "losses", ("ldam",)),
+        ("table4", "samplers", ("smote",)),
+        ("table5", "datasets", ("svhn_like",)),
+        ("table2", "options", {"epochs": 3}),
+        ("figure3", "seeds", (0, 1)),
+        ("figure4", "samplers", ("eos",)),
+        ("figure7", "hyper", {"finetune_lr": (0.1,)}),
+        ("runtime_comparison", "options", {"epochs": 3}),
+        ("eos_pixel_vs_embedding", "datasets", ("svhn_like",)),
+    ])
+    def test_unread_axis_is_rejected_before_any_work(
+            self, view, axis, value, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("run_matrix started work")
+
+        monkeypatch.setattr(runner_module, "_run_grid", no_work)
+        monkeypatch.setattr(runner_module, "_run_figure", no_work)
+        spec = MatrixSpec(view, config=MICRO, **{axis: value})
+        store = tmp_path / "evals.sqlite"
+        with pytest.raises(ValueError, match="%r.*%r" % (view, axis)):
+            run_matrix(spec, store=store)
+        assert not store.exists()
+        if view.startswith("table"):
+            with pytest.raises(ValueError, match=repr(axis)):
+                compile_matrix(spec)
+
 
 # ----------------------------------------------------------------------
-# RunResult: typed fields + deprecated Mapping shim
+# RunResult: typed fields + read-only Mapping of the view's outputs
 # ----------------------------------------------------------------------
 class TestRunResult:
     def make(self, **kwargs):
@@ -159,7 +187,7 @@ class TestRunResult:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert out.report == "table text"
-            assert out.cells == out.results
+            assert out.cells == out["results"]
             assert out.telemetry["runner"] == "table2"
             assert out.degraded == [("b",)]
             assert out.store_run_id is None
@@ -167,56 +195,27 @@ class TestRunResult:
 
     def test_dict_access_warns(self):
         out = self.make()
-        with pytest.warns(DeprecationWarning):
-            assert out["report"] == "table text"
-        with pytest.warns(DeprecationWarning):
-            assert set(dict(out)) == {"results", "report", "telemetry",
-                                      "degraded"}
+        assert out["report"] == "table text"
+        assert set(dict(out)) == {"results", "report", "telemetry",
+                                  "degraded"}
 
     def test_store_run_id_key_only_when_recorded(self):
         out = self.make(store_run_id=7)
         assert out.store_run_id == 7
         assert len(out) == 5
-        with pytest.warns(DeprecationWarning):
-            assert out["store_run_id"] == 7
+        assert out["store_run_id"] == 7
 
 
 # ----------------------------------------------------------------------
-# Deprecated wrappers delegate to run_matrix
+# Worker determinism on a real micro sweep
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def shared_cache():
-    """One phase-1 extractor shared by every real-run test below."""
-    return ExtractorCache()
-
-
-class TestDeprecatedWrappers:
-    def test_every_legacy_runner_is_a_marked_wrapper(self):
-        assert len(runners_module.__all__) == 12
-        for name in runners_module.__all__:
-            assert hasattr(getattr(runners_module, name), "__wrapped__"), name
-
-    def test_wrapper_output_is_byte_identical_to_run_matrix(self,
-                                                            shared_cache):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_table2(MICRO, losses=("ce",), samplers=("none",),
-                                cache=shared_cache)
-        modern = run_matrix(
-            MatrixSpec("table2", config=MICRO, losses=("ce",),
-                       samplers=("none",)),
-            cache=shared_cache,
-        )
-        assert legacy.report == modern.report
-        assert legacy.cells == modern.cells
-        assert legacy.degraded == modern.degraded == []
-
-
 class TestWorkerDeterminism:
-    def test_parallel_run_matches_serial(self, shared_cache):
+    def test_parallel_run_matches_serial(self):
+        cache = ExtractorCache()
         spec = MatrixSpec("table2", config=MICRO, losses=("ce",),
                           samplers=("none", "smote"))
-        serial = run_matrix(spec, cache=shared_cache)
-        parallel = run_matrix(spec, cache=shared_cache, workers=2)
+        serial = run_matrix(spec, cache=cache)
+        parallel = run_matrix(spec, cache=cache, workers=2)
         assert parallel.report == serial.report
         assert parallel.cells == serial.cells
 

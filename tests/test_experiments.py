@@ -1,6 +1,6 @@
-"""Tests for the experiment harness (configs, pipeline, runners).
+"""Tests for the experiment harness (configs, pipeline, paper views).
 
-Runner tests use a session-cached tiny extractor so the whole file stays
+View tests use a session-cached tiny extractor so the whole file stays
 fast; they verify mechanics and the paper's robust *shape* claims, not
 absolute numbers.
 """
@@ -8,6 +8,7 @@ absolute numbers.
 import numpy as np
 import pytest
 
+from repro.evals import MatrixSpec, run_matrix
 from repro.experiments import (
     ExperimentConfig,
     ExtractorCache,
@@ -173,43 +174,35 @@ class TestShapeClaims:
 
 
 class TestRunners:
-    """Smoke tests: every runner returns its structured payload + report."""
+    """Smoke tests: each view returns its structured payload + report."""
 
     def test_table4_k_sweep(self, config, cache):
-        from repro.experiments import run_table4
-
-        out = run_table4(config, k_values=(3, 8), cache=cache)
+        out = run_matrix(MatrixSpec("table4", config=config,
+                                    k_values=(3, 8)), cache=cache)
         assert set(out["results"]) == {("cifar10_like", 3), ("cifar10_like", 8)}
         assert "Table IV" in out["report"]
 
     def test_figure4_tp_fp(self, config, cache):
-        from repro.experiments import run_figure4
-
-        out = run_figure4(config, cache=cache)
+        out = run_matrix(MatrixSpec("figure4", config=config), cache=cache)
         gaps = out["results"]["cifar10_like"]
         assert gaps["fp"] > gaps["tp"]  # the Figure-4 claim
 
     def test_figure5_norm_profiles(self, config, cache):
-        from repro.experiments import run_figure5
-
-        out = run_figure5(config, losses=("ce",), samplers=("none", "eos"),
-                          cache=cache)
+        out = run_matrix(MatrixSpec("figure5", config=config, losses=("ce",),
+                                    samplers=("none", "eos")), cache=cache)
         assert ("ce", "eos") in out["profiles"]
         assert len(out["profiles"][("ce", "none")]) == 10
 
     def test_figure7_curves(self, config, cache):
-        from repro.experiments import run_figure7
-
-        out = run_figure7(config, epochs=3, samplers=("eos",), cache=cache)
+        out = run_matrix(MatrixSpec("figure7", config=config,
+                                    samplers=("eos",), options={"epochs": 3}),
+                         cache=cache)
         history = out["curves"]["eos"]
         assert len(history) == 3
         assert "test_bac" in history[0]
 
     def test_table2_structure(self, config, cache):
-        from repro.experiments import run_table2
-
-        out = run_table2(
-            config, losses=("ce",), samplers=("none", "eos"), cache=cache
-        )
+        out = run_matrix(MatrixSpec("table2", config=config, losses=("ce",),
+                                    samplers=("none", "eos")), cache=cache)
         assert ("cifar10_like", "ce", "eos") in out["results"]
         assert "BAC" in out["report"]

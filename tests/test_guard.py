@@ -22,7 +22,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments import ExtractorCache, bench_config, run_table2
+from repro.evals import MatrixSpec, run_matrix
+from repro.experiments import ExtractorCache, bench_config
 from repro.guard import (
     CircuitBreaker,
     IntegrityFailure,
@@ -82,10 +83,9 @@ def _clean_global_state():
 
 
 def run_sweep(cache, registry=None, retry_policy=None, workers=None):
-    return run_table2(
-        MICRO,
-        losses=("ce",),
-        samplers=SAMPLERS,
+    return run_matrix(
+        MatrixSpec("table2", config=MICRO, losses=("ce",),
+                   samplers=SAMPLERS),
         cache=cache,
         registry=registry,
         retry_policy=retry_policy,

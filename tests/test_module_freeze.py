@@ -1,8 +1,9 @@
-"""Tests for parameter freezing and the pixel-mode Table III runner."""
+"""Tests for parameter freezing and the pixel-mode Table III view."""
 
 import numpy as np
 import pytest
 
+from repro.evals import MatrixSpec, run_matrix
 from repro.nn import SmallConvNet
 from repro.tensor import Tensor
 
@@ -29,17 +30,16 @@ class TestRequiresGrad:
 
 class TestTable3Modes:
     def test_invalid_mode_rejected(self):
-        from repro.experiments import run_table3
-
         with pytest.raises(ValueError):
-            run_table3(mode="latent")
+            run_matrix(MatrixSpec("table3", mode="latent"))
 
     def test_pixel_mode_runs_gan_as_preprocessing(self):
-        from repro.experiments import ExtractorCache, bench_config, run_table3
+        from repro.experiments import ExtractorCache, bench_config
 
         config = bench_config(phase1_epochs=3)
-        out = run_table3(
-            config, samplers=("bagan", "eos"), mode="pixel",
+        out = run_matrix(
+            MatrixSpec("table3", config=config, samplers=("bagan", "eos"),
+                       mode="pixel"),
             cache=ExtractorCache(),
         )
         assert out["mode"] == "pixel"

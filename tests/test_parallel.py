@@ -332,15 +332,15 @@ class TestRunCells:
 class TestTableSweepBitExactness:
     def test_tiny_table2_identical_across_worker_counts(self):
         """The ISSUE acceptance criterion: --workers 4 == --workers 1."""
-        from repro.experiments import ExtractorCache, bench_config, run_table2
+        from repro.evals import MatrixSpec, run_matrix
+        from repro.experiments import ExtractorCache, bench_config
 
         micro = bench_config(phase1_epochs=2, finetune_epochs=2,
                              model_kwargs={"width": 4})
-        kwargs = dict(losses=("ce",), samplers=("none", "smote", "eos"))
-        serial = run_table2(micro, cache=ExtractorCache(), workers=1,
-                            **kwargs)
-        forked = run_table2(micro, cache=ExtractorCache(), workers=4,
-                            **kwargs)
+        spec = MatrixSpec("table2", config=micro, losses=("ce",),
+                          samplers=("none", "smote", "eos"))
+        serial = run_matrix(spec, cache=ExtractorCache(), workers=1)
+        forked = run_matrix(spec, cache=ExtractorCache(), workers=4)
         assert serial["results"] == forked["results"]
         assert serial["report"] == forked["report"]
 

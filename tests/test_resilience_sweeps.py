@@ -12,7 +12,8 @@ The two acceptance behaviors from the resilience work:
 
 import pytest
 
-from repro.experiments import ExtractorCache, bench_config, run_table2
+from repro.evals import MatrixSpec, run_matrix
+from repro.experiments import ExtractorCache, bench_config
 from repro.resilience import (
     CellFailure,
     DivergenceError,
@@ -30,10 +31,9 @@ KILL_CELL = "t2/cifar10_like/ce/eos"
 
 
 def run_sweep(cache, registry=None, retry_policy=None):
-    return run_table2(
-        MICRO,
-        losses=("ce",),
-        samplers=SAMPLERS,
+    return run_matrix(
+        MatrixSpec("table2", config=MICRO, losses=("ce",),
+                   samplers=SAMPLERS),
         cache=cache,
         registry=registry,
         retry_policy=retry_policy,

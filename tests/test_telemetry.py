@@ -1,7 +1,7 @@
 """Tests for repro.telemetry: tracer round-trips, metrics accuracy on a
 known-size fine-tune, the no-op overhead guard (telemetry off must be
-allocation-free and byte-identical), RunResult backward compatibility,
-the unified sampler API, the tensor-op profiler, and the `repro-trace`
+allocation-free and byte-identical), RunResult and run_matrix's runner
+span, the unified sampler API, the tensor-op profiler, and the `repro-trace`
 CLI."""
 
 import json
@@ -326,8 +326,16 @@ class TestNoOpOverhead:
 
 
 # ----------------------------------------------------------------------
-# Satellite: RunResult backward compatibility
+# Satellite: RunResult and run_matrix's runner span
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def runner_cache():
+    """One micro phase-1 extractor shared by the run_matrix span tests."""
+    from repro.experiments import ExtractorCache
+
+    return ExtractorCache()
+
+
 class TestRunResult:
     def test_dict_consumers_see_original_keys(self):
         from repro.experiments import RunResult
@@ -344,7 +352,7 @@ class TestRunResult:
 
         out = RunResult({"results": {}, "report": "r"}, telemetry={"seconds": 1.0})
         assert out.report == "r"
-        assert out.results == {}
+        assert out.cells == {}
         assert out.telemetry == {"seconds": 1.0}
         assert out.degraded == []
 
@@ -362,36 +370,29 @@ class TestRunResult:
         assert out.degraded == ["bad"]
         assert "degraded=1" in repr(out)
 
-    def test_traced_runner_wraps_plain_dicts(self):
-        from repro.experiments import traced_runner
+    @pytest.mark.parametrize("view, axes", [
+        ("table2", {"losses": ("ce",), "samplers": ("none",)}),
+        ("figure4", {}),
+    ], ids=["table2", "figure4"])
+    def test_run_matrix_wraps_runner_span(self, view, axes, runner_cache):
+        from repro.evals import MatrixSpec, run_matrix
+        from repro.experiments import bench_config
 
-        @traced_runner("stub")
-        def run_stub(value):
-            return {"results": {}, "report": "stub:%d" % value}
-
-        out = run_stub(7)
-        assert out["report"] == "stub:7"
-        assert out.telemetry["runner"] == "stub"
+        spec = MatrixSpec(view, config=bench_config(
+            phase1_epochs=2, finetune_epochs=2, model_kwargs={"width": 4}
+        ), **axes)
+        out = run_matrix(spec, cache=runner_cache)
+        assert out.telemetry["runner"] == view
         assert out.telemetry["enabled"] is False
         assert out.telemetry["seconds"] >= 0.0
         assert "metrics" not in out.telemetry
 
         with telemetry.session() as tracer:
-            traced = run_stub(8)
+            traced = run_matrix(spec, cache=runner_cache)
             assert "metrics" in traced.telemetry
-        spans = [r for r in tracer.records if r.get("name") == "runner"]
-        assert spans and spans[0]["attrs"]["runner"] == "stub"
-
-    def test_real_runners_are_all_traced(self):
-        import repro.experiments as experiments
-        from repro.experiments import runners
-
-        names = [n for n in experiments.__all__ if n.startswith("run_")
-                 and n != "run_seeds"]
-        assert len(names) == 12
-        for name in names:
-            fn = getattr(runners, name)
-            assert hasattr(fn, "__wrapped__"), name  # traced_runner-decorated
+        top = [r for r in tracer.records
+               if r.get("name") == "runner" and r["depth"] == 0]
+        assert len(top) == 1 and top[0]["attrs"]["runner"] == view
 
 
 # ----------------------------------------------------------------------
