@@ -7,15 +7,16 @@ seed-bump + LR-backoff, FAILED-cell degradation, circuit breakers,
 bit-identical results at any worker count).  Figure views execute
 their dedicated implementations directly.
 
-With ``store=`` set, every cell outcome is appended to the
-:class:`~repro.evals.store.ResultStore` *as it completes*, from the
-parent process only: the store subscribes to the
+With ``store=`` and ``registry=`` both set, every cell outcome is
+appended to the :class:`~repro.evals.store.ResultStore` *as it
+completes*, from the parent process only: the store subscribes to the
 :class:`~repro.resilience.RunRegistry` cell sink, which fires after
 each manifest flush.  A killed run therefore leaves its completed
 cells both in the checkpoint manifest and in the store; resuming with
 the same registry re-binds to the same store run (matched by spec
 fingerprint) and the idempotent insert discipline guarantees no
-duplicate rows.
+duplicate rows.  With a store but no registry there is no sink, and
+the cells reach the store together at ``finish_run``.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ def _run_grid(spec, store, cache, registry, retry_policy, fail_soft,
     from ..experiments import runners as R
     from ..experiments.config import bench_config
     from ..experiments.pipeline import prewarm_extractors
+    from ..parallel import run_cells
 
     config = spec.config if spec.config is not None else bench_config()
     for name in (spec.hyper or {}):
@@ -127,34 +129,35 @@ def _run_grid(spec, store, cache, registry, retry_policy, fail_soft,
              for overrides, loss in plan.prewarm],
             max_workers=workers,
         )
-        grid = R._CellGrid(registry, retry_policy, fail_soft, workers,
-                           breaker)
+        # A cell whose extractor failed keeps that CellFailure; every
+        # other cell becomes a (cell_id, thunk) task for run_cells.
+        outcomes, keys, tasks = {}, [], []
         artifacts_memo = {}
         for cell in plan.cells:
             cfg = (config.with_overrides(**cell.overrides)
                    if cell.overrides else config)
             if cell.kind == "preprocessed":
-                grid.add(cell.key, cell.cell_id,
-                         R._preprocessed_cell(cfg, cell.loss, cell.sampler))
-                continue
-            memo_key = (repr(sorted(cell.overrides.items(), key=repr)),
-                        cell.loss)
-            if memo_key not in artifacts_memo:
-                artifacts_memo[memo_key] = R._get_artifacts(
-                    cache, cfg, cell.loss, fail_soft
-                )
-            artifacts = artifacts_memo[memo_key]
-            if isinstance(artifacts, CellFailure):
-                grid.stamp(cell.key, artifacts)
-            elif cell.kind == "timed_sampler":
-                grid.add(cell.key, cell.cell_id,
-                         R._timed_sampler_cell(artifacts, cell.sampler,
-                                               **cell.eval_kwargs))
+                thunk = R._preprocessed_cell(cfg, cell.loss, cell.sampler)
             else:
-                grid.add(cell.key, cell.cell_id,
-                         R._sampler_cell(artifacts, cell.sampler,
-                                         **cell.eval_kwargs))
-        outcomes = grid.run()
+                memo_key = (repr(sorted(cell.overrides.items(), key=repr)),
+                            cell.loss)
+                if memo_key not in artifacts_memo:
+                    artifacts_memo[memo_key] = R._get_artifacts(
+                        cache, cfg, cell.loss, fail_soft
+                    )
+                artifacts = artifacts_memo[memo_key]
+                if isinstance(artifacts, CellFailure):
+                    outcomes[cell.key] = artifacts
+                    continue
+                make = (R._timed_sampler_cell
+                        if cell.kind == "timed_sampler" else R._sampler_cell)
+                thunk = make(artifacts, cell.sampler, **cell.eval_kwargs)
+            keys.append(cell.key)
+            tasks.append((cell.cell_id, thunk))
+        outcomes.update(zip(keys, run_cells(
+            tasks, registry=registry, retry_policy=retry_policy,
+            fail_soft=fail_soft, max_workers=workers, breaker=breaker,
+        )))
     finally:
         if store is not None and registry is not None:
             registry.set_cell_sink(None)

@@ -179,21 +179,17 @@ def _train_phase1_attempt(config, loss_name, attempt=None):
     )
 
 
-def _load_phase1_artifacts(config, loss_name, registry, fingerprint):
-    """Rebuild :class:`Phase1Artifacts` from persisted registry state.
+def _rebuild_phase1(config, loss_name, model_state, head_state,
+                    train_embeddings, test_embeddings, baseline_metrics,
+                    train_seconds):
+    """Rebuild :class:`Phase1Artifacts` from persisted or shipped state.
 
     Datasets are regenerated deterministically from the config (they are
-    seeded), the model skeleton is rebuilt and its persisted weights
-    loaded, so a resumed run is bit-identical to the run that wrote the
-    checkpoint.
+    seeded), the model skeleton is rebuilt and the given weights loaded,
+    so the result is bit-identical to the run that trained them.
     """
     model, train, test, info = _make_model_and_data(config)
-    model_state, head_state, train_pair, test_pair, meta = (
-        registry.load_phase1(fingerprint)
-    )
     model.load_state_dict(model_state)
-    train_emb, _ = train_pair
-    test_emb, _ = test_pair
     return Phase1Artifacts(
         config,
         loss_name,
@@ -201,11 +197,22 @@ def _load_phase1_artifacts(config, loss_name, registry, fingerprint):
         train,
         test,
         info,
-        train_emb,
-        test_emb,
-        dict(meta["baseline_metrics"]),
+        train_embeddings,
+        test_embeddings,
+        baseline_metrics,
         head_state,
-        meta["train_seconds"],
+        train_seconds,
+    )
+
+
+def _load_phase1_artifacts(config, loss_name, registry, fingerprint):
+    """Rebuild :class:`Phase1Artifacts` from persisted registry state."""
+    model_state, head_state, (train_emb, _), (test_emb, _), meta = (
+        registry.load_phase1(fingerprint)
+    )
+    return _rebuild_phase1(
+        config, loss_name, model_state, head_state, train_emb, test_emb,
+        dict(meta["baseline_metrics"]), meta["train_seconds"],
     )
 
 
@@ -319,18 +326,22 @@ class ExtractorCache:
             return self._cache[key]
         self._misses += 1
         metrics.counter("cache.misses").inc()
-        artifacts = train_phase1(
+        return self._insert(key, train_phase1(
             config,
             loss_name,
             registry=self.registry,
             retry_policy=self.retry_policy,
-        )
+        ))
+
+    def _insert(self, key, artifacts):
+        """Store ``artifacts`` as most recently used; evict past the bound."""
         self._cache[key] = artifacts
+        self._cache.move_to_end(key)
         if self.max_entries is not None:
             while len(self._cache) > self.max_entries:
                 self._cache.popitem(last=False)
                 self._evictions += 1
-                metrics.counter("cache.evictions").inc()
+                get_metrics().counter("cache.evictions").inc()
         return artifacts
 
     def contains(self, config, loss_name):
@@ -353,19 +364,11 @@ class ExtractorCache:
         most-recently-used entry, honoring the LRU bound.
         """
         self._check_owner("put")
-        key = _phase1_key(config, loss_name)
         if self.registry is not None:
             fingerprint = phase1_fingerprint(config, loss_name)
             if not self.registry.has_phase1(fingerprint):
                 _save_phase1_artifacts(self.registry, fingerprint, artifacts)
-        self._cache[key] = artifacts
-        self._cache.move_to_end(key)
-        if self.max_entries is not None:
-            while len(self._cache) > self.max_entries:
-                self._cache.popitem(last=False)
-                self._evictions += 1
-                get_metrics().counter("cache.evictions").inc()
-        return artifacts
+        return self._insert(_phase1_key(config, loss_name), artifacts)
 
     def stats(self):
         """Cache effectiveness counters (survive :meth:`clear`)."""
@@ -414,14 +417,8 @@ def prewarm_extractors(cache, jobs, max_workers=None):
 
     def train_job(job, _seed):
         config, loss_name = job
-        if retry_policy is None:
-            artifacts = _train_phase1_attempt(config, loss_name)
-        else:
-            artifacts = retry_policy.run(
-                lambda attempt: _train_phase1_attempt(
-                    config, loss_name, attempt
-                )
-            )
+        artifacts = train_phase1(config, loss_name, retry_policy=retry_policy)
+        # Only picklable state ships back; keys are _rebuild_phase1's.
         return {
             "model_state": artifacts.model.state_dict(),
             "head_state": artifacts.head_state,
@@ -443,21 +440,8 @@ def prewarm_extractors(cache, jobs, max_workers=None):
     for (config, loss_name), out in zip(unique, outs):
         if isinstance(out, TaskFailure):
             continue
-        model, train, test, info = _make_model_and_data(config)
-        model.load_state_dict(out["model_state"])
-        cache.put(config, loss_name, Phase1Artifacts(
-            config,
-            loss_name,
-            model,
-            train,
-            test,
-            info,
-            out["train_embeddings"],
-            out["test_embeddings"],
-            out["baseline_metrics"],
-            out["head_state"],
-            out["train_seconds"],
-        ))
+        cache.put(config, loss_name,
+                  _rebuild_phase1(config, loss_name, **out))
         warmed += 1
     return warmed
 

@@ -3,10 +3,11 @@
 :func:`repro.evals.run_matrix` is the one entry point for every paper
 view.  This module holds what it executes: the cell-thunk helpers of
 the table views (``_sampler_cell`` / ``_timed_sampler_cell`` /
-``_preprocessed_cell``, batched by ``_CellGrid``) and the figure/study
-implementations (``_figure3_impl`` …), whose row data is not
-cell-structured.  ``run_matrix`` resolves the config and the extractor
-cache before it calls any of them.
+``_preprocessed_cell``, which ``run_matrix`` batches through
+:func:`repro.parallel.run_cells`) and the figure/study implementations
+(``_figure3_impl`` …), whose row data is not cell-structured.
+``run_matrix`` resolves the config and the extractor cache before it
+calls any of them.
 """
 
 from __future__ import annotations
@@ -97,53 +98,6 @@ def _preprocessed_cell(config, loss_name, sampler_name):
         return {"metrics": metrics, "seconds": seconds}
 
     return thunk
-
-
-class _CellGrid:
-    """Batch of sweep cells an executor collects, then runs as one unit.
-
-    Each cell is registered with its results-dict ``key``, checkpoint
-    ``cell_id`` and thunk; cells whose outcome is already decided (a
-    failed extractor degrading every dependent cell) are stamped
-    directly.  :meth:`run` evaluates the batch through
-    :func:`repro.parallel.run_cells` — at one worker a per-cell
-    ``run_cell`` loop (resume, retry, degradation and registry writes);
-    above one worker the cells fan out across processes with identical
-    results.
-    """
-
-    def __init__(self, registry=None, retry_policy=None, fail_soft=True,
-                 workers=None, breaker=None):
-        self.registry = registry
-        self.retry_policy = retry_policy
-        self.fail_soft = fail_soft
-        self.workers = workers
-        self.breaker = breaker
-        self._keys = []
-        self._tasks = []
-        self._stamped = {}
-
-    def add(self, key, cell_id, thunk):
-        self._keys.append(key)
-        self._tasks.append((cell_id, thunk))
-
-    def stamp(self, key, outcome):
-        self._stamped[key] = outcome
-
-    def run(self):
-        from ..parallel import run_cells
-
-        outcomes = run_cells(
-            self._tasks,
-            registry=self.registry,
-            retry_policy=self.retry_policy,
-            fail_soft=self.fail_soft,
-            max_workers=self.workers,
-            breaker=self.breaker,
-        )
-        results = dict(self._stamped)
-        results.update(zip(self._keys, outcomes))
-        return results
 
 
 # ----------------------------------------------------------------------

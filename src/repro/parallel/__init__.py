@@ -12,8 +12,9 @@ Public surface:
   seeds derived from position, results assembled in item order); the
   workers fork after ``fn`` and ``items`` exist, so only indices and
   results cross the pipes.
-* :func:`run_cells` — batched sweep-cell runner preserving the
-  resume/retry/degrade contract of :func:`repro.resilience.run_cell`.
+* :func:`run_cells` — the sweep-cell runner: resume, retry,
+  ``FAILED(...)`` degradation and circuit breaking over one
+  :func:`parallel_map` call at any worker count.
 * :func:`derive_seed` — the position-based seed derivation.
 * :func:`set_default_workers` / :func:`get_default_workers` /
   :func:`resolve_workers` — the process-wide worker default the CLI's

@@ -1,46 +1,46 @@
-"""Parallel sweep-cell execution with the full resilience contract.
+"""Sweep-cell execution with the full resilience contract.
 
-:func:`run_cells` is the batched, parallel counterpart of
-:func:`repro.resilience.run_cell`.  It takes ``(cell_id, thunk)`` tasks
-and preserves every serial guarantee:
+:func:`run_cells` evaluates ``(cell_id, thunk)`` tasks through one
+:func:`repro.parallel.parallel_map` call at every worker count, which
+runs them inline at one worker and on a call-scoped pool above it, with
+the same hooks either way:
 
-* **workers == 1** delegates each task to ``run_cell`` unchanged —
-  identical behavior, identical registry write ordering, identical
-  fault propagation (a ``SimulatedKill`` still unwinds the whole
-  process, which is what the checkpoint/resume tests rely on).
-* **workers > 1** runs resume checks and registry writes in the
-  *parent* only (one writer for ``manifest.json``), while retry +
-  fault-point + span logic runs inside each worker.  Results are
-  checkpointed in completion order via the pool's ``on_result`` hook,
-  so a parent crash mid-batch loses only unfinished cells.
-* A worker that dies (real crash or injected ``SimulatedKill``)
-  becomes a ``CellFailure(error_type="WorkerDied")`` recorded with
-  status ``"failed"`` — which :meth:`RunRegistry.has_cell` treats as
-  absent, so the cell is re-attempted on resume exactly like a
-  serially failed cell.
-* The guard layer rides along in both modes: a per-task wall-clock
-  deadline (``task_deadline`` argument or ``RetryPolicy.task_deadline``)
-  arms the pool's hung-worker watchdog, and an open
-  :class:`repro.guard.CircuitBreaker` converts still-queued cells of
-  the tripped configuration family into immediate
-  ``FAILED(circuit_open: <signature>)`` records via the pool's
-  ``pre_dispatch`` hook — their thunks never run.
+1. **resume** — cells a :class:`~repro.resilience.RunRegistry` already
+   holds are loaded, not recomputed;
+2. **retry** — each remaining cell runs under an optional
+   :class:`~repro.resilience.RetryPolicy`; every attempt passes the
+   ``sweep.cell`` fault point inside a ``cell`` span, wherever the
+   thunk runs;
+3. **degrade** — a cell that still fails settles as a
+   :class:`~repro.resilience.CellFailure` rendered ``FAILED(...)``, so
+   the sweep completes;
+4. **circuit break** — with a :class:`repro.guard.CircuitBreaker`, the
+   pool's ``pre_dispatch`` hook settles a cell whose configuration
+   family already tripped as ``FAILED(circuit_open: <signature>)``
+   without invoking its thunk, and every genuine failure feeds the
+   breaker's counters.
 
-Determinism note: cell thunks carry their own seeds (runner configs
-seed every trial explicitly), so the pool's derived per-task seed is
-deliberately unused here — bit-exactness between worker counts follows
-from order-preserved assembly alone.
+Resume checks and registry writes happen in the calling process only
+(one writer for ``manifest.json``); each outcome is checkpointed as it
+settles, through the pool's ``on_result`` hook, so an interrupted batch
+loses only unfinished cells.  A worker that dies (a real crash or an
+injected ``SimulatedKill``) settles as
+``CellFailure(error_type="WorkerDied")`` with status ``"failed"``, which
+:meth:`RunRegistry.has_cell` treats as absent, so resume re-runs it.
+Inline, a ``SimulatedKill`` unwinds the calling process itself, and
+SIGINT/SIGTERM unwind as :class:`~repro.parallel.PoolInterrupted`.
+
+Cell thunks carry their own seeds (runner configs seed every trial
+explicitly), so the pool's derived per-task seed is unused here:
+identical results at any worker count follow from order-preserved
+assembly alone.
 """
 
 from __future__ import annotations
 
 from ..guard.breaker import default_breaker_key
 from ..guard.phase import report_phase
-from ..resilience.degrade import (
-    CellFailure,
-    run_cell,
-    short_circuit_failure,
-)
+from ..resilience.degrade import CellFailure
 from ..resilience.errors import RetryBudgetExhausted
 from ..resilience.faults import maybe_fire
 from ..telemetry import get_metrics, get_tracer
@@ -50,170 +50,144 @@ from .pool import Skip, TaskFailure, WorkerError, parallel_map, \
 __all__ = ["run_cells"]
 
 
-def _execute_cell(cell_id, thunk, retry_policy):
-    """Worker-side body: retry + fault point + span, no registry I/O.
-
-    Returns ``("done", result)`` or ``("failed", info)``; lets
-    non-``Exception`` errors (``SimulatedKill``) escape so the child
-    process genuinely dies and the parent takes its dead-worker path.
-    """
-    tracer = get_tracer()
-    attempts_made = [0]
-
-    def trial(attempt):
-        attempts_made[0] += 1
-        index = 0 if attempt is None else attempt.index
-        report_phase("cell:%s" % cell_id)
-        maybe_fire("sweep.cell", cell=cell_id, attempt=index)
-        return thunk(attempt)
-
-    with tracer.span("cell", cell=cell_id) as span:
-        try:
-            if retry_policy is not None:
-                result = retry_policy.run(trial)
-            else:
-                result = trial(None)
-        except Exception as exc:
-            cause = exc.last_error if isinstance(exc, RetryBudgetExhausted) \
-                and exc.last_error is not None else exc
-            attempts = max(attempts_made[0], 1)
-            span.set(outcome="failed", attempts=attempts)
-            return ("failed", {
-                "reason": str(cause),
-                "error_type": type(cause).__name__,
-                "attempts": attempts,
-            })
-        span.set(outcome="done", attempts=max(attempts_made[0], 1))
-    return ("done", result)
-
-
 def run_cells(tasks, registry=None, retry_policy=None, fail_soft=True,
-              max_workers=None, seed_root=0, payload_of=None,
-              result_of=None, breaker=None, breaker_key_of=None,
-              task_deadline=None):
-    """Evaluate many sweep cells, optionally across worker processes.
+              max_workers=None, breaker=None):
+    """Evaluate sweep cells with resume, retry, degradation and breaker.
 
-    Parameters mirror :func:`repro.resilience.run_cell`; ``tasks`` is a
-    sequence of ``(cell_id, thunk)`` pairs and the return value is a
-    list of outcomes (result, registry-loaded result, or
-    :class:`CellFailure`) in task order.
+    ``tasks`` is a sequence of ``(cell_id, thunk)`` pairs; a thunk takes
+    the retry :class:`~repro.resilience.Attempt` (``None`` without a
+    ``retry_policy``).  Returns one outcome per task, in task order:
+    the thunk's result, the registry-loaded result, or a
+    :class:`CellFailure`.
 
-    ``breaker`` / ``breaker_key_of`` install a
-    :class:`repro.guard.CircuitBreaker` over the batch (keys default to
-    :func:`repro.guard.default_breaker_key` of the cell id);
-    ``task_deadline`` (defaulting to ``retry_policy.task_deadline``)
-    arms the pool's hung-worker watchdog, with one re-dispatch per
-    retry the policy allows.
+    ``registry`` loads finished cells and records every new outcome
+    (success *and* failure).  ``breaker`` installs a
+    :class:`repro.guard.CircuitBreaker` over the batch, keyed by
+    :func:`repro.guard.default_breaker_key` of the cell id.
+    ``retry_policy.task_deadline`` arms the pool's hung-worker watchdog,
+    with one re-dispatch per retry the policy allows.
 
-    With ``fail_soft=False`` and workers > 1, a failing cell raises
-    :class:`~repro.parallel.WorkerError` *after* the in-flight batch
-    drains (serial mode raises the original exception immediately) —
-    already-finished cells are still checkpointed first.
+    With ``fail_soft=False``, a cell that runs inline (one worker)
+    raises its own exception at once and records nothing; across
+    workers a failing cell raises :class:`~repro.parallel.WorkerError`
+    *after* the batch drains, with finished cells already checkpointed.
     """
-    tasks = list(tasks)
-    workers = resolve_workers(max_workers)
-    key_of = breaker_key_of if breaker_key_of is not None \
-        else default_breaker_key
-    if task_deadline is None and retry_policy is not None:
-        task_deadline = retry_policy.task_deadline
-    if workers <= 1 or len(tasks) <= 1:
-        return [
-            run_cell(thunk, cell_id, registry=registry,
-                     retry_policy=retry_policy, fail_soft=fail_soft,
-                     payload_of=payload_of, result_of=result_of,
-                     breaker=breaker, breaker_key=key_of(cell_id))
-            for cell_id, thunk in tasks
-        ]
-
     tracer = get_tracer()
     metrics = get_metrics()
+    tasks = list(tasks)
     results = [None] * len(tasks)
     pending = []
     for position, (cell_id, thunk) in enumerate(tasks):
         if registry is not None and registry.has_cell(cell_id):
-            payload = registry.load_cell(cell_id)
+            results[position] = registry.load_cell(cell_id)
             tracer.event("cell.resumed", cell=cell_id)
             metrics.counter("cells.resumed").inc()
-            results[position] = (
-                result_of(payload) if result_of is not None else payload
-            )
         else:
             pending.append((position, cell_id, thunk))
+    workers = min(resolve_workers(max_workers), len(pending))
+    reraise = not fail_soft and workers <= 1
 
-    def execute(task, seed):
+    def execute(task, _seed):
+        """Retry + fault point + span, no registry I/O.
+
+        Returns ``("done", result)`` or ``("failed", CellFailure)``.
+        With ``reraise`` the cell's own exception escapes instead;
+        non-``Exception`` errors (``SimulatedKill``) always escape, so a
+        worker genuinely dies and the parent takes its dead-worker path.
+        """
         _, cell_id, thunk = task
-        return _execute_cell(cell_id, thunk, retry_policy)
+        attempts_made = [0]
+
+        def trial(attempt):
+            attempts_made[0] += 1
+            index = 0 if attempt is None else attempt.index
+            report_phase("cell:%s" % cell_id)
+            maybe_fire("sweep.cell", cell=cell_id, attempt=index)
+            return thunk(attempt)
+
+        # get_tracer() rather than the caller's tracer: a worker installs
+        # its own, whose records the pool forwards to the parent.
+        with get_tracer().span("cell", cell=cell_id) as span:
+            try:
+                if retry_policy is not None:
+                    result = retry_policy.run(trial)
+                else:
+                    result = trial(None)
+            except Exception as exc:
+                if reraise:
+                    raise
+                cause = exc
+                if isinstance(exc, RetryBudgetExhausted) and \
+                        exc.last_error is not None:
+                    cause = exc.last_error
+                attempts = max(attempts_made[0], 1)
+                span.set(outcome="failed", attempts=attempts)
+                return ("failed", CellFailure(
+                    str(cause), error_type=type(cause).__name__,
+                    attempts=attempts,
+                ))
+            span.set(outcome="done", attempts=max(attempts_made[0], 1))
+        return ("done", result)
 
     def pre_dispatch(task, _index):
-        """Parent-side breaker check, run just before a cell would fork."""
+        """Settle a cell of a tripped configuration family unrun."""
         if breaker is None:
             return None
-        _, cell_id, _thunk = task
-        signature = breaker.open_signature(key_of(cell_id))
+        cell_id = task[1]
+        key = default_breaker_key(cell_id)
+        signature = breaker.open_signature(key)
         if signature is None:
             return None
-        return Skip(("skipped", signature))
+        tracer.event("guard.breaker_short_circuit", cell=cell_id, key=key,
+                     signature=signature)
+        metrics.counter("guard.breaker_short_circuits").inc()
+        return Skip(("skipped", CellFailure(signature,
+                                            error_type="circuit_open",
+                                            attempts=0)))
 
     def record(task_index, outcome):
-        """Parent-side bookkeeping, called per task in completion order."""
+        """Checkpoint one settled cell, in completion order."""
         position, cell_id, _ = pending[task_index]
-        if isinstance(outcome, TaskFailure):
-            failure = CellFailure(
+        if isinstance(outcome, TaskFailure):  # a dead or hung worker
+            outcome = ("failed", CellFailure(
                 outcome.message or outcome.reason,
-                error_type=outcome.reason,
-                attempts=1,
-            )
-        elif outcome[0] == "skipped":
-            results[position] = short_circuit_failure(
-                cell_id, key_of(cell_id), outcome[1], registry=registry,
-            )
-            return
-        elif outcome[0] == "failed":
-            info = outcome[1]
-            failure = CellFailure(
-                info["reason"],
-                error_type=info["error_type"],
-                attempts=info["attempts"],
-            )
-        else:
-            result = outcome[1]
+                error_type=outcome.reason, attempts=1,
+            ))
+        kind, value = outcome
+        if kind == "done":
             metrics.counter("cells.done").inc()
-            if registry is not None:
-                payload = (payload_of(result) if payload_of is not None
-                           else result)
-                registry.record_cell(cell_id, payload, status="done")
-            results[position] = result
-            return
-        tracer.event(
-            "cell.failed",
-            cell=cell_id,
-            error_type=failure.error_type,
-            attempts=failure.attempts,
-        )
-        metrics.counter("cells.failed").inc()
-        if breaker is not None:
-            breaker.record_failure(key_of(cell_id), failure.error_type,
-                                   failure.reason, count=failure.attempts)
+        elif kind == "failed":
+            tracer.event("cell.failed", cell=cell_id,
+                         error_type=value.error_type,
+                         attempts=value.attempts)
+            metrics.counter("cells.failed").inc()
+            if breaker is not None:
+                breaker.record_failure(default_breaker_key(cell_id),
+                                       value.error_type, value.reason,
+                                       count=value.attempts)
         if registry is not None:
-            registry.record_cell(cell_id, failure.to_payload(),
-                                 status="failed")
-        results[position] = failure
+            if kind == "done":
+                registry.record_cell(cell_id, value, status="done")
+            else:
+                registry.record_cell(cell_id, value.to_payload(),
+                                     status="failed")
+        results[position] = value
 
     parallel_map(
         execute,
         pending,
         max_workers=workers,
-        seed_root=seed_root,
-        on_error="return",
+        on_error="raise" if reraise else "return",
         task_label=lambda task, _index: task[1],
         on_result=record,
-        task_deadline=task_deadline,
+        task_deadline=(retry_policy.task_deadline
+                       if retry_policy is not None else None),
         deadline_retries=(max(1, retry_policy.max_retries)
                           if retry_policy is not None else 1),
         pre_dispatch=pre_dispatch,
     )
 
-    if not fail_soft:
+    if not fail_soft and workers > 1:
         for position, outcome in enumerate(results):
             if isinstance(outcome, CellFailure):
                 raise WorkerError(TaskFailure(

@@ -10,9 +10,9 @@ the four coordinated pieces:
   interrupted sweep resumes from its completed cells;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, deterministic
   seed-bump + LR-backoff retry with per-trial wall-clock budgets;
-* :mod:`~repro.resilience.degrade` — :func:`run_cell` /
-  :class:`CellFailure`, graceful ``FAILED(reason)`` degradation of sweep
-  cells;
+* :mod:`~repro.resilience.degrade` — :class:`CellFailure`, the graceful
+  ``FAILED(reason)`` outcome of a sweep cell that
+  :func:`repro.parallel.run_cells` settles instead of raising;
 * :mod:`~repro.resilience.faults` — :class:`FaultPlan`, deterministic
   injection of NaN losses, raised exceptions, simulated kills, hung
   workers and corrupted artifacts, so all of the above is testable
@@ -23,16 +23,11 @@ verification/quarantine, failure circuit breakers — lives in
 :mod:`repro.guard` and plugs into this package through
 ``RetryPolicy.task_deadline``, ``RunRegistry(strict=...)`` /
 ``RunRegistry.load_breakers`` and the ``breaker`` argument of
-:func:`run_cell`.
+:func:`repro.parallel.run_cells`.
 """
 
 from .checkpoint import RunRegistry, fingerprint_of
-from .degrade import (
-    CellFailure,
-    failure_from_payload,
-    run_cell,
-    short_circuit_failure,
-)
+from .degrade import CellFailure, failure_from_payload
 from .errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -58,8 +53,6 @@ __all__ = [
     "fingerprint_of",
     "CellFailure",
     "failure_from_payload",
-    "run_cell",
-    "short_circuit_failure",
     "ResilienceError",
     "DivergenceError",
     "TrialTimeoutError",

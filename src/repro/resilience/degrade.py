@@ -1,22 +1,13 @@
 """Graceful degradation for sweep cells.
 
 A sweep over samplers × losses × datasets should never lose hours of
-finished cells because one cell diverged.  :func:`run_cell` wraps the
-evaluation of a single cell with the full resilience stack:
-
-1. **resume** — if a :class:`RunRegistry` already holds this cell's
-   result, return it without recomputing;
-2. **retry** — run the cell under an optional :class:`RetryPolicy`
-   (each attempt passes the ``sweep.cell`` fault point, so divergence
-   can be injected deterministically in tests);
-3. **degrade** — when the cell still fails, return a
-   :class:`CellFailure` recording the reason instead of raising, so the
-   sweep completes and renders a ``FAILED(...)`` row;
-4. **circuit break** — with a :class:`repro.guard.CircuitBreaker`
-   installed, a cell whose configuration family already tripped the
-   breaker is settled as ``FAILED(circuit_open: <signature>)``
-   *without invoking its thunk*, and every genuine failure feeds the
-   breaker's per-signature counters.
+finished cells because one cell diverged.  A cell that still fails
+after its retries settles as a :class:`CellFailure` recording the
+reason instead of raising, so the sweep completes and renders a
+``FAILED(...)`` row; :func:`failure_from_payload` rebuilds one from
+its checkpoint payload.  :func:`repro.parallel.run_cells` is the one
+runner that produces them, alongside resume, retry and circuit
+breaking.
 
 :class:`SimulatedKill` (a ``BaseException``) is never absorbed — it
 models the process dying, which only checkpoint/resume survives.
@@ -24,14 +15,7 @@ models the process dying, which only checkpoint/resume survives.
 
 from __future__ import annotations
 
-from ..guard.breaker import default_breaker_key
-from ..guard.phase import report_phase
-from ..telemetry import get_metrics, get_tracer
-from .errors import RetryBudgetExhausted
-from .faults import maybe_fire
-
-__all__ = ["CellFailure", "run_cell", "failure_from_payload",
-           "short_circuit_failure"]
+__all__ = ["CellFailure", "failure_from_payload"]
 
 
 class CellFailure:
@@ -74,127 +58,3 @@ def failure_from_payload(payload):
         error_type=payload.get("error_type", "Exception"),
         attempts=payload.get("attempts", 1),
     )
-
-
-def short_circuit_failure(cell_id, key, signature, registry=None):
-    """Settle one cell as ``FAILED(circuit_open: ...)`` without running it.
-
-    Shared by the serial and parallel cell runners so a tripped breaker
-    produces byte-identical records either way.
-    """
-    failure = CellFailure(signature, error_type="circuit_open", attempts=0)
-    get_tracer().event(
-        "guard.breaker_short_circuit",
-        cell=cell_id,
-        key=key,
-        signature=signature,
-    )
-    get_metrics().counter("guard.breaker_short_circuits").inc()
-    if registry is not None:
-        registry.record_cell(cell_id, failure.to_payload(), status="failed")
-    return failure
-
-
-def run_cell(thunk, cell_id, registry=None, retry_policy=None,
-             fail_soft=True, payload_of=None, result_of=None,
-             breaker=None, breaker_key=None):
-    """Evaluate one sweep cell with resume, retry, and degradation.
-
-    Parameters
-    ----------
-    thunk:
-        Callable ``(attempt_or_none) -> result``.  With a retry policy
-        it receives each :class:`Attempt` (seed offset / LR scale /
-        timeout budget); without one it receives ``None``.
-    cell_id:
-        Stable identifier (e.g. ``"t2/cifar10_like/ce/smote"``) used for
-        checkpoint keys and fault matching.
-    registry:
-        Optional :class:`RunRegistry`; completed cells are loaded from
-        it and new outcomes (success *and* failure) are recorded.
-    retry_policy:
-        Optional :class:`RetryPolicy` applied around ``thunk``.
-    fail_soft:
-        When True (default), failures return a :class:`CellFailure`;
-        when False they propagate (the pre-resilience behavior).
-    payload_of / result_of:
-        Optional converters between the thunk's result and the
-        JSON-serializable payload stored in the registry.  Defaults to
-        identity (fine for plain metric dicts).
-    breaker:
-        Optional :class:`repro.guard.CircuitBreaker`.  If the cell's
-        breaker key is already open, the thunk is **not** invoked and a
-        ``CellFailure(error_type="circuit_open")`` carrying the tripping
-        signature is recorded instead; genuine failures are fed to
-        ``breaker.record_failure``.
-    breaker_key:
-        Breaker key for this cell; defaults to
-        :func:`repro.guard.default_breaker_key` of ``cell_id`` (the
-        cell's configuration family, dataset wildcarded).
-
-    Returns the thunk's result, a registry-loaded result, or a
-    :class:`CellFailure`.
-    """
-    tracer = get_tracer()
-    if registry is not None and registry.has_cell(cell_id):
-        payload = registry.load_cell(cell_id)
-        tracer.event("cell.resumed", cell=cell_id)
-        get_metrics().counter("cells.resumed").inc()
-        return result_of(payload) if result_of is not None else payload
-
-    if breaker is not None:
-        if breaker_key is None:
-            breaker_key = default_breaker_key(cell_id)
-        signature = breaker.open_signature(breaker_key)
-        if signature is not None:
-            return short_circuit_failure(cell_id, breaker_key, signature,
-                                         registry=registry)
-
-    attempts_made = [0]
-
-    def trial(attempt):
-        attempts_made[0] += 1
-        index = 0 if attempt is None else attempt.index
-        report_phase("cell:%s" % cell_id)
-        maybe_fire("sweep.cell", cell=cell_id, attempt=index)
-        return thunk(attempt)
-
-    with tracer.span("cell", cell=cell_id) as span:
-        try:
-            if retry_policy is not None:
-                result = retry_policy.run(trial)
-            else:
-                result = trial(None)
-        except Exception as exc:
-            if not fail_soft:
-                raise
-            cause = exc.last_error if isinstance(exc, RetryBudgetExhausted) and \
-                exc.last_error is not None else exc
-            failure = CellFailure(
-                str(cause),
-                error_type=type(cause).__name__,
-                attempts=max(attempts_made[0], 1),
-            )
-            span.set(outcome="failed", attempts=failure.attempts)
-            tracer.event(
-                "cell.failed",
-                cell=cell_id,
-                error_type=failure.error_type,
-                attempts=failure.attempts,
-            )
-            get_metrics().counter("cells.failed").inc()
-            if breaker is not None:
-                breaker.record_failure(breaker_key, failure.error_type,
-                                       failure.reason,
-                                       count=failure.attempts)
-            if registry is not None:
-                registry.record_cell(cell_id, failure.to_payload(),
-                                     status="failed")
-            return failure
-        span.set(outcome="done", attempts=max(attempts_made[0], 1))
-
-    get_metrics().counter("cells.done").inc()
-    if registry is not None:
-        payload = payload_of(result) if payload_of is not None else result
-        registry.record_cell(cell_id, payload, status="done")
-    return result

@@ -13,7 +13,7 @@ Three cooperating instruments behind one on/off switch:
 
 The default state is **off**: the process-wide tracer and registry are
 shared null objects whose methods are allocation-free no-ops, so the
-instrumented hot paths (``Trainer.fit``, ``fit_resample``, ``run_cell``)
+instrumented hot paths (``Trainer.fit``, ``fit_resample``, ``run_cells``)
 behave byte-identically to uninstrumented code.  Turn everything on for
 a region with :func:`session`::
 

@@ -13,8 +13,10 @@ entries by hand.
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import repro
-from repro.analysis import Baseline, LintEngine
+from repro.analysis import Baseline, LintEngine, LintReport
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -22,12 +24,11 @@ TESTS = REPO_ROOT / "tests"
 BASELINE = REPO_ROOT / ".repro-lint-baseline.json"
 
 
-def gate_report():
-    report = LintEngine().run([SRC, TESTS])
-    new, baselined = Baseline.load(BASELINE).filter(report.findings)
-    report.findings = new
-    report.baselined = len(baselined)
-    return report
+@pytest.fixture(scope="module")
+def tree_report():
+    """One full-rule-set pass over src/ + tests/, shared by the checks
+    below; they filter into locals and never mutate it."""
+    return LintEngine().run([SRC, TESTS])
 
 
 def test_src_tree_is_lint_clean():
@@ -38,19 +39,20 @@ def test_src_tree_is_lint_clean():
     assert not report.findings, details
 
 
-def test_full_tree_is_clean_against_baseline():
+def test_full_tree_is_clean_against_baseline(tree_report):
     """src/ + tests/ under the full rule set, modulo the frozen baseline."""
-    report = gate_report()
+    new, baselined = Baseline.load(BASELINE).filter(tree_report.findings)
+    report = LintReport(new, tree_report.suppressed,
+                        tree_report.files_checked, baselined=len(baselined))
     details = "\n" + report.format_text()
     assert not report.findings, details
 
 
-def test_baseline_has_no_dead_entries():
+def test_baseline_has_no_dead_entries(tree_report):
     """Every baseline entry must still match a real finding — fixed debt
     must be dropped via --update-baseline, not left to rot."""
-    report = LintEngine().run([SRC, TESTS])
     baseline = Baseline.load(BASELINE)
-    _, baselined = baseline.filter(report.findings)
+    _, baselined = baseline.filter(tree_report.findings)
     assert len(baselined) == sum(baseline.entries.values()), (
         "stale baseline entries: run "
         "`python -m repro.analysis --update-baseline src tests`"
@@ -78,10 +80,9 @@ def test_synthetic_new_violation_fails_the_gate(tmp_path):
     ), "synthetic violation was swallowed by the baseline"
 
 
-def test_every_suppression_is_justified():
+def test_every_suppression_is_justified(tree_report):
     """Each # repro: noqa in src/ or tests/ must carry a justification."""
-    report = LintEngine().run([SRC, TESTS])
-    for finding in report.suppressed:
+    for finding in tree_report.suppressed:
         source_line = Path(finding.path).read_text().splitlines()[finding.line - 1]
         marker = source_line.split("noqa", 1)[1]
         # Strip the [RULE] spec; whatever remains is the justification.

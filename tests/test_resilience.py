@@ -15,6 +15,7 @@ from repro.experiments.pipeline import ExtractorCache
 from repro.losses import CrossEntropyLoss
 from repro.nn import SmallConvNet
 from repro.optim import SGD
+from repro.parallel import run_cells
 from repro.resilience import (
     Attempt,
     CellFailure,
@@ -31,7 +32,6 @@ from repro.resilience import (
     failure_from_payload,
     fingerprint_of,
     inject_faults,
-    run_cell,
 )
 from repro.utils import atomic_write, atomic_write_json, load_arrays, save_arrays
 
@@ -353,17 +353,18 @@ class TestRunRegistry:
 class TestRunCell:
     def test_success_records_done(self, tmp_path):
         registry = RunRegistry(tmp_path / "run")
-        result = run_cell(lambda attempt: {"bac": 0.5}, "c", registry=registry)
+        result = run_cells([("c", lambda attempt: {"bac": 0.5})],
+                           registry=registry)[0]
         assert result == {"bac": 0.5}
         assert registry.has_cell("c")
 
     def test_resume_skips_thunk(self, tmp_path):
         registry = RunRegistry(tmp_path / "run")
         registry.record_cell("c", {"bac": 0.9})
-        result = run_cell(
-            lambda attempt: pytest.fail("must not recompute"), "c",
+        result = run_cells(
+            [("c", lambda attempt: pytest.fail("must not recompute"))],
             registry=registry,
-        )
+        )[0]
         assert result == {"bac": 0.9}
 
     def test_failure_degrades_and_is_recorded(self, tmp_path):
@@ -373,7 +374,8 @@ class TestRunCell:
         def thunk(attempt):
             raise DivergenceError("nan loss", epoch=0, batch=3)
 
-        failure = run_cell(thunk, "c", registry=registry, retry_policy=policy)
+        failure = run_cells([("c", thunk)], registry=registry,
+                            retry_policy=policy)[0]
         assert isinstance(failure, CellFailure)
         assert failure.error_type == "DivergenceError"
         assert failure.attempts == 2
@@ -389,14 +391,14 @@ class TestRunCell:
             raise DivergenceError("nan loss")
 
         with pytest.raises(DivergenceError):
-            run_cell(thunk, "c", fail_soft=False)
+            run_cells([("c", thunk)], fail_soft=False)[0]
 
     def test_simulated_kill_is_never_absorbed(self):
         plan = FaultPlan()
         plan.inject("sweep.cell", action="kill", when={"cell": "c"})
         with inject_faults(plan):
             with pytest.raises(SimulatedKill):
-                run_cell(lambda attempt: {"bac": 1.0}, "c")
+                run_cells([("c", lambda attempt: {"bac": 1.0})])[0]
 
     def test_retry_recovers_after_injected_divergence(self):
         plan = FaultPlan()
@@ -404,8 +406,8 @@ class TestRunCell:
                     exc=DivergenceError("injected"), when={"cell": "c"},
                     times=1)
         with inject_faults(plan):
-            result = run_cell(lambda attempt: attempt.index, "c",
-                              retry_policy=RetryPolicy(max_retries=1))
+            result = run_cells([("c", lambda attempt: attempt.index)],
+                               retry_policy=RetryPolicy(max_retries=1))[0]
         assert result == 1
 
 
