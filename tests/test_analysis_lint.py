@@ -712,6 +712,105 @@ class TestSRV002JournalFileAccess:
         assert "SRV002" in rule_ids(report.findings)
 
 
+# ----------------------------------------------------------------------
+# Confinement rules ("API X only inside module Y"): every matched form
+# and its near-misses, in one module linted outside and at each home
+# ----------------------------------------------------------------------
+CONFINEMENT_FIXTURE = textwrap.dedent(
+    """\
+    import multiprocessing
+    import multiprocessing.pool
+    import os, multiprocessing.connection, concurrent.futures
+    from concurrent import futures
+    from multiprocessing.pool import Pool, ThreadPool
+    import socket, socketserver
+    import http
+    import http.client
+    import http.server
+    from http import server
+    from http import HTTPStatus
+    from http.server import HTTPServer, SimpleHTTPRequestHandler
+    import sqlite3
+    import sqlite3.dbapi2
+    from sqlite3 import connect
+    from . import parallel
+    from .serve import journal
+    from ..evals import store
+    import io
+    import time
+    import numpy
+    import numpy as np
+    from pathlib import Path
+
+    os.fork()
+    os.forkpty()
+    sqlite3.connect("results.sqlite")
+    time.time()
+    time.perf_counter()
+    time.monotonic()
+    time.process_time()
+    time.sleep(0)
+    np.load("a.npz")
+    np.savez("a.npz", x=1)
+    np.savez_compressed("a.npz", x=1)
+    numpy.load("a.npz")
+    numpy.savez("a.npz", x=1)
+    numpy.savez_compressed("a.npz", x=1)
+    np.loadtxt("a.txt")
+
+
+    def tail(journal_path, journal_file, cfg, path, journal):
+        import sqlite3
+        handle = open(journal_path)
+        fd = os.open(journal_file, os.O_RDONLY)
+        stream = io.open(cfg.journal)
+        plain = open(path)
+        bare = open()
+        owned = Path(journal).open()
+        t0 = 1.0 + time.perf_counter()
+        return handle, fd, stream, plain, bare, owned, t0
+
+
+    import sockets, multiprocessingx, concurrentx, sqlite3x, http.serverx
+    """
+)
+
+#: rule id -> (the rule's home under a scratch root, sorted (line, col)
+#: of its findings in CONFINEMENT_FIXTURE linted outside every home).
+CONFINEMENT_PARITY = {
+    "PAR001": ("parallel/fixture.py", [
+        (1, 0), (2, 0), (3, 0), (3, 0), (4, 0), (5, 0), (25, 0), (26, 0),
+    ]),
+    "SRV001": ("serve/fixture.py", [
+        (6, 0), (6, 0), (9, 0), (10, 0), (12, 0),
+    ]),
+    "SRV002": ("serve/journal.py", [(44, 13), (45, 9), (46, 13)]),
+    "EVAL001": ("evals/store.py", [
+        (13, 0), (14, 0), (15, 0), (27, 0), (43, 4),
+    ]),
+    "OBS001": ("telemetry/fixture.py", [
+        (28, 0), (29, 0), (30, 0), (31, 0), (50, 15),
+    ]),
+    "RES003": ("utils/serialization.py", [
+        (33, 0), (34, 0), (35, 0), (36, 0), (37, 0), (38, 0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("rid", sorted(CONFINEMENT_PARITY))
+def test_confinement_findings_outside_and_at_home(tmp_path, rid):
+    home, expected = CONFINEMENT_PARITY[rid]
+    found = {}
+    for rel in ("lib/fixture.py", home):
+        path = tmp_path / rel
+        path.parent.mkdir()
+        path.write_text(CONFINEMENT_FIXTURE)
+        report = LintEngine(select=[rid]).run([path])
+        found[rel] = sorted((f.rule, f.line, f.col) for f in report.findings)
+    assert found["lib/fixture.py"] == [(rid, line, col) for line, col in expected]
+    assert found[home] == []
+
+
 class TestEngineConfig:
     def test_select_restricts_rules(self):
         findings = lint(
