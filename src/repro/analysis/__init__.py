@@ -1,10 +1,9 @@
-"""Static analysis and runtime sanitizers for the reproduction.
-
-Three coordinated layers of correctness tooling:
+"""Static analysis for the reproduction: the ``repro-lint`` engine.
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
   AST-based lint engine with repro-specific per-file rules (RNG
-  discipline, tape hygiene, sampler validation, export drift...).
+  discipline, tape hygiene, sampler validation, export drift, and the
+  confinement table that pins each owned API to its module).
 * :mod:`repro.analysis.flow` — whole-program dataflow analyses (the
   ``FLOW-RNG`` / ``FLOW-DTYPE`` / ``FLOW-FORK`` families) built on a
   project-wide symbol table and call graph, with mechanical auto-fixes
@@ -12,8 +11,10 @@ Three coordinated layers of correctness tooling:
   (:mod:`repro.analysis.baseline`).  Run everything as
   ``python -m repro.analysis [--strict] [--fix] src/`` or via the
   ``repro-lint`` console script.
-* :mod:`repro.analysis.sanitizer` — the opt-in ``detect_anomaly()``
-  runtime tape sanitizer for the autograd engine.
+
+Nothing in the runtime imports this package.  The runtime half of the
+tooling, the opt-in ``detect_anomaly()`` tape sanitizer, lives with the
+autograd engine in :mod:`repro.tensor.anomaly`.
 """
 
 from .baseline import Baseline, finding_key
@@ -28,7 +29,6 @@ from .engine import (
 from .fixes import Fix, FixResult, apply_fixes
 from .flow import ProjectModel
 from .rules import RULE_CLASSES, all_rules, rule_index
-from .sanitizer import AnomalyError, array_version, detect_anomaly, is_anomaly_enabled
 
 __all__ = [
     "Baseline",
@@ -46,8 +46,4 @@ __all__ = [
     "apply_fixes",
     "finding_key",
     "rule_index",
-    "AnomalyError",
-    "array_version",
-    "detect_anomaly",
-    "is_anomaly_enabled",
 ]

@@ -1,8 +1,14 @@
 """Rule registry for the repro lint engine.
 
-``all_rules()`` returns one fresh instance of every registered rule, in
-stable id order.  Add new rules by importing the class and appending it
-to ``RULE_CLASSES``.
+``all_rules()`` returns one fresh instance of every registered rule: one
+per class in ``RULE_CLASSES``, then one :class:`ConfinementRule` per row
+of ``CONFINEMENTS``.  Add a new rule by importing its class and
+appending it to ``RULE_CLASSES``.  To confine an API to the module that
+owns it ("only module Y may use API X"), add a ``Confinement`` row to
+``CONFINEMENTS`` in :mod:`.confinement` instead: an id, name and
+description, the home package (``"serve/"``) or module
+(``"serve/journal.py"``), the banned import prefixes and calls, and the
+one-line reason every finding carries.
 """
 
 from __future__ import annotations
@@ -10,19 +16,13 @@ from __future__ import annotations
 from ..flow import DtypeFlowRule, ForkSafetyRule, RngTaintRule
 from .api import AllExportDriftRule, SamplerValidationRule, UnusedNoqaRule
 from .autograd import MissingNoGradRule, TapeDataEscapeRule, TensorDtypeRule
-from .evals import DirectSqliteRule
+from .confinement import CONFINEMENTS, ConfinementRule
 from .mutation import MutableDefaultRule, ParamInPlaceMutationRule
-from .observability import RawClockRule
-from .parallelism import DirectMultiprocessingRule
-from .resilience import (
-    NonAtomicArtifactWriteRule,
-    RawCheckpointIORule,
-    SwallowedExceptionRule,
-)
+from .resilience import NonAtomicArtifactWriteRule, SwallowedExceptionRule
 from .rng import BareNumpyRandomRule, UnseededGeneratorRule
-from .serving import JournalFileAccessRule, RawSocketServerRule
 
 __all__ = [
+    "CONFINEMENTS",
     "RULE_CLASSES",
     "all_rules",
     "rule_index",
@@ -32,16 +32,11 @@ __all__ = [
     "MissingNoGradRule",
     "TapeDataEscapeRule",
     "TensorDtypeRule",
+    "ConfinementRule",
     "MutableDefaultRule",
     "ParamInPlaceMutationRule",
     "NonAtomicArtifactWriteRule",
-    "RawCheckpointIORule",
     "SwallowedExceptionRule",
-    "RawClockRule",
-    "DirectMultiprocessingRule",
-    "DirectSqliteRule",
-    "JournalFileAccessRule",
-    "RawSocketServerRule",
     "BareNumpyRandomRule",
     "UnseededGeneratorRule",
     "DtypeFlowRule",
@@ -60,13 +55,7 @@ RULE_CLASSES = (
     SamplerValidationRule,  # VAL001
     NonAtomicArtifactWriteRule,  # RES001
     SwallowedExceptionRule,      # RES002
-    RawCheckpointIORule,         # RES003
     AllExportDriftRule,     # EXP001
-    RawClockRule,           # OBS001
-    DirectMultiprocessingRule,  # PAR001
-    RawSocketServerRule,    # SRV001
-    JournalFileAccessRule,  # SRV002
-    DirectSqliteRule,       # EVAL001
     UnusedNoqaRule,         # NOQA001
     RngTaintRule,           # FLOW-RNG (whole-program)
     DtypeFlowRule,          # FLOW-DTYPE (whole-program)
@@ -76,11 +65,11 @@ RULE_CLASSES = (
 
 def all_rules():
     """Fresh instances of every registered rule."""
-    return [cls() for cls in RULE_CLASSES]
+    return ([cls() for cls in RULE_CLASSES]
+            + [ConfinementRule(row) for row in CONFINEMENTS])
 
 
 def rule_index():
     """Mapping of rule id -> (name, description, severity)."""
-    return {
-        cls.id: (cls.name, cls.description, cls.severity) for cls in RULE_CLASSES
-    }
+    return {rule.id: (rule.name, rule.description, rule.severity)
+            for rule in all_rules()}

@@ -4,7 +4,7 @@ numpy arrays are reference types: a function that mutates an argument in
 place corrupts caller-owned data — and, when that array is already
 recorded on the autograd tape, silently corrupts every gradient computed
 from it (the runtime counterpart of these rules is
-:func:`repro.analysis.sanitizer.detect_anomaly`).
+:func:`repro.tensor.detect_anomaly`).
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ The resume machinery in :mod:`repro.resilience` only works if every
 artifact on disk is written atomically (temp file + fsync + rename) and
 if failures actually propagate to the retry/degradation layer instead of
 being silently swallowed.  These rules keep both invariants honest at
-the source level.
+the source level.  The third resume invariant, that checkpoint ``.npz``
+I/O goes through the digest-verifying ``repro.utils.serialization``, is
+the RES003 row of :data:`repro.analysis.rules.confinement.CONFINEMENTS`.
 """
 
 from __future__ import annotations
@@ -13,18 +15,11 @@ import ast
 
 from ..engine import Rule
 
-__all__ = ["NonAtomicArtifactWriteRule", "RawCheckpointIORule",
-           "SwallowedExceptionRule"]
+__all__ = ["NonAtomicArtifactWriteRule", "SwallowedExceptionRule"]
 
 _NUMPY_ALIASES = {"np", "numpy"}
 _NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}
 _WRITE_MODE_CHARS = set("wax")
-#: npz checkpoint I/O that must route through repro.utils.serialization.
-_CHECKPOINT_IO = {"load", "savez", "savez_compressed"}
-
-
-def _in_serialization_module(path):
-    return path.replace("\\", "/").endswith("utils/serialization.py")
 
 
 def _open_mode(node):
@@ -81,48 +76,6 @@ class NonAtomicArtifactWriteRule(Rule):
                         "on crash); use repro.utils.serialization."
                         "atomic_write" % mode,
                     )
-
-
-class RawCheckpointIORule(Rule):
-    """RES003: checkpoint ``.npz`` I/O must route through the
-    serialization module.
-
-    :mod:`repro.utils.serialization` is the only place that records and
-    verifies sha256 digest sidecars and that wraps truncated-zip errors
-    in :class:`repro.resilience.CheckpointCorruptError`.  A direct
-    ``np.load(path)`` elsewhere reads an artifact *without* integrity
-    verification (and surfaces corruption as a raw ``zipfile`` error),
-    and a direct ``np.savez`` writes one with no digest to verify —
-    both silently punch holes in the quarantine/recompute guarantees of
-    :mod:`repro.guard`.
-    """
-
-    id = "RES003"
-    name = "raw-checkpoint-io"
-    description = ("direct np.load/np.savez of checkpoint artifacts "
-                   "outside repro.utils.serialization bypasses digest "
-                   "verification")
-
-    def check(self, ctx):
-        if _in_serialization_module(ctx.path):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _CHECKPOINT_IO
-                and isinstance(func.value, ast.Name)
-                and func.value.id in _NUMPY_ALIASES
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "np.%s bypasses the digest-verified checkpoint I/O in "
-                    "repro.utils.serialization; use load_arrays/save_arrays "
-                    "(or the model/embedding helpers)" % func.attr,
-                )
 
 
 class SwallowedExceptionRule(Rule):

@@ -1,6 +1,6 @@
 """Autograd tensor engine (numpy-backed reverse-mode differentiation)."""
 
-from ..analysis.sanitizer import AnomalyError, detect_anomaly, is_anomaly_enabled
+from .anomaly import AnomalyError, detect_anomaly, is_anomaly_enabled
 from ._dtype import default_dtype, set_default_dtype, using_default_dtype
 from .pool import clear_pool, pool_stats
 from .tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack, where

@@ -77,7 +77,7 @@ def check_gradients(fn, inputs, eps=1e-5, atol=1e-4, rtol=1e-3):
 
 def gradcheck_conv2d_nonsquare(seed=0):
     """conv2d with a non-square (2x3) kernel, stride 2, padding 1."""
-    from ..analysis.sanitizer import detect_anomaly
+    from .anomaly import detect_anomaly
     from .conv import conv2d
     from .tensor import Tensor
 
@@ -105,7 +105,7 @@ def gradcheck_batchnorm_eval(seed=0):
     Runs under a float64 default dtype: float32 parameters round the
     1e-5 central-difference perturbations into the noise floor.
     """
-    from ..analysis.sanitizer import detect_anomaly
+    from .anomaly import detect_anomaly
     from ..nn.layers import BatchNorm2d
     from ._dtype import using_default_dtype
     from .tensor import Tensor
@@ -133,7 +133,7 @@ def gradcheck_linear_relu(seed=0):
     validates it against finite differences of the scalar loss
     ``sum(linear_relu(x, w, b)^2)`` for x, w and b, under the sanitizer.
     """
-    from ..analysis.sanitizer import detect_anomaly
+    from .anomaly import detect_anomaly
     from ._dtype import using_default_dtype
     from .functional import linear_relu
     from .tensor import Tensor
@@ -159,7 +159,7 @@ def gradcheck_astype_cast(seed=0):
     tape; this asserts the cast node backpropagates (with the gradient
     cast back to the source dtype) and produces the analytic value.
     """
-    from ..analysis.sanitizer import detect_anomaly
+    from .anomaly import detect_anomaly
     from .tensor import Tensor
 
     rng = np.random.default_rng(seed)
@@ -186,7 +186,7 @@ def check_inplace_mutation_detected(seed=0):
     ``backward`` runs; the sanitizer must raise ``AnomalyError`` rather
     than silently differentiate against the mutated buffer.
     """
-    from ..analysis.sanitizer import AnomalyError, detect_anomaly
+    from .anomaly import AnomalyError, detect_anomaly
     from .tensor import Tensor
 
     rng = np.random.default_rng(seed)

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis import sanitizer as _sanitizer
-from ..analysis.sanitizer import _STATE as _ANOMALY
+from . import anomaly as _sanitizer
+from .anomaly import _STATE as _ANOMALY
 from ..telemetry import profiler as _profiler
 from ..telemetry.clock import monotonic as _monotonic
 from ..telemetry.profiler import _STATE as _PROFILE

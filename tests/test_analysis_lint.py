@@ -4,10 +4,15 @@ behavior — noqa suppression, rule selection, output formats, CLI exit
 codes, and the one-violation-per-rule fixture tree."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import LintEngine, all_rules, rule_index
 from repro.analysis.__main__ import main as lint_main
 
@@ -809,6 +814,46 @@ def test_confinement_findings_outside_and_at_home(tmp_path, rid):
         found[rel] = sorted((f.rule, f.line, f.col) for f in report.findings)
     assert found["lib/fixture.py"] == [(rid, line, col) for line, col in expected]
     assert found[home] == []
+
+
+@pytest.mark.parametrize("rid, package", [
+    ("PAR001", "parallel"), ("SRV001", "serve"), ("OBS001", "telemetry"),
+])
+def test_checkout_below_a_home_named_directory_is_not_exempt(
+        tmp_path, rid, package):
+    # Only the file's own directory makes it part of a home package: a
+    # whole tree checked out under .../telemetry/ keeps its findings.
+    path = tmp_path / package / "project" / "lib" / "fixture.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(CONFINEMENT_FIXTURE)
+    report = LintEngine(select=[rid]).run([path])
+    assert len(report.findings) == len(CONFINEMENT_PARITY[rid][1])
+
+
+@pytest.mark.parametrize("rid, module", [
+    ("EVAL001", "notevals/store.py"),
+    ("RES003", "myutils/serialization.py"),
+    ("SRV002", "preserve/journal.py"),
+])
+def test_lookalike_module_is_not_a_home(tmp_path, rid, module):
+    path = tmp_path / module
+    path.parent.mkdir()
+    path.write_text(CONFINEMENT_FIXTURE)
+    report = LintEngine(select=[rid]).run([path])
+    assert len(report.findings) == len(CONFINEMENT_PARITY[rid][1])
+
+
+def test_runtime_packages_do_not_import_the_lint_engine():
+    code = (
+        "import sys, repro.tensor, repro.experiments, repro.evals, repro.serve\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestEngineConfig:

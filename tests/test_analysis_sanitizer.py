@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro._validation import validate_xy
-from repro.analysis.sanitizer import array_version
+from repro.tensor.anomaly import array_version
 from repro.tensor import (
     AnomalyError,
     Tensor,
