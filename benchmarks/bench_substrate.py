@@ -16,9 +16,9 @@ Run it from the repo root::
 
 The committed ``BENCH_substrate.json`` holds a ``before`` snapshot
 (recorded at the pre-optimization commit) and an ``after`` snapshot from
-the same machine; ``tests/test_substrate_bench.py`` re-measures at tiny
-scale and fails when the ``train.batch`` share regresses more than 10%
-against the committed ``after`` baseline.
+the same machine, plus a ``gate`` value; ``tests/test_substrate_bench.py``
+re-measures at tiny scale and fails when ``train.batch`` seconds over the
+seconds of the rest of the run exceed 1.25x that committed value.
 """
 
 from __future__ import annotations

@@ -28,10 +28,69 @@ from ..optim import SGD
 from ..resilience.errors import DivergenceError
 from ..resilience.faults import maybe_fire
 from ..telemetry import get_metrics, get_tracer, monotonic
-from ..tensor import Tensor, default_dtype, no_grad
+from ..tensor import (
+    Tensor,
+    default_dtype,
+    is_anomaly_enabled,
+    is_grad_enabled,
+    no_grad,
+)
 from .training import Trainer, extract_features
 
 __all__ = ["ThreePhaseTrainer", "finetune_classifier"]
+
+
+def _tape_free(model, loss):
+    """True when phase 3 can run :func:`_ce_head_step` instead of the tape.
+
+    That is plain (unweighted) cross-entropy on a ``Linear`` head that
+    the model's inherited ``forward_head`` calls as is, with every head
+    parameter trainable.  Any other loss or head keeps the taped path,
+    and so does a run under ``detect_anomaly()``, whose per-op
+    provenance needs the tape.
+    """
+    from ..nn import ImageClassifier, Linear
+
+    head = model.classifier
+    return (
+        type(loss) is CrossEntropyLoss
+        and loss.weight is None
+        and type(head) is Linear
+        and type(model).forward_head is ImageClassifier.forward_head
+        and all(p.requires_grad for p in head.parameters())
+        and is_grad_enabled()
+        and not is_anomaly_enabled()
+    )
+
+
+def _ce_head_step(head, x, targets):
+    """One tape-free cross-entropy step on a ``Linear`` head.
+
+    Sets ``head``'s parameter gradients and returns the mean loss.  It
+    replays the kernels the tape runs for ``linear`` → ``log_softmax``
+    → ``nll_loss`` (tensor/functional.py) and their backward closures,
+    in the same order and dtype, so the loss and the gradients are
+    bitwise equal to the taped step's.
+    """
+    bias = head.bias
+    logits = x @ head.weight.data.T
+    if bias is not None:
+        logits = logits + bias.data
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = shifted - log_norm
+    rows = np.arange(x.shape[0])
+    sample_w = np.ones(x.shape[0], dtype=log_probs.dtype)
+    denom = sample_w.sum()
+    loss = (-log_probs[rows, targets] * sample_w).sum() / denom
+    # Backward from a unit seed: nll_loss, log_softmax, add, matmul.
+    g = np.zeros_like(log_probs)
+    g[rows, targets] = -sample_w * (np.ones_like(loss) / denom)
+    g = g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True)
+    head.weight.grad = (x.T @ g).T.copy()
+    if bias is not None:
+        bias.grad = g.sum(axis=(0,))
+    return loss
 
 
 def finetune_classifier(
@@ -67,11 +126,18 @@ def finetune_classifier(
         Optional callable ``(epoch) -> dict`` whose result is merged
         into the per-epoch history (used for the Figure-7 curve).
 
+    Plain cross-entropy on a ``Linear`` head (the default, and every
+    paper view) runs each batch as a closed-form numpy step with no
+    autograd tape; weights and losses are bitwise equal to the taped
+    step.  Any other loss, a weighted cross-entropy, another head, or a
+    run under ``detect_anomaly()`` goes through the tape.
+
     Returns the per-epoch history list.
     """
     loss = loss if loss is not None else CrossEntropyLoss()
     rng = rng if rng is not None else np.random.default_rng(0)
     head = model.classifier
+    tape_free = _tape_free(model, loss)
     if reinitialize:
         from ..nn import init as nn_init
 
@@ -101,10 +167,18 @@ def finetune_classifier(
                 idx = order[start : start + batch_size]
                 optimizer.zero_grad()
                 with tracer.span("finetune.batch"):
-                    logits = model.forward_head(Tensor(embeddings[idx]))
-                    value = loss(logits, labels[idx])
-                    value.backward()
-                    batch_loss = float(value.data)
+                    if tape_free:
+                        value = _ce_head_step(
+                            head, embeddings[idx], labels[idx]
+                        )
+                    else:
+                        value = loss(
+                            model.forward_head(Tensor(embeddings[idx])),
+                            labels[idx],
+                        )
+                        value.backward()
+                        value = value.data
+                    batch_loss = float(value)
                     if maybe_fire("finetune.batch", epoch=epoch,
                                   batch=n_batches) == "nan":
                         batch_loss = float("nan")

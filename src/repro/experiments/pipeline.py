@@ -27,7 +27,7 @@ from ..optim import SGD
 from ..guard import report_phase
 from ..resilience import fingerprint_of, maybe_fire
 from ..telemetry import get_metrics, get_tracer, monotonic
-from ..tensor import default_dtype
+from ..tensor import Tensor, default_dtype, no_grad
 from .config import build_sampler
 
 __all__ = [
@@ -42,7 +42,14 @@ __all__ = [
 
 
 class Phase1Artifacts:
-    """Everything produced by one phase-1 training run."""
+    """Everything produced by one phase-1 training run.
+
+    The backbone is frozen after phase 1: later phases only ever change
+    ``model.classifier``.  So ``train_embeddings``/``test_embeddings``
+    stay the backbone's output, and every prediction is scored from
+    them through the current head (:meth:`predict`) instead of a CNN
+    pass over the images.
+    """
 
     def __init__(
         self,
@@ -74,6 +81,10 @@ class Phase1Artifacts:
         """Reset the classifier head to its phase-1 weights."""
         self.model.classifier.load_state_dict(self.head_state)
 
+    def predict(self, embeddings):
+        """Labels the current head assigns to cached ``embeddings``."""
+        return _head_predictions(self.model, embeddings)
+
     def baseline_gap(self):
         """Generalization gap of the phase-1 model (no resampling)."""
         return generalization_gap(
@@ -83,6 +94,12 @@ class Phase1Artifacts:
             self.test.labels,
             self.info["num_classes"],
         )
+
+
+def _head_predictions(model, embeddings):
+    with no_grad():
+        logits = model.forward_head(Tensor(embeddings)).data
+    return logits.argmax(axis=1)
 
 
 def _make_model_and_data(config, rng_offset=0):
@@ -162,7 +179,9 @@ def _train_phase1_attempt(config, loss_name, attempt=None):
     train_seconds = monotonic() - start
     train_emb = trainer.extract_embeddings(train)
     test_emb = extract_features(model, test.images)
-    baseline = trainer.phase1.evaluate(test)
+    baseline = evaluate_predictions(
+        test.labels, _head_predictions(model, test_emb), test.num_classes
+    )
     head_state = model.classifier.state_dict()
     return Phase1Artifacts(
         config,
@@ -459,10 +478,13 @@ def evaluate_sampler(
     """Fine-tune the cached extractor's head with one sampler; score it.
 
     The classifier head is restored to its phase-1 state first, so calls
-    are independent and order-insensitive.  ``sampler_name="none"``
-    scores the phase-1 baseline without fine-tuning.  ``seed`` overrides
-    the config seed for the sampler and fine-tuning RNG — retry policies
-    use it to bump the random draw of a diverged cell deterministically.
+    are independent and order-insensitive.  Only the head is trained, so
+    the backbone stays frozen at its phase-1 weights, and the test set is
+    scored from the cached ``test_embeddings`` through the fine-tuned
+    head with no CNN pass.  ``sampler_name="none"`` scores the phase-1
+    baseline without fine-tuning.  ``seed`` overrides the config seed for
+    the sampler and fine-tuning RNG — retry policies use it to bump the
+    random draw of a diverged cell deterministically.
     """
     config = artifacts.config
     finetune_epochs = (
@@ -503,9 +525,10 @@ def evaluate_sampler(
                 rng=np.random.default_rng(seed + 3),
             )
         seconds = monotonic() - start
-        preds = _predict(artifacts)
         metrics = evaluate_predictions(
-            artifacts.test.labels, preds, artifacts.info["num_classes"]
+            artifacts.test.labels,
+            artifacts.predict(artifacts.test_embeddings),
+            artifacts.info["num_classes"],
         )
         resampled = (emb, labels)
 
@@ -517,13 +540,6 @@ def evaluate_sampler(
         "seconds": seconds,
         "head_weight": artifacts.model.classifier.weight.data.copy(),
     }
-
-
-def _predict(artifacts, batch_size=256):
-    from ..core.training import predict_logits
-
-    logits = predict_logits(artifacts.model, artifacts.test.images, batch_size)
-    return logits.argmax(axis=1)
 
 
 def train_preprocessed(config, loss_name, sampler_name, sampler_kwargs=None,

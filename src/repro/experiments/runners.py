@@ -166,14 +166,10 @@ def _figure4_impl(config, datasets, cache):
     for dataset in datasets:
         cfg = config.with_overrides(dataset=dataset)
         artifacts = cache.get(cfg, "ce")
-        from ..core.training import predict_logits
-
         # Predictions must come from the phase-1 head, not whatever head
         # a previous experiment's fine-tuning left on the shared model.
         artifacts.restore_head()
-        preds = predict_logits(
-            artifacts.model, artifacts.test.images
-        ).argmax(axis=1)
+        preds = artifacts.predict(artifacts.test_embeddings)
         gaps = tp_fp_gap(
             artifacts.train_embeddings,
             artifacts.train.labels,
@@ -315,14 +311,8 @@ def _figure7_impl(config, samplers, cache, epochs=30):
         )
 
         def eval_hook(epoch):
-            from ..core.training import predict_logits
-
-            test_preds = predict_logits(
-                artifacts.model, artifacts.test.images
-            ).argmax(axis=1)
-            train_preds = predict_logits(
-                artifacts.model, artifacts.train.images
-            ).argmax(axis=1)
+            test_preds = artifacts.predict(artifacts.test_embeddings)
+            train_preds = artifacts.predict(artifacts.train_embeddings)
             return {
                 "test_bac": evaluate_predictions(
                     artifacts.test.labels, test_preds,

@@ -1,12 +1,14 @@
 """Tier-1 smoke gate for the substrate benchmark.
 
-Re-measures the traced tiny Table-II workload and fails when the
-``train.batch`` share of total wall time regresses more than 10%
-against the committed ``BENCH_substrate.json`` after-baseline.  The
-share (not the absolute seconds) is compared so the gate is robust to
+Re-measures the traced tiny Table-II workload and fails when
+``train.batch`` seconds, divided by the seconds of the rest of the
+run, exceed 1.25x the committed ``BENCH_substrate.json`` gate value.
+A ratio (not absolute seconds) is compared so the gate is robust to
 machine speed; a fastpath regression (tape bookkeeping creeping back
 into no_grad, scratch pool misses, un-fused kernels) shifts time into
-``train.batch`` and moves the share.
+``train.batch`` and moves the ratio.  The denominator is the rest of
+the run rather than the whole of it, so that speeding up the other
+phases cannot by itself push ``train.batch`` over the limit.
 """
 
 import importlib.util
@@ -47,10 +49,12 @@ def test_baseline_records_the_claimed_speedup(baseline):
 def test_train_batch_share_has_not_regressed(baseline):
     bench = _load_bench_module()
     measured = bench.traced_table2(seed=0, repeats=2)
-    committed = baseline["after"]["table2_tiny_traced"]["train_batch_share"]
-    limit = committed * 1.10 + 0.01
-    assert measured["train_batch_share"] <= limit, (
-        "train.batch share %.4f exceeds committed baseline %.4f by more "
-        "than 10%% — the substrate fast path has regressed (measured: %r)"
-        % (measured["train_batch_share"], committed, measured)
+    train_batch = measured["train_batch_seconds"]
+    ratio = train_batch / (measured["total_seconds"] - train_batch)
+    committed = baseline["gate"]["train_batch_to_rest"]
+    limit = committed * 1.25
+    assert ratio <= limit, (
+        "train.batch / rest-of-run %.4f exceeds committed baseline %.4f "
+        "by more than 25%% — the substrate fast path has regressed "
+        "(measured: %r)" % (ratio, committed, measured)
     )
