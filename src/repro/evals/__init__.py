@@ -11,7 +11,7 @@
   view.
 * :class:`ResultStore` is the append-only, schema-versioned sqlite
   archive of every cell result, telemetry snapshot, config/git
-  fingerprint, and BENCH entry across runs.
+  fingerprint, and ingested benchmark record across runs.
 * :func:`regenerate` / :func:`perf_report` and the ``repro-report``
   CLI render tables and the perf trajectory as views over the store —
   no retraining.

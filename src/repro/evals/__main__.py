@@ -6,8 +6,8 @@ store — no retraining — and reports cross-run history::
     repro-report table2                  # regenerate Table II from the store
     repro-report t2 --run-id 3           # a specific recorded run
     repro-report runs                    # list every recorded run
-    repro-report perf                    # run durations + BENCH diffs
-    repro-report ingest-bench BENCH_*.json   # append BENCH history
+    repro-report perf                    # run durations + bench diffs
+    repro-report ingest-bench RECORD.json    # append perfbench --out records
 
 The store (``--store``, default ``evals.sqlite``) is populated by
 ``run_matrix(spec, store=...)`` or ``python -m repro.experiments
@@ -61,7 +61,8 @@ def main(argv=None):
              "t1-t5/f3-f7/rt/px), or runs | perf | ingest-bench",
     )
     parser.add_argument("paths", nargs="*",
-                        help="BENCH json files (ingest-bench only)")
+                        help="benchmark record JSON files, e.g. "
+                             "perfbench --out (ingest-bench only)")
     parser.add_argument("--store", default="evals.sqlite", metavar="PATH",
                         help="sqlite result store (default: evals.sqlite)")
     parser.add_argument("--run-id", type=int, default=None, metavar="N",

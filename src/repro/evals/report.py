@@ -8,7 +8,7 @@ to the live runner's report without retraining a single cell: the same
 
 :func:`perf_report` is the cross-run view: per-view run history
 (duration + headline BAC, with deltas against the previous run of the
-same view) joined with ingested ``BENCH_*.json`` history, so a speed or
+same view) joined with ingested benchmark records, so a speed or
 metric regression surfaces as a signed diff instead of requiring a
 manual comparison of checkpoint dirs.
 """
@@ -114,7 +114,7 @@ def runs_report(store):
 
 
 # ----------------------------------------------------------------------
-# Perf trajectory: run history + BENCH history, with deltas
+# Perf trajectory: run history + bench history, with deltas
 # ----------------------------------------------------------------------
 def _mean_bac(store, run):
     values = []
@@ -138,7 +138,7 @@ def _delta(value, prior):
 
 
 def perf_report(store):
-    """Cross-run perf trajectory: durations, headline BAC, BENCH diffs."""
+    """Cross-run perf trajectory: durations, headline BAC, bench diffs."""
     sections = []
 
     rows = []
@@ -195,7 +195,7 @@ def perf_report(store):
 
 
 def _flatten_scalars(payload, prefix=""):
-    """Numeric leaves of a nested BENCH payload, dot-joined."""
+    """Numeric leaves of a nested bench payload, dot-joined."""
     scalars = {}
     if isinstance(payload, dict):
         for key, value in payload.items():

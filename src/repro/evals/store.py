@@ -10,8 +10,9 @@ schema-versioned) accumulating experiment history:
   makes recording idempotent: a resumed run may replay every
   checkpointed cell without creating duplicate rows;
 * ``telemetry`` — the metrics snapshot captured as a run finished;
-* ``bench`` — ingested ``BENCH_*.json`` entries, so the perf-trajectory
-  view can diff speed against prior recorded runs.
+* ``bench`` — ingested benchmark records (``perfbench/bench.py --out``
+  files), so the perf-trajectory view can diff speed against prior
+  recorded runs.
 
 Writes happen from the parent process only: ``run_matrix`` records
 cells through the :class:`~repro.resilience.RunRegistry` cell sink,
@@ -280,7 +281,7 @@ class ResultStore:
     # BENCH history
     # ------------------------------------------------------------------
     def record_bench(self, name, payload, source=None):
-        """Append one BENCH entry (a parsed ``BENCH_*.json`` payload)."""
+        """Append one bench entry (a parsed benchmark record file)."""
         with self._conn:
             self._conn.execute(
                 "INSERT INTO bench(name, source, payload_json, "
@@ -289,7 +290,7 @@ class ResultStore:
             )
 
     def bench_rows(self, name=None):
-        """Ingested BENCH entries, oldest first."""
+        """Ingested bench entries, oldest first."""
         if name is None:
             rows = self._conn.execute(
                 "SELECT * FROM bench ORDER BY id"

@@ -109,11 +109,6 @@ def main(argv=None):
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("keys", nargs="*", help="experiment keys (default: all)")
-    parser.add_argument(
-        "--table", type=int, action="append", default=None, metavar="N",
-        help="shorthand for table keys: --table 2 is equivalent to t2 "
-             "(repeatable)",
-    )
     parser.add_argument("--scale", default="small",
                         choices=("tiny", "small", "medium"))
     parser.add_argument("--datasets", nargs="+", default=["cifar10_like"])
@@ -174,10 +169,6 @@ def main(argv=None):
              "with `repro-trace PATH`",
     )
     parser.add_argument(
-        "--no-telemetry", action="store_true",
-        help="force the no-op tracer even when --trace-out is given",
-    )
-    parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="evaluate sweep cells and phase-1 trainings across N worker "
              "processes; results are bit-identical to --workers 1 "
@@ -234,10 +225,6 @@ def main(argv=None):
         breaker = CircuitBreaker(threshold=args.breaker_threshold,
                                  store=run_registry)
 
-    from ..parallel import set_default_workers
-
-    set_default_workers(args.workers)
-
     config = bench_config(scale=args.scale, seed=args.seed)
     cache = ExtractorCache(registry=run_registry, retry_policy=retry_policy)
     store = None
@@ -257,12 +244,7 @@ def main(argv=None):
         store=store,
     )
 
-    keys = list(args.keys)
-    for n in args.table or ():
-        key = "t%d" % n
-        if key not in keys:
-            keys.append(key)
-    keys = keys or list(registry)
+    keys = list(args.keys) or list(registry)
     unknown = [key for key in keys if key not in registry]
     if unknown:
         parser.error(
@@ -270,8 +252,7 @@ def main(argv=None):
             % (", ".join(unknown), ", ".join(registry))
         )
 
-    trace_out = None if args.no_telemetry else args.trace_out
-    if trace_out is not None:
+    if args.trace_out is not None:
         telemetry.enable()
     try:
         for key in keys:
@@ -284,10 +265,10 @@ def main(argv=None):
             print(out.report)
             print("(%.1fs)\n" % (telemetry.monotonic() - start))
     finally:
-        if trace_out is not None:
-            telemetry.disable(trace_out)
+        if args.trace_out is not None:
+            telemetry.disable(args.trace_out)
             print("trace: %s (summarize with `repro-trace %s`)"
-                  % (trace_out, trace_out))
+                  % (args.trace_out, args.trace_out))
         if store is not None:
             print("store: %s" % store.summary())
             store.close()

@@ -39,9 +39,8 @@ def run_seeds(fn, seeds, max_workers=1):
     """Call ``fn(seed)`` (returning a metric dict) for each seed; aggregate.
 
     ``max_workers`` runs the seeds across worker processes (results are
-    identical to serial for any value; ``None`` uses the process-wide
-    default the CLI's ``--workers`` installs).  Returns
-    ``(per_seed_list, aggregated)``.
+    identical to serial for any value; ``None`` means one worker).
+    Returns ``(per_seed_list, aggregated)``.
     """
     from ..parallel import parallel_map
 

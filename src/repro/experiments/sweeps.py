@@ -31,8 +31,8 @@ def grid_sweep(config, param_grid, evaluate, max_workers=1):
         metric (e.g. the BAC/GM/FM triple).
     max_workers:
         Grid points evaluated concurrently (process pool); results are
-        identical to serial evaluation for any value.  ``None`` uses the
-        process-wide default installed by ``--workers``.
+        identical to serial evaluation for any value.  ``None`` means
+        one worker.
 
     Returns a list of ``{"params": {...}, "metrics": {...}}`` records in
     grid order.

@@ -80,8 +80,7 @@ class KNeighbors:
         order = np.argsort(part_d, axis=1)
         return part_d[rows, order], part[rows, order]
 
-    def query(self, points, k=None, exclude_self=False, self_indices=None,
-              workers=None):
+    def query(self, points, k=None, exclude_self=False, self_indices=None):
         """Return (distances, indices) of the k nearest indexed rows.
 
         With ``exclude_self`` each query row's own training point is
@@ -91,10 +90,6 @@ class KNeighbors:
         kept.  ``self_indices`` gives the indexed row owned by each
         query row; when omitted, queries must be row-aligned with the
         indexed data (``points[i]`` is indexed row ``i``).
-
-        ``workers`` dispatches distance chunks to the process pool when
-        the query spans more than one chunk (``None`` uses the
-        process-wide default, which is 1 unless ``--workers`` set it).
         """
         if self._data is None:
             raise RuntimeError("call fit() before query()")
@@ -105,11 +100,10 @@ class KNeighbors:
         n = points.shape[0]
         dists = np.empty((n, k_eff))
         idxs = np.empty((n, k_eff), dtype=np.int64)
-        starts = list(range(0, n, self.chunk_size))
-        for start, (chunk_d, chunk_i) in zip(
-            starts, self._map_chunks(self._query_chunk, points, starts,
-                                     k_eff, workers)
-        ):
+        for start in range(0, n, self.chunk_size):
+            chunk_d, chunk_i = self._query_chunk(
+                points[start : start + self.chunk_size], k_eff
+            )
             dists[start : start + self.chunk_size] = chunk_d
             idxs[start : start + self.chunk_size] = chunk_i
         if exclude_self:
@@ -124,23 +118,6 @@ class KNeighbors:
                 self_indices = np.arange(n)
             dists, idxs = self._drop_self(dists, idxs, k, self_indices)
         return dists, idxs
-
-    def _map_chunks(self, fn, points, starts, k_eff, workers):
-        """Run ``fn`` over query chunks, forking when it pays off."""
-        from ..parallel import parallel_map, resolve_workers
-
-        if resolve_workers(workers) > 1 and len(starts) > 1:
-            return parallel_map(
-                lambda start, _seed: fn(
-                    points[start : start + self.chunk_size], k_eff
-                ),
-                starts,
-                max_workers=workers,
-            )
-        return (
-            fn(points[start : start + self.chunk_size], k_eff)
-            for start in starts
-        )
 
     def _drop_self(self, dists, idxs, k, self_indices):
         """Remove each row's own indexed point (matched by index).
@@ -197,8 +174,7 @@ def _enemy_chunk(features, labels, start, stop, k_eff, metric):
     return sel_d, sel_i
 
 
-def nearest_enemies(features, labels, k, metric="euclidean", chunk_size=2048,
-                    workers=None):
+def nearest_enemies(features, labels, k, metric="euclidean", chunk_size=2048):
     """For every sample, its k nearest *other-class* neighbors.
 
     Returns (distances, indices), both (n, k) arrays indexing into
@@ -206,9 +182,6 @@ def nearest_enemies(features, labels, k, metric="euclidean", chunk_size=2048,
     the adversary-class points closest to each sample, i.e. the points
     that sit across the local decision boundary.  Slots beyond a
     sample's reachable enemies hold distance ``inf`` and index ``-1``.
-
-    ``workers`` dispatches distance chunks to the process pool when the
-    data spans more than one chunk.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -220,20 +193,9 @@ def nearest_enemies(features, labels, k, metric="euclidean", chunk_size=2048,
     k_eff = min(k, n - 1)
     if k_eff <= 0:
         return out_d, out_i
-    starts = list(range(0, n, chunk_size))
-
-    def chunk_at(start):
-        return _enemy_chunk(features, labels, start,
-                            min(start + chunk_size, n), k_eff, metric)
-
-    from ..parallel import parallel_map, resolve_workers
-
-    if resolve_workers(workers) > 1 and len(starts) > 1:
-        chunks = parallel_map(lambda start, _seed: chunk_at(start), starts,
-                              max_workers=workers)
-    else:
-        chunks = (chunk_at(start) for start in starts)
-    for start, (sel_d, sel_i) in zip(starts, chunks):
+    for start in range(0, n, chunk_size):
+        sel_d, sel_i = _enemy_chunk(features, labels, start,
+                                    min(start + chunk_size, n), k_eff, metric)
         out_i[start : start + chunk_size, :k_eff] = sel_i
         out_d[start : start + chunk_size, :k_eff] = sel_d
     return out_d, out_i

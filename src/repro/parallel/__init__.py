@@ -1,4 +1,4 @@
-"""Deterministic parallel execution for sweeps, trials and k-NN chunks.
+"""Deterministic parallel execution for sweeps, trials and serve jobs.
 
 Public surface:
 
@@ -16,9 +16,9 @@ Public surface:
   ``FAILED(...)`` degradation and circuit breaking over one
   :func:`parallel_map` call at any worker count.
 * :func:`derive_seed` — the position-based seed derivation.
-* :func:`set_default_workers` / :func:`get_default_workers` /
-  :func:`resolve_workers` — the process-wide worker default the CLI's
-  ``--workers`` flag installs; ``None`` arguments resolve against it.
+* :func:`resolve_workers` — the effective worker count of a
+  ``max_workers`` argument; ``None`` means one worker, so every caller
+  that wants more passes its count explicitly.
 * :func:`in_worker` — True inside a pool worker (nested pools degrade
   to serial there).
 * :class:`TaskFailure` / :class:`WorkerError` — per-task failure record
@@ -48,11 +48,9 @@ from .pool import (
     TaskFailure,
     WorkerError,
     derive_seed,
-    get_default_workers,
     in_worker,
     parallel_map,
     resolve_workers,
-    set_default_workers,
 )
 
 __all__ = [
@@ -62,10 +60,8 @@ __all__ = [
     "TaskFailure",
     "WorkerError",
     "derive_seed",
-    "get_default_workers",
     "in_worker",
     "parallel_map",
     "resolve_workers",
     "run_cells",
-    "set_default_workers",
 ]

@@ -74,11 +74,9 @@ __all__ = [
     "TaskFailure",
     "WorkerError",
     "derive_seed",
-    "get_default_workers",
     "in_worker",
     "parallel_map",
     "resolve_workers",
-    "set_default_workers",
 ]
 
 # Exit code a worker uses when a simulated kill (or any non-Exception
@@ -89,7 +87,6 @@ _KILL_EXIT = 113
 #: Length prefix for pipe frames: 4-byte big-endian payload size.
 _FRAME_HEADER = struct.Struct(">I")
 
-_DEFAULT_WORKERS = 1
 _IN_WORKER = False
 
 
@@ -193,29 +190,15 @@ def derive_seed(seed_root, index):
     return int.from_bytes(digest[:4], "big")
 
 
-def set_default_workers(n):
-    """Set the process-wide default worker count (the CLI's --workers)."""
-    global _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = max(1, int(n))
-    return _DEFAULT_WORKERS
-
-
-def get_default_workers():
-    """The process-wide default worker count (1 unless the CLI set it)."""
-    return _DEFAULT_WORKERS
-
-
 def resolve_workers(max_workers):
     """Map a ``max_workers`` argument to an effective worker count.
 
-    ``None`` means "use the process default"; inside a worker process
-    everything degrades to serial so nested ``parallel_map`` calls never
-    fork grandchildren.
+    ``None`` means one worker; inside a worker process everything
+    degrades to serial so nested ``parallel_map`` calls never fork
+    grandchildren.
     """
-    if _IN_WORKER:
+    if _IN_WORKER or max_workers is None:
         return 1
-    if max_workers is None:
-        return _DEFAULT_WORKERS
     return max(1, int(max_workers))
 
 
@@ -447,8 +430,7 @@ def parallel_map(fn, items, max_workers=None, seed_root=0, on_error="raise",
     items:
         Sequence of task inputs.
     max_workers:
-        Concurrency cap.  ``None`` uses the process default (see
-        :func:`set_default_workers`); 1 runs everything inline in this
+        Concurrency cap.  ``None`` or 1 runs everything inline in this
         process with the *same* derived seeds, so serial and parallel
         runs are bit-identical by construction.
     seed_root:

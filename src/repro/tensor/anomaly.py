@@ -155,7 +155,7 @@ def _creation_site():
     """``file:line`` of the innermost stack frame outside the engine."""
     for frame in reversed(traceback.extract_stack()):
         fname = frame.filename.replace("\\", "/")
-        if "/repro/tensor/" in fname or "/repro/analysis/" in fname:
+        if "/repro/tensor/" in fname:
             continue
         return "%s:%d" % (frame.filename, frame.lineno)
     return None

@@ -352,6 +352,32 @@ class TestRegenerate:
 # ----------------------------------------------------------------------
 # repro-report CLI
 # ----------------------------------------------------------------------
+def perfbench_record(throughput, finetune_batch_s):
+    """A ``perfbench/bench.py --out`` record of one traced workload."""
+    samples = [throughput - 1.0, throughput, throughput + 1.0]
+    return {
+        "seed": 0,
+        "seconds": 15,
+        "workloads": {"embed-sweep": {
+            "timed": {"metrics": {"throughput": {
+                "n": 3, "median": throughput, "q1": samples[0],
+                "q3": samples[2], "unit": "ops/s", "samples": samples,
+            }}},
+            "traced": {"per_layer": {
+                "core.finetune_batch_s": finetune_batch_s,
+                "core.finetune_batches": 2400,
+            }},
+        }},
+    }
+
+
+def perf_deltas(out, field):
+    """The "Δ vs prev" cells of every BENCH history row for ``field``."""
+    cells = [[cell.strip() for cell in line.split("|")]
+             for line in out.splitlines()]
+    return [row[3] for row in cells if len(row) == 4 and row[1] == field]
+
+
 class TestReportCLI:
     def test_missing_store_is_an_error(self, tmp_path, capsys):
         assert report_main(["t2", "--store",
@@ -382,9 +408,21 @@ class TestReportCLI:
         assert report_main(["ingest-bench", str(bench),
                             "--store", path]) == 0
         assert "ingested" in capsys.readouterr().out
+        record = tmp_path / "perfbench.json"
+        for throughput, finetune_batch_s in ((20.0, 0.30), (22.5, 0.25)):
+            record.write_text(json.dumps(
+                perfbench_record(throughput, finetune_batch_s)
+            ))
+            assert report_main(["ingest-bench", str(record),
+                                "--store", path]) == 0
+        capsys.readouterr()
         assert report_main(["perf", "--store", path]) == 0
         out = capsys.readouterr().out
         assert "resample" in out and "eos.seconds" in out
+        timed = "workloads.embed-sweep.timed.metrics.throughput.median"
+        traced = "workloads.embed-sweep.traced.per_layer.core.finetune_batch_s"
+        assert perf_deltas(out, timed) == ["-", "+2.5000"]
+        assert perf_deltas(out, traced) == ["-", "-0.0500"]
 
     def test_unknown_target_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -36,10 +36,8 @@ from repro.guard import (
 from repro.parallel import (
     Skip,
     TaskFailure,
-    get_default_workers,
     parallel_map,
     run_cells,
-    set_default_workers,
 )
 from repro.parallel.pool import _exit_status_of
 from repro.resilience import (
@@ -72,14 +70,12 @@ SWEEP_DEADLINE = 3.0
 
 @pytest.fixture(autouse=True)
 def _clean_global_state():
-    """Telemetry uninstalled and worker default reset around every test."""
+    """Telemetry uninstalled around every test."""
     set_tracer(None)
     set_metrics(None)
-    previous = get_default_workers()
     yield
     set_tracer(None)
     set_metrics(None)
-    set_default_workers(previous)
 
 
 def run_sweep(cache, registry=None, retry_policy=None, workers=None):

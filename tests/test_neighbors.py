@@ -130,15 +130,6 @@ class TestKNeighbors:
             assert i not in idx[i]
             assert np.all(np.diff(dists[i]) >= -1e-12)
 
-    def test_parallel_query_matches_serial(self, rng):
-        data = rng.normal(size=(50, 3))
-        q = rng.normal(size=(30, 3))
-        index = KNeighbors(k=3, chunk_size=7).fit(data)
-        d1, i1 = index.query(q, workers=1)
-        d2, i2 = index.query(q, workers=3)
-        np.testing.assert_array_equal(d1, d2)
-        np.testing.assert_array_equal(i1, i2)
-
 
 class TestNearestEnemies:
     def test_enemies_are_other_class(self, rng):
@@ -195,11 +186,3 @@ class TestNearestEnemies:
         # Class-0 rows have exactly one enemy; the second slot pads.
         assert idx[0, 0] == 2 and idx[0, 1] == -1
         assert np.isinf(dists[0, 1])
-
-    def test_parallel_matches_serial(self, rng):
-        x = rng.normal(size=(60, 4))
-        y = rng.integers(0, 4, 60)
-        d1, i1 = nearest_enemies(x, y, k=3, chunk_size=11, workers=1)
-        d2, i2 = nearest_enemies(x, y, k=3, chunk_size=11, workers=3)
-        np.testing.assert_array_equal(d1, d2)
-        np.testing.assert_array_equal(i1, i2)

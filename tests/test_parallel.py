@@ -13,12 +13,10 @@ from repro.parallel import (
     TaskFailure,
     WorkerError,
     derive_seed,
-    get_default_workers,
     in_worker,
     parallel_map,
     resolve_workers,
     run_cells,
-    set_default_workers,
 )
 from repro.resilience import (
     CellFailure,
@@ -32,14 +30,12 @@ from repro.telemetry import MetricsRegistry, Tracer, set_metrics, set_tracer
 
 @pytest.fixture(autouse=True)
 def _clean_global_state():
-    """Telemetry uninstalled and worker default reset around every test."""
+    """Telemetry uninstalled around every test."""
     set_tracer(None)
     set_metrics(None)
-    previous = get_default_workers()
     yield
     set_tracer(None)
     set_metrics(None)
-    set_default_workers(previous)
 
 
 class TestDeriveSeed:
@@ -55,11 +51,10 @@ class TestDeriveSeed:
 
 class TestResolveWorkers:
     def test_none_uses_process_default(self):
-        set_default_workers(3)
-        assert resolve_workers(None) == 3
+        # The process default is fixed: None always means one worker.
+        assert resolve_workers(None) == 1
 
     def test_explicit_overrides_default(self):
-        set_default_workers(3)
         assert resolve_workers(1) == 1
         assert resolve_workers(5) == 5
 
