@@ -104,32 +104,49 @@ class EOS(BaseSampler):
             ``weight_lists[i]`` their sampling probabilities.
         """
         x, y = validate_xy(x, y)
+        enemies, counts, weights = self._enemy_table(x, y)
+        per_class = {}
+        for cls in np.unique(y):
+            bases = np.nonzero((y == cls) & (counts > 0))[0]
+            per_class[int(cls)] = (
+                bases,
+                [enemies[b, : counts[b]] for b in bases],
+                [weights[b, : counts[b]] for b in bases],
+            )
+        return per_class
+
+    def _enemy_table(self, x, y):
+        """Every row's enemies within its K-neighborhood, left-aligned.
+
+        Returns ``(enemies, counts, weights)``, each with one row per
+        sample: ``enemies[i, :counts[i]]`` are row i's adversary
+        neighbors in neighbor-rank order and ``weights[i, :counts[i]]``
+        their sampling probabilities; later slots carry weight 0.
+        """
         n = x.shape[0]
         k = min(self.k_neighbors, n - 1)
         index = KNeighbors(k=k).fit(x)
         dists, nn_idx = index.query(x, exclude_self=True)
 
-        per_class = {}
-        for cls in np.unique(y):
-            rows = np.nonzero(y == cls)[0]
-            bases, enemies, weights = [], [], []
-            for r in rows:
-                neigh = nn_idx[r]
-                enemy_mask = y[neigh] != cls
-                if not enemy_mask.any():
-                    continue
-                enemy_ids = neigh[enemy_mask]
-                if self.weighting == "uniform":
-                    w = np.full(len(enemy_ids), 1.0 / len(enemy_ids))
-                else:
-                    d = dists[r][enemy_mask]
-                    inv = 1.0 / np.maximum(d, 1e-12)
-                    w = inv / inv.sum()
-                bases.append(r)
-                enemies.append(enemy_ids)
-                weights.append(w)
-            per_class[int(cls)] = (np.asarray(bases, dtype=np.int64), enemies, weights)
-        return per_class
+        enemy = y[nn_idx] != y[:, None]
+        # A stable sort on "not an enemy" moves enemies left and keeps
+        # their neighbor-rank order.
+        order = np.argsort(~enemy, axis=1, kind="stable")
+        enemies = np.take_along_axis(nn_idx, order, axis=1)
+        counts = enemy.sum(axis=1)
+        slots = np.arange(nn_idx.shape[1]) < counts[:, None]
+        if self.weighting == "uniform":
+            weights = np.where(slots, 1.0 / np.maximum(counts, 1)[:, None], 0.0)
+        else:
+            d = np.take_along_axis(dists, order, axis=1)
+            inv = 1.0 / np.maximum(d, 1e-12)
+            weights = np.zeros_like(inv)
+            # Normalize over each unpadded row: a padded row sum can
+            # associate differently and move the last bit.
+            for b in np.nonzero(counts)[0]:
+                row = inv[b, : counts[b]]
+                weights[b, : counts[b]] = row / row.sum()
+        return enemies, counts, weights
 
     # ------------------------------------------------------------------
     def _fit_resample(self, x, y):
@@ -139,16 +156,17 @@ class EOS(BaseSampler):
         if not targets:
             return x.copy(), y.copy()
 
-        base_info = self.find_bases(x, y)
+        table = self._enemy_table(x, y)
         new_x, new_y = [x], [y]
         for cls, n_new in sorted(targets.items()):
-            synth = self._generate_class(x, y, cls, n_new, base_info, rng)
+            synth = self._generate_class(x, y, cls, n_new, table, rng)
             new_x.append(synth)
             new_y.append(np.full(n_new, cls, dtype=np.int64))
         return np.concatenate(new_x), np.concatenate(new_y)
 
-    def _generate_class(self, x, y, cls, n_new, base_info, rng):
-        bases, enemies, weights = base_info.get(cls, (np.empty(0, np.int64), [], []))
+    def _generate_class(self, x, y, cls, n_new, table, rng):
+        enemies, counts, weights = table
+        bases = np.nonzero((y == cls) & (counts > 0))[0]
         if len(bases) == 0:
             # No class member has an adversary in its neighborhood: the
             # class is locally isolated, so there is no boundary to
@@ -164,13 +182,20 @@ class EOS(BaseSampler):
 
         base_picks = rng.integers(0, len(bases), size=n_new)
         r = rng.uniform(0.0, self.expansion, size=(n_new, 1))
-        base_points = x[bases[base_picks]]
-        enemy_points = np.empty_like(base_points)
-        for i, b in enumerate(base_picks):
-            enemy_ids = enemies[b]
-            w = weights[b]
-            choice = rng.choice(len(enemy_ids), p=w)
-            enemy_points[i] = x[enemy_ids[choice]]
+        # Generator.choice(m, p=w) normalizes cdf = cumsum(w) by its last
+        # entry, draws one random() double u and returns the number of
+        # cdf entries <= u.  Drawing all n_new doubles at once consumes
+        # the same stream as one choice per row, so the picks are those
+        # of the per-row loop that tests/test_eos.py keeps as reference.
+        u = rng.random(n_new)
+        m = counts[bases]
+        cdf = np.cumsum(weights[bases], axis=1)
+        cdf /= cdf[np.arange(len(bases)), m - 1][:, None]
+        slots = np.arange(cdf.shape[1]) < m[base_picks][:, None]
+        choice = ((cdf[base_picks] <= u[:, None]) & slots).sum(axis=1)
+        rows = bases[base_picks]
+        base_points = x[rows]
+        enemy_points = x[enemies[rows, choice]]
 
         if self.direction == "toward":
             return base_points + r * (enemy_points - base_points)

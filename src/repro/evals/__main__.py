@@ -36,16 +36,40 @@ _ALIASES = {
 }
 
 
+def _bench_entries(payload, path):
+    """The (name, payload) history entries of one benchmark record file.
+
+    A perfbench suite record (``--out``) files one entry per workload,
+    named by the workload and carrying the suite's ``seed``,
+    ``env.git_sha`` and ``env.cpu_count``; a single-run record is named
+    by its ``workload`` key and already carries them.  Any other payload
+    is named by its ``benchmark`` key, else by the file's basename.
+    """
+    if not isinstance(payload, dict):
+        return [(os.path.basename(path), payload)]
+    if isinstance(payload.get("workloads"), dict):
+        env = payload.get("env") or {}
+        provenance = {
+            "seed": payload.get("seed"),
+            "env": {"git_sha": env.get("git_sha"),
+                    "cpu_count": env.get("cpu_count")},
+        }
+        return [(name, dict(entry, **provenance))
+                for name, entry in payload["workloads"].items()]
+    if "workload" in payload:
+        return [(payload["workload"], payload)]
+    return [(payload.get("benchmark") or os.path.basename(path), payload)]
+
+
 def _ingest_bench(store, paths):
     if not paths:
         raise EvalsStoreError("ingest-bench needs at least one JSON path")
     for path in paths:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        name = (payload.get("benchmark") if isinstance(payload, dict)
-                else None) or os.path.basename(path)
-        store.record_bench(name, payload, source=os.path.abspath(path))
-        print("ingested %s as %r" % (path, name))
+        for name, entry in _bench_entries(payload, path):
+            store.record_bench(name, entry, source=os.path.abspath(path))
+            print("ingested %s as %r" % (path, name))
     print(store.summary())
 
 

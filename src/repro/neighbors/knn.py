@@ -1,9 +1,10 @@
 """Nearest-neighbor search (brute force, memory-chunked).
 
 Provides the neighbor machinery the over-samplers need: k-nearest
-neighbors under euclidean or manhattan distance, plus *nearest enemy*
-queries (nearest neighbors belonging to a different class), the key
-primitive of EOS.
+neighbors under euclidean or manhattan distance (EOS takes each row's
+enemies from inside its :class:`KNeighbors` neighborhood), plus
+*nearest enemy* queries (the nearest neighbors belonging to a different
+class, wherever they lie), behind Figure 6's nearest-enemy distance.
 """
 
 from __future__ import annotations
@@ -178,9 +179,10 @@ def nearest_enemies(features, labels, k, metric="euclidean", chunk_size=2048):
     """For every sample, its k nearest *other-class* neighbors.
 
     Returns (distances, indices), both (n, k) arrays indexing into
-    ``features``.  This is the core geometric query of EOS: enemies are
-    the adversary-class points closest to each sample, i.e. the points
-    that sit across the local decision boundary.  Slots beyond a
+    ``features``.  Enemies are the adversary-class points closest to
+    each sample, however far away, i.e. the points across the nearest
+    decision boundary.  EOS does not use this query: it keeps only the
+    enemies inside each sample's K-neighborhood.  Slots beyond a
     sample's reachable enemies hold distance ``inf`` and index ``-1``.
     """
     features = np.asarray(features, dtype=np.float64)

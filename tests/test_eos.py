@@ -1,9 +1,15 @@
 """Tests for the EOS sampler (the paper's Algorithm 2)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro._validation import validate_xy
 from repro.core import EOS
+from repro.core.eos import _FALLBACK_JITTER
+from repro.neighbors import KNeighbors
+from repro.sampling.base import sampling_targets
 
 
 @pytest.fixture
@@ -210,3 +216,165 @@ class TestMultiClass:
             k_neighbors=5, sampling_strategy={1: 12}, random_state=0
         ).fit_resample(x, y)
         np.testing.assert_array_equal(np.bincount(yr), [20, 12])
+
+
+# ----------------------------------------------------------------------
+# The batched table and draw against the per-row reference loop
+# ----------------------------------------------------------------------
+class ReferenceEOS(EOS):
+    """EOS as a per-row loop: the reference the batched path must match.
+
+    ``find_bases`` walks every row, and ``_generate_class`` calls
+    ``rng.choice`` once per synthetic row.  :class:`EOS` must produce
+    the same bytes from the same random stream.
+    """
+
+    def find_bases(self, x, y):
+        x, y = validate_xy(x, y)
+        n = x.shape[0]
+        k = min(self.k_neighbors, n - 1)
+        index = KNeighbors(k=k).fit(x)
+        dists, nn_idx = index.query(x, exclude_self=True)
+
+        per_class = {}
+        for cls in np.unique(y):
+            rows = np.nonzero(y == cls)[0]
+            bases, enemies, weights = [], [], []
+            for r in rows:
+                neigh = nn_idx[r]
+                enemy_mask = y[neigh] != cls
+                if not enemy_mask.any():
+                    continue
+                enemy_ids = neigh[enemy_mask]
+                if self.weighting == "uniform":
+                    w = np.full(len(enemy_ids), 1.0 / len(enemy_ids))
+                else:
+                    d = dists[r][enemy_mask]
+                    inv = 1.0 / np.maximum(d, 1e-12)
+                    w = inv / inv.sum()
+                bases.append(r)
+                enemies.append(enemy_ids)
+                weights.append(w)
+            per_class[int(cls)] = (np.asarray(bases, dtype=np.int64), enemies, weights)
+        return per_class
+
+    def _fit_resample(self, x, y):
+        rng = self._rng()
+        targets = sampling_targets(y, self.sampling_strategy)
+        if not targets:
+            return x.copy(), y.copy()
+
+        base_info = self.find_bases(x, y)
+        new_x, new_y = [x], [y]
+        for cls, n_new in sorted(targets.items()):
+            synth = self._generate_class(x, y, cls, n_new, base_info, rng)
+            new_x.append(synth)
+            new_y.append(np.full(n_new, cls, dtype=np.int64))
+        return np.concatenate(new_x), np.concatenate(new_y)
+
+    def _generate_class(self, x, y, cls, n_new, base_info, rng):
+        bases, enemies, weights = base_info.get(cls, (np.empty(0, np.int64), [], []))
+        if len(bases) == 0:
+            pool = x[y == cls]
+            picks = rng.integers(0, pool.shape[0], size=n_new)
+            scale = pool.std(axis=0)
+            jitter = rng.normal(0.0, 1.0, size=(n_new, pool.shape[1]))
+            return pool[picks] + _FALLBACK_JITTER * scale * jitter
+
+        base_picks = rng.integers(0, len(bases), size=n_new)
+        r = rng.uniform(0.0, self.expansion, size=(n_new, 1))
+        base_points = x[bases[base_picks]]
+        enemy_points = np.empty_like(base_points)
+        for i, b in enumerate(base_picks):
+            enemy_ids = enemies[b]
+            w = weights[b]
+            choice = rng.choice(len(enemy_ids), p=w)
+            enemy_points[i] = x[enemy_ids[choice]]
+
+        if self.direction == "toward":
+            return base_points + r * (enemy_points - base_points)
+        return base_points + r * (base_points - enemy_points)
+
+
+def long_tailed_payload():
+    """117x32 embeddings over class counts 60, 30, 15, 8, 4, shuffled."""
+    rng = np.random.default_rng(0)
+    counts = (60, 30, 15, 8, 4)
+    labels = np.repeat(np.arange(len(counts)), counts)
+    order = rng.permutation(labels.size)
+    centers = rng.normal(size=(len(counts), 32))
+    x = centers[labels] + rng.normal(size=(labels.size, 32))
+    return np.round(x[order], 4), labels[order]
+
+
+def isolated_class():
+    """A 3-row class far from everything: its K <= 2 bases are empty."""
+    rng = np.random.default_rng(1)
+    x = np.concatenate([rng.normal(0, 0.01, (20, 2)),
+                        rng.normal(1000, 0.01, (3, 2))])
+    return x, np.array([0] * 20 + [1] * 3)
+
+
+def isolated_beside_enemies():
+    """Class 1 borders the majority; class 2 is isolated for K <= 3."""
+    rng = np.random.default_rng(2)
+    x = np.concatenate([rng.normal(0, 0.5, (30, 2)),
+                        rng.normal([1.0, 0.0], 0.3, (6, 2)),
+                        rng.normal(1000, 0.01, (4, 2))])
+    return x, np.array([0] * 30 + [1] * 6 + [2] * 4)
+
+
+def duplicated_rows():
+    """Repeated rows under both labels: zero-distance neighbor ties."""
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(12, 3))
+    x = np.concatenate([rows, rows[:6], rows[:3]])
+    y = np.array([0] * 8 + [1] * 4 + [0, 0, 1, 1, 0, 0] + [1, 0, 1])
+    return x, y
+
+
+REFERENCE_INPUTS = {
+    "long_tailed_payload": (long_tailed_payload, "auto"),
+    "dict_strategy": (long_tailed_payload, {1: 45, 3: 20, 4: 61}),
+    "isolated_class": (isolated_class, "auto"),
+    "isolated_beside_enemies": (isolated_beside_enemies, "auto"),
+    "duplicated_rows": (duplicated_rows, "auto"),
+}
+
+
+def assert_same_arrays(expected, actual):
+    assert len(expected) == len(actual)
+    for e, a in zip(expected, actual):
+        assert e.dtype == a.dtype
+        assert np.array_equal(e, a)
+
+
+class TestBatchedMatchesReferenceLoop:
+    @pytest.mark.parametrize("k", [1, 2, 5, 10, 40, 500])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+    def test_fit_resample_and_find_bases_are_bitwise_equal(self, name, k):
+        make, strategy = REFERENCE_INPUTS[name]
+        x, y = make()
+        for weighting, direction, expansion in itertools.product(
+            ("uniform", "distance"), ("toward", "away"), (1.0, 2.0)
+        ):
+            params = dict(k_neighbors=k, weighting=weighting,
+                          direction=direction, expansion=expansion,
+                          sampling_strategy=strategy, random_state=11)
+            assert_same_arrays(ReferenceEOS(**params).fit_resample(x, y),
+                               EOS(**params).fit_resample(x, y))
+        for weighting in ("uniform", "distance"):
+            expected = ReferenceEOS(k_neighbors=k,
+                                    weighting=weighting).find_bases(x, y)
+            actual = EOS(k_neighbors=k, weighting=weighting).find_bases(x, y)
+            assert sorted(expected) == sorted(actual)
+            for cls, (bases, enemies, weights) in expected.items():
+                assert_same_arrays([bases], [actual[cls][0]])
+                assert_same_arrays(enemies, actual[cls][1])
+                assert_same_arrays(weights, actual[cls][2])
+
+    def test_grid_reaches_the_isolated_class_fallback(self):
+        bases = EOS(k_neighbors=2).find_bases(*isolated_class())
+        assert len(bases[1][0]) == 0
+        bases = EOS(k_neighbors=3).find_bases(*isolated_beside_enemies())
+        assert len(bases[2][0]) == 0 and len(bases[1][0]) > 0

@@ -352,12 +352,13 @@ class TestRegenerate:
 # ----------------------------------------------------------------------
 # repro-report CLI
 # ----------------------------------------------------------------------
-def perfbench_record(throughput, finetune_batch_s):
+def perfbench_record(throughput, finetune_batch_s, git_sha):
     """A ``perfbench/bench.py --out`` record of one traced workload."""
     samples = [throughput - 1.0, throughput, throughput + 1.0]
     return {
         "seed": 0,
         "seconds": 15,
+        "env": {"git_sha": git_sha, "cpu_count": 2, "python": "3.11.9"},
         "workloads": {"embed-sweep": {
             "timed": {"metrics": {"throughput": {
                 "n": 3, "median": throughput, "q1": samples[0],
@@ -408,21 +409,41 @@ class TestReportCLI:
         assert report_main(["ingest-bench", str(bench),
                             "--store", path]) == 0
         assert "ingested" in capsys.readouterr().out
-        record = tmp_path / "perfbench.json"
-        for throughput, finetune_batch_s in ((20.0, 0.30), (22.5, 0.25)):
-            record.write_text(json.dumps(
-                perfbench_record(throughput, finetune_batch_s)
+        records = []
+        for name, throughput, finetune_batch_s, git_sha in (
+            ("base.json", 20.0, 0.30, "aaa111"),
+            ("new.json", 22.5, 0.25, "bbb222"),
+        ):
+            records.append(tmp_path / name)
+            records[-1].write_text(json.dumps(
+                perfbench_record(throughput, finetune_batch_s, git_sha)
             ))
-            assert report_main(["ingest-bench", str(record),
-                                "--store", path]) == 0
-        capsys.readouterr()
+        assert report_main(["ingest-bench", *map(str, records),
+                            "--store", path]) == 0
+        assert capsys.readouterr().out.count("as 'embed-sweep'") == 2
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps({
+            "workload": "serve-resample", "seed": 3,
+            "env": {"git_sha": "bbb222", "cpu_count": 2},
+            "metrics": {"throughput": {"median": 31.5}},
+        }))
+        assert report_main(["ingest-bench", str(single),
+                            "--store", path]) == 0
+        assert "as 'serve-resample'" in capsys.readouterr().out
         assert report_main(["perf", "--store", path]) == 0
         out = capsys.readouterr().out
         assert "resample" in out and "eos.seconds" in out
-        timed = "workloads.embed-sweep.timed.metrics.throughput.median"
-        traced = "workloads.embed-sweep.traced.per_layer.core.finetune_batch_s"
+        timed = "timed.metrics.throughput.median"
+        traced = "traced.per_layer.core.finetune_batch_s"
         assert perf_deltas(out, timed) == ["-", "+2.5000"]
         assert perf_deltas(out, traced) == ["-", "-0.0500"]
+        with ResultStore(path) as store:
+            entries = [json.loads(row["payload_json"])
+                       for row in store.bench_rows("embed-sweep")]
+        assert [(e["env"], e["seed"]) for e in entries] == [
+            ({"git_sha": "aaa111", "cpu_count": 2}, 0),
+            ({"git_sha": "bbb222", "cpu_count": 2}, 0),
+        ]
 
     def test_unknown_target_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
