@@ -32,7 +32,7 @@ from .matrix import (
 from .report import load_run_results, perf_report, regenerate, runs_report
 from .runner import run_matrix
 from .store import SCHEMA_VERSION, EvalsStoreError, ResultStore
-from .views import degraded_summary, metric_cells, ranked_metric_table, render_view
+from .views import degraded_summary, metric_cells, render_view
 
 __all__ = [
     "ALL_VIEWS",
@@ -55,6 +55,5 @@ __all__ = [
     "ResultStore",
     "degraded_summary",
     "metric_cells",
-    "ranked_metric_table",
     "render_view",
 ]

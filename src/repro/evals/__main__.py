@@ -1,17 +1,21 @@
 """Command-line entry point: ``repro-report`` (``python -m repro.evals``).
 
 Regenerates paper tables and figures as views over the sqlite result
-store — no retraining — and reports cross-run history::
+store — no retraining — reports cross-run history, and summarizes
+telemetry traces::
 
     repro-report table2                  # regenerate Table II from the store
     repro-report t2 --run-id 3           # a specific recorded run
     repro-report runs                    # list every recorded run
     repro-report perf                    # run durations + bench diffs
     repro-report ingest-bench RECORD.json    # append perfbench --out records
+    repro-report trace TRACE.jsonl [--format json]  # summarize a trace
 
 The store (``--store``, default ``evals.sqlite``) is populated by
 ``run_matrix(spec, store=...)`` or ``python -m repro.experiments
---store``.
+--store``; ``trace`` reads only its JSONL file (``--trace-out`` of the
+experiment CLI, or :func:`repro.telemetry.session`).  Options may
+follow the positional arguments.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 import os
 import sys
 
+from ..telemetry.summarize import render_trace_report, summarize_trace
 from .matrix import ALL_VIEWS
 from .report import perf_report, regenerate, runs_report
 from .store import EvalsStoreError, ResultStore
@@ -73,6 +78,23 @@ def _ingest_bench(store, paths):
     print(store.summary())
 
 
+def _trace(path, output_format):
+    """Print the per-phase / per-cell / per-sampler summary of a trace."""
+    try:
+        summary = summarize_trace(path)
+    except (OSError, json.JSONDecodeError) as exc:
+        print("repro-report: error: %s" % exc, file=sys.stderr)
+        return 2
+    try:
+        if output_format == "json":
+            print(json.dumps(summary, indent=2, sort_keys=True))
+        else:
+            print(render_trace_report(summary))
+    except BrokenPipeError:  # repro: noqa[RES002] downstream closed the pipe early; the summary was already computed
+        pass
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="repro-report", description=__doc__,
@@ -82,30 +104,41 @@ def main(argv=None):
         "target",
         help="view name (table1..table5, figure3..figure7, "
              "runtime_comparison, eos_pixel_vs_embedding; aliases "
-             "t1-t5/f3-f7/rt/px), or runs | perf | ingest-bench",
+             "t1-t5/f3-f7/rt/px), or runs | perf | ingest-bench | trace",
     )
     parser.add_argument("paths", nargs="*",
                         help="benchmark record JSON files, e.g. "
-                             "perfbench --out (ingest-bench only)")
+                             "perfbench --out (ingest-bench), or one "
+                             "JSONL trace file (trace)")
     parser.add_argument("--store", default="evals.sqlite", metavar="PATH",
                         help="sqlite result store (default: evals.sqlite)")
     parser.add_argument("--run-id", type=int, default=None, metavar="N",
                         help="regenerate a specific recorded run "
                              "(default: newest complete run of the view)")
-    args = parser.parse_args(argv)
+    parser.add_argument("--format", choices=("text", "json"), default=None,
+                        help="trace output format (default: text; trace "
+                             "only)")
+    args = parser.parse_intermixed_args(argv)
 
     target = _ALIASES.get(args.target, args.target)
-    if target not in ALL_VIEWS + ("runs", "perf", "ingest-bench"):
+    commands = ("runs", "perf", "ingest-bench", "trace")
+    if target not in ALL_VIEWS + commands:
         parser.error(
-            "unknown target %r (views: %s; or runs, perf, ingest-bench)"
-            % (args.target, ", ".join(ALL_VIEWS))
+            "unknown target %r (views: %s; or %s)"
+            % (args.target, ", ".join(ALL_VIEWS), ", ".join(commands))
         )
-    if target != "ingest-bench" and args.paths:
-        parser.error("positional paths are only valid with ingest-bench")
-    if target == "runs" or target == "perf":
-        if args.run_id is not None:
-            parser.error("--run-id only applies to view targets")
+    if target not in ("ingest-bench", "trace") and args.paths:
+        parser.error("positional paths are only valid with ingest-bench "
+                     "and trace")
+    if target == "trace" and len(args.paths) != 1:
+        parser.error("trace takes exactly one trace file")
+    if target in commands and args.run_id is not None:
+        parser.error("--run-id only applies to view targets")
+    if target != "trace" and args.format is not None:
+        parser.error("--format only applies to trace")
 
+    if target == "trace":
+        return _trace(args.paths[0], args.format)
     if target != "ingest-bench" and not os.path.exists(args.store):
         print("store %s does not exist; run a matrix with --store first"
               % args.store, file=sys.stderr)

@@ -188,6 +188,9 @@ def validate_spec(spec):
     A view reads its ``_DEFAULTS`` axes; table views also read
     ``seeds`` / ``hyper`` / ``include`` / ``exclude``, and figure6 and
     figure7 read ``options``.  Anything else would be dropped silently.
+    A value repeated within one axis (``architectures`` compared by
+    model name, each ``hyper`` field on its own) is rejected too: its
+    cells would share ids and run twice.
     """
     if spec.view not in _DEFAULTS:
         raise ValueError("unknown view %r (valid: %s)"
@@ -204,6 +207,19 @@ def validate_spec(spec):
             raise ValueError("view %r does not read the %r axis (it reads: %s)"
                              % (spec.view, axis.name,
                                 ", ".join(sorted(allowed)) or "none"))
+    axes = {axis: getattr(spec, axis)
+            for axis in ("datasets", "losses", "samplers", "seeds",
+                         "k_values")}
+    if spec.architectures is not None:
+        axes["architectures"] = [name for name, _ in spec.architectures]
+    for name, values in (spec.hyper or {}).items():
+        axes["hyper %r" % name] = values
+    for axis, values in axes.items():
+        values = list(values or ())
+        for position, value in enumerate(values):
+            if value in values[:position]:
+                raise ValueError("the %s axis repeats %r; each value would "
+                                 "run and report twice" % (axis, value))
 
 
 def spec_to_payload(spec):
@@ -453,10 +469,16 @@ def compile_matrix(spec):
         combos = _axis_combos(spec, names)
         cells = [_expand_cell(cell, combo)
                  for combo in combos for cell in base["cells"]]
-        headers += names
         # Extra axes change row multiplicity; the paper-shape summary
         # lines (post-wins, EOS-wins) are defined on the base grid only.
+        # A seed axis (always the first extra axis) is averaged over
+        # instead: the seed sits right after the base key and row.
         summary = {"kind": "none"}
+        if spec.seeds and base["cells"]:
+            summary = {"kind": "seed_mean", "seeds": list(spec.seeds),
+                       "key_index": len(base["cells"][0].key),
+                       "column": len(headers)}
+        headers += names
     if spec.include is not None:
         cells = [cell for cell in cells if spec.include(cell)]
     if spec.exclude is not None:

@@ -151,7 +151,7 @@ def _run_grid(spec, store, cache, registry, retry_policy, fail_soft,
                     continue
                 make = (R._timed_sampler_cell
                         if cell.kind == "timed_sampler" else R._sampler_cell)
-                thunk = make(artifacts, cell.sampler, **cell.eval_kwargs)
+                thunk = make(artifacts, cell.sampler, cfg, **cell.eval_kwargs)
             keys.append(cell.key)
             tasks.append((cell.cell_id, thunk))
         outcomes.update(zip(keys, run_cells(

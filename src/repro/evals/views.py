@@ -1,11 +1,11 @@
 """Shared rendering: every table/report string comes from one place.
 
 These functions are the single source of the reproduction's report
-text.  ``run_matrix`` renders a live run through them, the result
-store's ``repro-report`` CLI renders recorded cells through them, and
-``sweep_report`` delegates to :func:`ranked_metric_table` — so a live
-sweep, a store-backed regeneration, and a serial grid sweep cannot
-drift apart formatting-wise.
+text.  ``run_matrix`` renders a live run through them and the result
+store's ``repro-report`` CLI renders recorded cells through them, so a
+live run and a store-backed regeneration cannot drift apart
+formatting-wise.  A run with a ``seed`` axis also gets its
+mean ± std-over-seeds table here, from the same cells.
 
 Only :mod:`repro.utils` (formatting), :mod:`repro.resilience`
 (CellFailure) and the stdlib are imported here; rendering a stored run
@@ -22,7 +22,6 @@ from ..utils import format_float, format_table
 __all__ = [
     "degraded_summary",
     "metric_cells",
-    "ranked_metric_table",
     "render_view",
 ]
 
@@ -66,9 +65,9 @@ def degraded_summary(results):
     return "\n".join(lines)
 
 
-def _post_wins_summary(summary, results):
-    datasets = summary["datasets"]
-    samplers = summary["samplers"]
+def _post_wins_summary(plan, results):
+    datasets = plan.summary["datasets"]
+    samplers = plan.summary["samplers"]
     post_wins = sum(
         1
         for dataset in datasets
@@ -83,10 +82,10 @@ def _post_wins_summary(summary, results):
     return text, {"post_wins": post_wins, "cells": cells}
 
 
-def _eos_wins_summary(summary, results):
-    datasets = summary["datasets"]
-    losses = summary["losses"]
-    samplers = summary["samplers"]
+def _eos_wins_summary(plan, results):
+    datasets = plan.summary["datasets"]
+    losses = plan.summary["losses"]
+    samplers = plan.summary["samplers"]
     eos_wins = 0
     comparisons = 0
     if "eos" in samplers:
@@ -107,9 +106,55 @@ def _eos_wins_summary(summary, results):
     return text, {"eos_wins": eos_wins, "comparisons": comparisons}
 
 
+def _mean_std(values):
+    """Mean and population (ddof=0) standard deviation."""
+    mean = math.fsum(values) / len(values)
+    variance = math.fsum((value - mean) ** 2 for value in values)
+    return mean, math.sqrt(variance / len(values))
+
+
+def _seed_mean_summary(plan, results):
+    """Mean ± std of BAC/GM/FM over the seed axis, one row per cell key.
+
+    Rows drop the seed component from the key (so ``hyper`` values stay
+    apart) and come in first-appearance order.  Failed seeds are left
+    out of the mean; ``n`` counts the seeds averaged, and a row whose
+    seeds all failed prints ``-``.
+    """
+    index, column = plan.summary["key_index"], plan.summary["column"]
+    groups = {}
+    for cell in plan.cells:
+        key = cell.key[:index] + cell.key[index + 1:]
+        label = cell.row[:column] + cell.row[column + 1:]
+        runs = groups.setdefault(key, (label, []))[1]
+        if not isinstance(results[cell.key], CellFailure):
+            runs.append(results[cell.key])
+    rows = []
+    seed_means = {}
+    for key, (label, runs) in groups.items():
+        stats = {metric: _mean_std([run[metric] for run in runs])
+                 if runs else None for metric in _METRICS}
+        seed_means[key] = dict(stats, n=len(runs))
+        texts = ["-" if stat is None else "%s ±%s" % (
+                     format_float(stat[0]), format_float(stat[1], 3))
+                 for stat in stats.values()]
+        rows.append(list(label) + texts + [str(len(runs))])
+    headers = [name for position, name in enumerate(plan.headers)
+               if position != column]
+    if plan.show_seconds:
+        headers.pop()  # no resample+tune column: seconds are not averaged
+    table = format_table(
+        headers + ["n"], rows,
+        title="Mean ± std over seeds %s"
+              % ", ".join(str(seed) for seed in plan.summary["seeds"]),
+    )
+    return "\n\n" + table, {"seed_means": seed_means}
+
+
 _SUMMARIES = {
     "post_wins": _post_wins_summary,
     "eos_wins": _eos_wins_summary,
+    "seed_mean": _seed_mean_summary,
 }
 
 
@@ -120,7 +165,8 @@ def render_view(plan, results, timing=None):
     :class:`CellFailure`; ``timing`` (for ``show_seconds`` plans) maps
     keys to resample+tune seconds or None.  Returns ``(report,
     extras)`` where ``extras`` carries the summary statistics
-    (``post_wins`` / ``eos_wins`` …) of the view's output.
+    (``post_wins`` / ``eos_wins`` / ``seed_means`` …) of the view's
+    output.
     """
     timing = timing or {}
     rows = []
@@ -134,62 +180,7 @@ def render_view(plan, results, timing=None):
     extras = {}
     render_summary = _SUMMARIES.get(plan.summary.get("kind"))
     if render_summary is not None:
-        text, extras = render_summary(plan.summary, results)
+        text, extras = render_summary(plan, results)
         report += text
     report += degraded_summary(results)
     return report, extras
-
-
-# ----------------------------------------------------------------------
-# Ranked sweep table (shared by sweep_report and stored-sweep views)
-# ----------------------------------------------------------------------
-def _rank_key(value, descending):
-    """Sort key placing NaN (degraded/failed cells) last, always."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        return (1, 0.0)
-    if math.isnan(value):
-        return (1, 0.0)
-    return (0, -value if descending else value)
-
-
-def ranked_metric_table(results, sort_by="bac", descending=True, title=None):
-    """Render sweep records as a ranked text table.
-
-    NaN metrics (degraded or FAILED cells) always sort below every
-    finite value — regardless of ``descending`` — keeping grid order
-    among themselves, and their cells are marked with a ``*``.
-    """
-    if not results:
-        raise ValueError("no sweep results to report")
-    param_names = list(results[0]["params"])
-    metric_names = list(results[0]["metrics"])
-    if sort_by not in metric_names:
-        raise KeyError("unknown metric %r" % sort_by)
-    ordered = sorted(
-        results, key=lambda r: _rank_key(r["metrics"][sort_by], descending)
-    )
-    rows = []
-    flagged = False
-    for record in ordered:
-        cells = [str(record["params"][name]) for name in param_names]
-        for name in metric_names:
-            value = record["metrics"][name]
-            text = format_float(value)
-            try:
-                if math.isnan(float(value)):
-                    text += "*"
-                    flagged = True
-            except (TypeError, ValueError):  # repro: noqa[RES002] non-numeric metric cells render as-is; only NaN needs flagging
-                pass
-            cells.append(text)
-        rows.append(cells)
-    table = format_table(
-        param_names + metric_names,
-        rows,
-        title=title or ("Sweep ranked by %s" % sort_by),
-    )
-    if flagged:
-        table += "\n* nan metric (degraded/failed evaluation); ranked last"
-    return table

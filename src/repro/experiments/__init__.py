@@ -1,4 +1,9 @@
-"""Experiment harness: configs, pipelines, statistics and sweeps."""
+"""Experiment harness: configs, the three-phase pipeline and run results.
+
+Every paper view, seed-averaged runs included, runs through
+:func:`repro.evals.run_matrix`: ``MatrixSpec(seeds=...)`` expands the
+seed axis and its report ends with a mean ± std-over-seeds table.
+"""
 
 from .config import (
     LOSS_NAMES,
@@ -17,8 +22,6 @@ from .pipeline import (
     train_preprocessed,
 )
 from .result import RunResult
-from .stats import aggregate_metrics, repeated_sampler_comparison, run_seeds
-from .sweeps import grid_sweep, sweep_report
 
 __all__ = [
     "ExperimentConfig",
@@ -34,9 +37,4 @@ __all__ = [
     "train_phase1",
     "train_preprocessed",
     "RunResult",
-    "aggregate_metrics",
-    "run_seeds",
-    "repeated_sampler_comparison",
-    "grid_sweep",
-    "sweep_report",
 ]

@@ -166,7 +166,7 @@ def main(argv=None):
         "--trace-out", metavar="PATH",
         help="enable telemetry and export the run's trace (spans, "
              "events, metrics snapshot) to PATH as JSON lines; summarize "
-             "with `repro-trace PATH`",
+             "with `repro-report trace PATH`",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -267,7 +267,7 @@ def main(argv=None):
     finally:
         if args.trace_out is not None:
             telemetry.disable(args.trace_out)
-            print("trace: %s (summarize with `repro-trace %s`)"
+            print("trace: %s (summarize with `repro-report trace %s`)"
                   % (args.trace_out, args.trace_out))
         if store is not None:
             print("store: %s" % store.summary())

@@ -50,10 +50,17 @@ def _get_artifacts(cache, cfg, loss_name, fail_soft):
         return CellFailure(str(exc), error_type=type(exc).__name__)
 
 
-def _sampler_cell(artifacts, name, **eval_kwargs):
+def _sampler_cell(artifacts, name, config, **eval_kwargs):
     """Thunk for one ``evaluate_sampler`` cell, honoring retry attempts
-    (seed bump + fine-tuning LR backoff)."""
-    config = artifacts.config
+    (seed bump + fine-tuning LR backoff).
+
+    ``config`` is the cell's own config.  The cached extractor may have
+    been trained under a config that differs only in fields phase 1
+    does not read (a ``hyper`` axis over ``finetune_lr``, say), so the
+    fine-tune settings come from ``config``, not ``artifacts.config``.
+    """
+    eval_kwargs = {"finetune_epochs": config.finetune_epochs,
+                   "k_neighbors": config.k_neighbors, **eval_kwargs}
 
     def thunk(attempt):
         seed = config.seed + (0 if attempt is None else attempt.seed_offset)
@@ -67,10 +74,11 @@ def _sampler_cell(artifacts, name, **eval_kwargs):
     return thunk
 
 
-def _timed_sampler_cell(artifacts, name, **eval_kwargs):
+def _timed_sampler_cell(artifacts, name, config, **eval_kwargs):
     """Like :func:`_sampler_cell` but keeps the resample+tune timing
     (JSON-safe payload: metrics + seconds, no weight arrays)."""
-    inner = _sampler_cell(artifacts, name, return_details=True, **eval_kwargs)
+    inner = _sampler_cell(artifacts, name, config, return_details=True,
+                          **eval_kwargs)
 
     def thunk(attempt):
         details = inner(attempt)

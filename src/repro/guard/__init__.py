@@ -23,9 +23,10 @@ Three pillars, woven through :mod:`repro.parallel`,
 
 All three emit telemetry (``guard.watchdog_kill`` /
 ``guard.quarantined`` / ``guard.breaker_opened`` events and matching
-``guard.*`` counters) that ``repro-trace`` folds into a dedicated
-guard section, and all three are exercised end-to-end by the ``hang``
-and ``corrupt`` fault kinds in :class:`repro.resilience.FaultPlan`.
+``guard.*`` counters) that ``repro-report trace`` folds into a
+dedicated guard section, and all three are exercised end-to-end by the
+``hang`` and ``corrupt`` fault kinds in
+:class:`repro.resilience.FaultPlan`.
 """
 
 from .breaker import CircuitBreaker, default_breaker_key, failure_signature

@@ -23,7 +23,7 @@ a region with :func:`session`::
     with telemetry.session(trace_out="trace.jsonl"):
         run_matrix(MatrixSpec("table2", config=config))
 
-    # later: python -m repro.telemetry trace.jsonl   (or `repro-trace`)
+    # later: repro-report trace trace.jsonl   (or python -m repro.evals)
 
 or process-wide with :func:`enable` / :func:`disable` (what the
 ``--trace-out`` CLI flag uses).

@@ -4,9 +4,9 @@
 aggregates — per-phase wall time (the paper's phase1/phase2/phase3
 decomposition), per-span statistics, per-cell and per-sampler timings,
 plus the metrics snapshot — and :func:`render_trace_report` renders them
-in the same ``format_table`` style as the experiment reports.  The
-``repro-trace`` console script (see :mod:`repro.telemetry.__main__`)
-wraps both.
+in the same ``format_table`` style as the experiment reports.
+``repro-report trace FILE`` (see :mod:`repro.evals.__main__`) wraps
+both.
 """
 
 from __future__ import annotations

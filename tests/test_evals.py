@@ -1,27 +1,32 @@
 """Tests for repro.evals: the declarative experiment matrix and its
-axis check, the sqlite result store, store-backed regeneration, the
-``repro-report`` CLI, and the EVAL001 lint rule.
+axis checks, the seed-mean view, the sqlite result store, store-backed
+regeneration, the ``repro-report`` CLI, and the EVAL001 lint rule.
 
 The store/regeneration tests run on synthetic cell payloads (no
-training); only the worker-determinism test executes a real
-(micro-scale, two-cell) sweep.
+training); the worker-determinism test and the seed-mean view tests
+execute real micro-scale sweeps, the latter over one shared
+``ExtractorCache`` so each (seed, loss) extractor trains once.
 
 Note: nothing here imports sqlite3 — EVAL001 pins all sqlite access to
 ``repro.evals.store``, and the lint gate checks this tree too.
 """
 
+import dataclasses
 import json
 import os
+import statistics
 import warnings
 
 import pytest
 
+from repro import telemetry
 from repro.analysis import LintEngine
 from repro.evals import (
     EvalsStoreError,
     MatrixSpec,
     ResultStore,
     compile_matrix,
+    degraded_summary,
     plan_from_payload,
     plan_to_payload,
     regenerate,
@@ -32,9 +37,10 @@ from repro.evals import (
 from repro.evals import runner as runner_module
 from repro.evals import store as store_module
 from repro.evals.__main__ import main as report_main
-from repro.experiments import ExtractorCache, bench_config
+from repro.experiments import ExtractorCache, bench_config, evaluate_sampler
 from repro.experiments.result import RunResult
-from repro.resilience import CellFailure
+from repro.resilience import CellFailure, FaultPlan, inject_faults
+from repro.utils import format_float
 
 MICRO = bench_config(phase1_epochs=2, finetune_epochs=2,
                      model_kwargs={"width": 4})
@@ -80,8 +86,10 @@ class TestMatrixCompile:
         assert plan.cells[0].key == ("cifar10_like", "ce", "none", 0)
         assert plan.cells[1].overrides["seed"] == 1
         assert "seed" in plan.headers
-        # Paper-shape summaries are defined on the base grid only.
-        assert plan.summary == {"kind": "none"}
+        # Paper-shape summaries are defined on the base grid only; a
+        # seed axis is averaged over instead.
+        assert plan.summary == {"kind": "seed_mean", "seeds": [0, 1],
+                                "key_index": 3, "column": 3}
 
     def test_hyper_axis_is_a_cross_product(self):
         spec = MatrixSpec("table2", losses=("ce",), samplers=("none",),
@@ -142,6 +150,36 @@ class TestMatrixCompile:
                           hyper={"not_a_config_field": (1,)})
         with pytest.raises(KeyError):
             run_matrix(spec)
+
+    @pytest.mark.parametrize("view, axes, message", [
+        ("table2", {"losses": ("ce",), "samplers": ("eos",),
+                    "seeds": (0, 0)}, "the seeds axis repeats 0"),
+        ("table2", {"losses": ("ce", "ce"), "samplers": ("eos", "eos")},
+         "the losses axis repeats 'ce'"),
+        ("table4", {"k_values": (5, 5)}, "the k_values axis repeats 5"),
+        ("table2", {"hyper": {"finetune_lr": (0.1, 0.2, 0.1)}},
+         "the hyper 'finetune_lr' axis repeats 0.1"),
+        ("table5", {"architectures": (("resnet8", {}),
+                                      ("resnet8", {"width_multiplier": 1}))},
+         "the architectures axis repeats 'resnet8'"),
+        ("figure3", {"samplers": ("eos", "smote", "eos")},
+         "the samplers axis repeats 'eos'"),
+    ])
+    def test_repeated_axis_value_is_rejected_before_any_work(
+            self, view, axes, message, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("run_matrix started work")
+
+        monkeypatch.setattr(runner_module, "_run_grid", no_work)
+        monkeypatch.setattr(runner_module, "_run_figure", no_work)
+        spec = MatrixSpec(view, config=MICRO, **axes)
+        store = tmp_path / "evals.sqlite"
+        with pytest.raises(ValueError, match=message):
+            run_matrix(spec, store=store)
+        assert not store.exists()
+        if view.startswith("table"):
+            with pytest.raises(ValueError, match=message):
+                compile_matrix(spec)
 
     @pytest.mark.parametrize("view, axis, value", [
         ("table1", "losses", ("ldam",)),
@@ -221,6 +259,155 @@ class TestWorkerDeterminism:
 
 
 # ----------------------------------------------------------------------
+# Seed-mean view: MatrixSpec(seeds=...) on a real micro sweep
+# ----------------------------------------------------------------------
+SEEDED = bench_config(phase1_epochs=4)
+SEEDED_SAMPLERS = ("none", "eos")
+
+
+def seeded_spec(**axes):
+    return MatrixSpec("table2", config=SEEDED, losses=("ce",),
+                      samplers=SEEDED_SAMPLERS, **axes)
+
+
+@pytest.fixture(scope="module")
+def seeded_cache():
+    return ExtractorCache()
+
+
+@pytest.fixture(scope="module")
+def seeded_run(seeded_cache, tmp_path_factory):
+    """A two-seed Table II run, recorded into a store."""
+    path = tmp_path_factory.mktemp("seeded") / "evals.sqlite"
+    out = run_matrix(seeded_spec(seeds=(0, 1)), cache=seeded_cache,
+                     store=path)
+    return out, path
+
+
+def mean_and_pstdev(cells, group, metric, seeds=(0, 1)):
+    """Mean and population std of ``metric`` over a group's seed cells."""
+    values = [cells[group[:3] + (seed,) + group[3:]][metric]
+              for seed in seeds]
+    return statistics.fmean(values), statistics.pstdev(values)
+
+
+def assert_seed_means(out, n=2):
+    for group, entry in out["seed_means"].items():
+        assert entry["n"] == n
+        for metric in ("bac", "gm", "fm"):
+            mean, std = mean_and_pstdev(out.cells, group, metric)
+            assert entry[metric] == (pytest.approx(mean, abs=1e-12),
+                                     pytest.approx(std, abs=1e-12))
+
+
+class TestSeedMeanView:
+    def test_each_seed_cell_equals_its_single_seed_run(
+            self, seeded_run, seeded_cache):
+        out, _ = seeded_run
+        for seed in (0, 1):
+            single = run_matrix(
+                MatrixSpec("table2", config=SEEDED.with_overrides(seed=seed),
+                           losses=("ce",), samplers=SEEDED_SAMPLERS),
+                cache=seeded_cache,
+            )
+            for name in SEEDED_SAMPLERS:
+                assert (out.cells[("cifar10_like", "ce", name, seed)]
+                        == single.cells[("cifar10_like", "ce", name)])
+
+    def test_seed_means_are_mean_and_population_std(self, seeded_run):
+        out, _ = seeded_run
+        means = out["seed_means"]
+        assert list(means) == [("cifar10_like", "ce", name)
+                               for name in SEEDED_SAMPLERS]
+        assert_seed_means(out)
+        bac, bac_std = means[("cifar10_like", "ce", "eos")]["bac"]
+        row = "cifar10_like | ce   | eos     | %s ±%s" % (
+            format_float(bac), format_float(bac_std, 3))
+        assert "Mean ± std over seeds 0, 1" in out.report
+        assert row in out.report
+
+    def test_eos_seed_mean_bac_beats_the_baseline(self, seeded_run):
+        """The paper's multi-cut protocol at micro scale."""
+        means = seeded_run[0]["seed_means"]
+        assert (means[("cifar10_like", "ce", "eos")]["bac"][0]
+                > means[("cifar10_like", "ce", "none")]["bac"][0])
+
+    def test_regenerated_seed_view_is_byte_identical(self, seeded_run):
+        out, path = seeded_run
+        with ResultStore(path) as store:
+            assert regenerate(store, "table2") == out.report
+
+    def test_failed_seed_is_left_out_of_its_mean(
+            self, seeded_run, seeded_cache, tmp_path):
+        reference = seeded_run[0]
+        plan = FaultPlan()
+        plan.inject("sweep.cell", action="raise", times=None,
+                    when={"cell": "t2/cifar10_like/ce/eos/seed=1"})
+        path = tmp_path / "evals.sqlite"
+        with inject_faults(plan):
+            out = run_matrix(seeded_spec(seeds=(0, 1)), cache=seeded_cache,
+                             store=path)
+        assert out.degraded == [("cifar10_like", "ce", "eos", 1)]
+        eos = out["seed_means"][("cifar10_like", "ce", "eos")]
+        assert eos["n"] == 1
+        for metric in ("bac", "gm", "fm"):
+            value = reference.cells[("cifar10_like", "ce", "eos", 0)][metric]
+            assert eos[metric] == (value, 0.0)
+        assert (out["seed_means"][("cifar10_like", "ce", "none")]
+                == reference["seed_means"][("cifar10_like", "ce", "none")])
+        assert "DEGRADED: 1 / 4 cell(s) failed" in out.report
+        assert out.report.endswith(degraded_summary(out.cells))
+        with ResultStore(path) as store:
+            assert regenerate(store, "table2") == out.report
+
+    def test_hyper_values_keep_their_own_rows(self, seeded_run,
+                                              seeded_cache):
+        reference = seeded_run[0]
+        lrs = (0.02, SEEDED.finetune_lr)
+        out = run_matrix(seeded_spec(seeds=(0, 1),
+                                     hyper={"finetune_lr": lrs}),
+                         cache=seeded_cache)
+        assert SEEDED == bench_config(phase1_epochs=4)  # not mutated
+        means = out["seed_means"]
+        assert list(means) == [("cifar10_like", "ce", name, lr)
+                               for lr in lrs for name in SEEDED_SAMPLERS]
+        assert_seed_means(out)
+        # Each cell fine-tunes at its own rate, although both rates
+        # share the seed's cached extractor.
+        for seed in (0, 1):
+            artifacts = seeded_cache.get(SEEDED.with_overrides(seed=seed),
+                                         "ce")
+            assert (out.cells[("cifar10_like", "ce", "eos", seed, 0.02)]
+                    == evaluate_sampler(artifacts, "eos", seed=seed,
+                                        finetune_lr=0.02))
+        for name in SEEDED_SAMPLERS:
+            assert (means[("cifar10_like", "ce", name, SEEDED.finetune_lr)]
+                    == reference["seed_means"][("cifar10_like", "ce", name)])
+        table = out.report.split("Mean ± std over seeds 0, 1")[1]
+        assert "sampler | finetune_lr | BAC" in table
+        assert "| eos     | 0.02        |" in table
+
+    def test_all_failed_row_prints_a_dash(self):
+        plan = compile_matrix(MatrixSpec("table2", losses=("ce",),
+                                         samplers=("none", "eos"),
+                                         seeds=(0, 1)))
+        failure = CellFailure("diverged", error_type="DivergenceError")
+        results = {cell.key: (failure if cell.sampler == "eos"
+                              else fake_metrics(cell.key[-1]))
+                   for cell in plan.cells}
+        report, extras = render_view(plan, results)
+        assert extras["seed_means"][("cifar10_like", "ce", "eos")] == {
+            "bac": None, "gm": None, "fm": None, "n": 0,
+        }
+        seed_table = report.split("Mean ± std over seeds 0, 1")[1]
+        rows = [[cell.strip() for cell in line.split("|")]
+                for line in seed_table.splitlines()]
+        assert ["cifar10_like", "ce", "eos", "-", "-", "-", "0"] in rows
+        assert ["cifar10_like", "ce", "none", ".5050 ±.005", ".4050 ±.005",
+                ".3000 ±.000", "2"] in rows
+
+
+# ----------------------------------------------------------------------
 # Result store
 # ----------------------------------------------------------------------
 class TestResultStore:
@@ -291,10 +478,10 @@ class TestResultStore:
 # ----------------------------------------------------------------------
 # Regeneration as a view over the store
 # ----------------------------------------------------------------------
-def synthetic_run(store, failing=()):
+def synthetic_run(store, failing=(), plan=None):
     """Record a fake-but-complete table2 run; returns the live report."""
     spec = MatrixSpec("table2", losses=("ce",), samplers=("none", "eos"))
-    plan = compile_matrix(spec)
+    plan = plan or compile_matrix(spec)
     results = {}
     run_id = store.begin_run("table2", fingerprint="fp",
                              spec=spec_to_payload(spec),
@@ -329,6 +516,18 @@ class TestRegenerate:
             assert regen == live
             assert "FAILED(DivergenceError" in regen
             assert "DEGRADED: 1 / 2 cell(s) failed" in regen
+
+    def test_seed_run_stored_without_the_seed_view_regenerates_as_is(
+            self, tmp_path):
+        plan = compile_matrix(MatrixSpec("table2", losses=("ce",),
+                                         samplers=("none", "eos"),
+                                         seeds=(0, 1)))
+        older = dataclasses.replace(plan, summary={"kind": "none"})
+        with ResultStore(tmp_path / "evals.sqlite") as store:
+            live = synthetic_run(store, plan=older)
+            regen = regenerate(store, "table2")
+        assert regen == live
+        assert "Mean ± std" not in regen
 
     def test_incomplete_run_refuses_to_regenerate(self, tmp_path):
         with ResultStore(tmp_path / "evals.sqlite") as store:
@@ -444,6 +643,43 @@ class TestReportCLI:
             ({"git_sha": "aaa111", "cpu_count": 2}, 0),
             ({"git_sha": "bbb222", "cpu_count": 2}, 0),
         ]
+
+    def test_options_may_follow_the_positional_arguments(self, tmp_path,
+                                                         capsys):
+        path = str(tmp_path / "evals.sqlite")
+        record = tmp_path / "record.json"
+        record.write_text(json.dumps(perfbench_record(20.0, 0.3, "aaa111")))
+        assert report_main(["ingest-bench", "--store", path,
+                            str(record)]) == 0
+        assert "as 'embed-sweep'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest-bench", "record.json", "--run-id", "3"],
+        ["runs", "--run-id", "3"],
+        ["perf", "--run-id", "3"],
+        ["trace", "trace.jsonl", "--run-id", "3"],
+        ["t2", "--format", "json"],
+        ["ingest-bench", "record.json", "--format", "json"],
+        ["trace"],
+        ["trace", "a.jsonl", "b.jsonl"],
+    ])
+    def test_options_outside_their_target_are_rejected(
+            self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            report_main(argv)
+        assert excinfo.value.code == 2
+        assert os.listdir(tmp_path) == []  # no store was created
+
+    def test_trace_needs_no_store(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        trace = tmp_path / "trace.jsonl"
+        with telemetry.session(trace_out=str(trace)) as tracer:
+            with tracer.span("phase1"):
+                pass
+        assert report_main(["trace", "--format", "json", str(trace)]) == 0
+        assert json.loads(capsys.readouterr().out)["n_spans"] == 1
+        assert os.listdir(tmp_path) == ["trace.jsonl"]
 
     def test_unknown_target_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

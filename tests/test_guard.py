@@ -602,7 +602,7 @@ class TestSweepUnderFaults:
 
 
 # ----------------------------------------------------------------------
-# Trace summarizer: the guard section of repro-trace
+# Trace summarizer: the guard section of `repro-report trace`
 # ----------------------------------------------------------------------
 GUARD_RECORDS = [
     {"type": "event", "ts": 1.0, "depth": 0, "name": "guard.watchdog_kill",

@@ -99,5 +99,6 @@ def test_console_script_is_registered():
     payload = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
     scripts = payload["project"]["scripts"]
     assert scripts["repro-lint"] == "repro.analysis.__main__:main"
-    assert scripts["repro-trace"] == "repro.telemetry.__main__:main"
+    assert scripts["repro-report"] == "repro.evals.__main__:main"
+    assert "repro-trace" not in scripts  # folded into `repro-report trace`
     assert scripts["repro-serve"] == "repro.serve.__main__:main"

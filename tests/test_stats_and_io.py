@@ -1,66 +1,9 @@
-"""Tests for seed-repetition statistics and the CIFAR binary loaders."""
+"""Tests for the CIFAR binary loaders."""
 
 import numpy as np
 import pytest
 
 from repro.data import load_cifar10_binary, load_cifar100_binary
-from repro.experiments import (
-    aggregate_metrics,
-    bench_config,
-    repeated_sampler_comparison,
-    run_seeds,
-)
-
-
-class TestAggregateMetrics:
-    def test_mean_and_std(self):
-        out = aggregate_metrics([{"bac": 0.5}, {"bac": 0.7}])
-        mean, std = out["bac"]
-        assert mean == pytest.approx(0.6)
-        assert std == pytest.approx(0.1)
-
-    def test_multiple_keys(self):
-        out = aggregate_metrics([{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 4.0}])
-        assert out["a"][0] == 2.0
-        assert out["b"][0] == 3.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            aggregate_metrics([])
-
-    def test_mismatched_keys_raise(self):
-        with pytest.raises(ValueError):
-            aggregate_metrics([{"a": 1.0}, {"b": 2.0}])
-
-
-class TestRunSeeds:
-    def test_calls_per_seed(self):
-        calls = []
-
-        def fn(seed):
-            calls.append(seed)
-            return {"bac": seed / 10.0}
-
-        per_seed, agg = run_seeds(fn, [1, 2, 3])
-        assert calls == [1, 2, 3]
-        assert len(per_seed) == 3
-        assert agg["bac"][0] == pytest.approx(0.2)
-
-
-class TestRepeatedComparison:
-    def test_two_seed_comparison(self):
-        """Mirrors the paper's multi-cut protocol at micro scale."""
-        config = bench_config(phase1_epochs=4)
-        out = repeated_sampler_comparison(
-            config, "ce", ("none", "eos"), seeds=(0, 1)
-        )
-        assert set(out["aggregated"]) == {"none", "eos"}
-        assert len(out["per_sampler"]["eos"]) == 2
-        assert "±" in out["report"]
-        # Resampling should beat the baseline on seed-averaged BAC.
-        assert out["aggregated"]["eos"]["bac"][0] > out["aggregated"]["none"][
-            "bac"
-        ][0]
 
 
 def _write_cifar10_bin(path, n, rng):

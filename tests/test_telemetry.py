@@ -1,8 +1,8 @@
 """Tests for repro.telemetry: tracer round-trips, metrics accuracy on a
 known-size fine-tune, the no-op overhead guard (telemetry off must be
 allocation-free and byte-identical), RunResult and run_matrix's runner
-span, the unified sampler API, the tensor-op profiler, and the `repro-trace`
-CLI."""
+span, the unified sampler API, the tensor-op profiler, and the
+`repro-report trace` CLI."""
 
 import json
 
@@ -522,31 +522,31 @@ class TestProfiler:
 
 
 # ----------------------------------------------------------------------
-# repro-trace CLI
+# repro-report trace CLI
 # ----------------------------------------------------------------------
 class TestTraceCLI:
     def test_summarizes_trace_file(self, tmp_path, capsys):
-        from repro.telemetry.__main__ import main as trace_main
+        from repro.evals.__main__ import main as report_main
 
         out = tmp_path / "trace.jsonl"
         with telemetry.session(trace_out=str(out)) as tracer:
             with tracer.span("phase1"):
                 pass
-        assert trace_main([str(out)]) == 0
+        assert report_main(["trace", str(out)]) == 0
         text = capsys.readouterr().out
         assert "span(s)" in text and "phase1" in text
 
     def test_json_format(self, tmp_path, capsys):
-        from repro.telemetry.__main__ import main as trace_main
+        from repro.evals.__main__ import main as report_main
 
         out = tmp_path / "trace.jsonl"
         with telemetry.session(trace_out=str(out)) as tracer:
             tracer.event("divergence", epoch=0)
-        assert trace_main(["--format", "json", str(out)]) == 0
+        assert report_main(["trace", "--format", "json", str(out)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_events"] == 1
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
-        from repro.telemetry.__main__ import main as trace_main
+        from repro.evals.__main__ import main as report_main
 
-        assert trace_main([str(tmp_path / "nope.jsonl")]) == 2
+        assert report_main(["trace", str(tmp_path / "nope.jsonl")]) == 2
