@@ -1,9 +1,40 @@
-"""Tests for the CIFAR binary loaders."""
+"""Tests for seed-mean aggregation and the CIFAR binary loaders."""
 
 import numpy as np
 import pytest
 
 from repro.data import load_cifar10_binary, load_cifar100_binary
+from repro.evals import MatrixSpec, compile_matrix, render_view
+
+
+def seed_means(per_seed):
+    """The seed-mean view's entry for one eos row whose seed ``s``
+    scored ``per_seed[s]`` (synthetic cells, no training)."""
+    plan = compile_matrix(MatrixSpec("table2", losses=("ce",),
+                                     samplers=("eos",),
+                                     seeds=tuple(range(len(per_seed)))))
+    results = {cell.key: per_seed[cell.key[-1]] for cell in plan.cells}
+    _, extras = render_view(plan, results)
+    return extras["seed_means"][("cifar10_like", "ce", "eos")]
+
+
+class TestAggregateMetrics:
+    """Seed averaging is the seed-mean summary of the table views."""
+
+    def test_mean_and_std(self):
+        out = seed_means([{"bac": 0.5, "gm": 0.5, "fm": 0.5},
+                          {"bac": 0.7, "gm": 0.7, "fm": 0.7}])
+        mean, std = out["bac"]
+        assert mean == pytest.approx(0.6)
+        assert std == pytest.approx(0.1)  # population std (ddof=0)
+        assert out["n"] == 2
+
+    def test_multiple_keys(self):
+        out = seed_means([{"bac": 0.1, "gm": 0.2, "fm": 0.5},
+                          {"bac": 0.3, "gm": 0.4, "fm": 0.9}])
+        assert out["bac"][0] == pytest.approx(0.2)
+        assert out["gm"][0] == pytest.approx(0.3)
+        assert out["fm"] == (pytest.approx(0.7), pytest.approx(0.2))
 
 
 def _write_cifar10_bin(path, n, rng):

@@ -1,125 +1,78 @@
-"""Tests for the grid-sweep utilities."""
+"""Tests for config-field grid sweeps: the ``hyper`` axis of MatrixSpec."""
+
+import itertools
 
 import pytest
 
-from repro.experiments import bench_config, grid_sweep, sweep_report
+from repro.evals import MatrixSpec, compile_matrix, render_view, run_matrix
+from repro.experiments import ExtractorCache, bench_config, evaluate_sampler
+
+MICRO = dict(phase1_epochs=2, finetune_epochs=2, model_kwargs={"width": 4})
+
+
+def grid_spec(config, hyper):
+    return MatrixSpec("table2", config=config, losses=("ce",),
+                      samplers=("eos",), hyper=hyper)
+
+
+@pytest.fixture(scope="module")
+def micro_cache():
+    return ExtractorCache()
 
 
 class TestGridSweep:
     def test_crosses_all_combinations(self):
-        config = bench_config()
-        seen = []
-
-        def evaluate(variant):
-            seen.append((variant.k_neighbors, variant.finetune_epochs))
-            return {"bac": variant.k_neighbors / 100.0}
-
-        results = grid_sweep(
-            config,
+        plan = compile_matrix(grid_spec(
+            bench_config(),
             {"k_neighbors": [5, 10], "finetune_epochs": [3, 6, 9]},
-            evaluate,
-        )
-        assert len(results) == 6
-        assert len(set(seen)) == 6
+        ))
+        seen = [(cell.overrides["k_neighbors"],
+                 cell.overrides["finetune_epochs"]) for cell in plan.cells]
+        assert len(plan.cells) == 6
+        assert sorted(seen) == sorted(itertools.product((5, 10), (3, 6, 9)))
 
     def test_records_params_and_metrics(self):
-        config = bench_config()
-        results = grid_sweep(
-            config, {"k_neighbors": [7]}, lambda v: {"bac": 0.5, "gm": 0.4}
-        )
-        assert results[0]["params"] == {"k_neighbors": 7}
-        assert results[0]["metrics"]["gm"] == 0.4
+        plan = compile_matrix(grid_spec(bench_config(), {"k_neighbors": [7]}))
+        (cell,) = plan.cells
+        assert cell.overrides["k_neighbors"] == 7
+        assert cell.key == ("cifar10_like", "ce", "eos", 7)
+        report, _ = render_view(plan, {cell.key: {"bac": 0.5, "gm": 0.4,
+                                                  "fm": 0.3}})
+        assert "| k_neighbors |" in report
+        assert "| eos     | 7           | .5000 | .4000 | .3000" in report
 
     def test_unknown_field_raises(self):
         with pytest.raises(KeyError):
-            grid_sweep(bench_config(), {"learning_rate": [0.1]}, lambda v: {})
+            run_matrix(grid_spec(bench_config(), {"learning_rate": [0.1]}))
 
-    def test_empty_grid_raises(self):
-        with pytest.raises(ValueError):
-            grid_sweep(bench_config(), {}, lambda v: {})
-
-    def test_base_config_not_mutated(self):
-        config = bench_config()
-        grid_sweep(config, {"k_neighbors": [99]}, lambda v: {"bac": 0.0})
+    def test_base_config_not_mutated(self, micro_cache):
+        config = bench_config(**MICRO)
+        out = run_matrix(grid_spec(config, {"k_neighbors": [99]}),
+                         cache=micro_cache)
         assert config.k_neighbors == 10
+        assert config == bench_config(**MICRO)
+        assert list(out.cells) == [("cifar10_like", "ce", "eos", 99)]
 
-    def test_parallel_matches_serial(self):
-        config = bench_config()
-        grid = {"k_neighbors": [3, 5, 7, 9]}
-        evaluate = lambda v: {"bac": v.k_neighbors / 10.0}
-        serial = grid_sweep(config, grid, evaluate, max_workers=1)
-        parallel = grid_sweep(config, grid, evaluate, max_workers=3)
-        assert serial == parallel
+    def test_parallel_matches_serial(self, micro_cache):
+        spec = grid_spec(bench_config(**MICRO),
+                         {"k_neighbors": [3, 5, 7, 9]})
+        serial = run_matrix(spec, cache=micro_cache, workers=1)
+        parallel = run_matrix(spec, cache=micro_cache, workers=2)
+        assert parallel.cells == serial.cells
+        assert parallel.report == serial.report
 
 
 class TestSweepReport:
-    def test_ranked_descending(self):
-        results = [
-            {"params": {"k": 1}, "metrics": {"bac": 0.2}},
-            {"params": {"k": 2}, "metrics": {"bac": 0.9}},
-        ]
-        report = sweep_report(results, sort_by="bac")
-        lines = report.splitlines()
-        k2_line = next(i for i, l in enumerate(lines) if l.startswith("2"))
-        k1_line = next(i for i, l in enumerate(lines) if l.startswith("1"))
-        assert k2_line < k1_line
-
-    def test_nan_ranked_last_descending(self):
-        results = [
-            {"params": {"k": 1}, "metrics": {"bac": float("nan")}},
-            {"params": {"k": 2}, "metrics": {"bac": 0.1}},
-            {"params": {"k": 3}, "metrics": {"bac": 0.9}},
-        ]
-        report = sweep_report(results, sort_by="bac")
-        lines = report.splitlines()
-        order = [
-            next(i for i, l in enumerate(lines) if l.startswith(str(k)))
-            for k in (3, 2, 1)
-        ]
-        assert order == sorted(order)  # 0.9, 0.1, nan
-        assert "*" in lines[order[-1]]
-        assert "ranked last" in report
-
-    def test_nan_ranked_last_ascending(self):
-        results = [
-            {"params": {"k": 1}, "metrics": {"bac": float("nan")}},
-            {"params": {"k": 2}, "metrics": {"bac": 0.5}},
-        ]
-        report = sweep_report(results, sort_by="bac", descending=False)
-        lines = report.splitlines()
-        k2_line = next(i for i, l in enumerate(lines) if l.startswith("2"))
-        k1_line = next(i for i, l in enumerate(lines) if l.startswith("1"))
-        assert k2_line < k1_line
-
-    def test_no_nan_no_trailer(self):
-        results = [{"params": {"k": 1}, "metrics": {"bac": 0.5}}]
-        report = sweep_report(results, sort_by="bac")
-        assert "ranked last" not in report
-
-    def test_unknown_metric_raises(self):
-        with pytest.raises(KeyError):
-            sweep_report(
-                [{"params": {"k": 1}, "metrics": {"bac": 0.5}}], sort_by="f1"
-            )
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            sweep_report([])
-
     def test_integration_with_real_evaluation(self):
         """A real micro-sweep: fine-tune length over a cached extractor."""
-        from repro.experiments import ExtractorCache, evaluate_sampler
-
         cache = ExtractorCache()
         config = bench_config(phase1_epochs=3)
-
-        def evaluate(variant):
-            artifacts = cache.get(variant, "ce")
-            return evaluate_sampler(
-                artifacts, "eos", finetune_epochs=variant.finetune_epochs
-            )
-
-        results = grid_sweep(config, {"finetune_epochs": [1, 5]}, evaluate)
-        report = sweep_report(results)
-        assert "finetune_epochs" in report
-        assert len(results) == 2
+        out = run_matrix(grid_spec(config, {"finetune_epochs": [1, 5]}),
+                         cache=cache)
+        assert "finetune_epochs" in out.report
+        assert len(out.cells) == 2
+        artifacts = cache.get(config, "ce")
+        for epochs in (1, 5):
+            assert (out.cells[("cifar10_like", "ce", "eos", epochs)]
+                    == evaluate_sampler(artifacts, "eos", seed=config.seed,
+                                        finetune_epochs=epochs))
