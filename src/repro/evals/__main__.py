@@ -66,16 +66,35 @@ def _bench_entries(payload, path):
     return [(payload.get("benchmark") or os.path.basename(path), payload)]
 
 
-def _ingest_bench(store, paths):
-    if not paths:
-        raise EvalsStoreError("ingest-bench needs at least one JSON path")
+def _read_records(paths):
+    """Parse every benchmark record file: ``[(path, payload)]``.
+
+    Done before the store is opened, so a missing or malformed file
+    ingests nothing and creates no store.
+    """
+    records = []
     for path in paths:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+            try:
+                records.append((path, json.load(handle)))
+            except ValueError as exc:  # not JSON, or not UTF-8 text
+                raise ValueError("%s: %s" % (path, exc)) from None
+    return records
+
+
+def _ingest_bench(store, records):
+    if not records:
+        raise EvalsStoreError("ingest-bench needs at least one JSON path")
+    for path, payload in records:
         for name, entry in _bench_entries(payload, path):
             store.record_bench(name, entry, source=os.path.abspath(path))
             print("ingested %s as %r" % (path, name))
     print(store.summary())
+
+
+def _error(exc):
+    print("repro-report: error: %s" % exc, file=sys.stderr)
+    return 2
 
 
 def _trace(path, output_format):
@@ -83,8 +102,7 @@ def _trace(path, output_format):
     try:
         summary = summarize_trace(path)
     except (OSError, json.JSONDecodeError) as exc:
-        print("repro-report: error: %s" % exc, file=sys.stderr)
-        return 2
+        return _error(exc)
     try:
         if output_format == "json":
             print(json.dumps(summary, indent=2, sort_keys=True))
@@ -139,7 +157,12 @@ def main(argv=None):
 
     if target == "trace":
         return _trace(args.paths[0], args.format)
-    if target != "ingest-bench" and not os.path.exists(args.store):
+    if target == "ingest-bench":
+        try:
+            records = _read_records(args.paths)
+        except (OSError, ValueError) as exc:
+            return _error(exc)
+    elif not os.path.exists(args.store):
         print("store %s does not exist; run a matrix with --store first"
               % args.store, file=sys.stderr)
         return 1
@@ -151,7 +174,7 @@ def main(argv=None):
             elif target == "perf":
                 print(perf_report(store))
             elif target == "ingest-bench":
-                _ingest_bench(store, args.paths)
+                _ingest_bench(store, records)
             else:
                 print(regenerate(store, target, run_id=args.run_id))
         except EvalsStoreError as exc:

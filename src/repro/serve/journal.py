@@ -38,10 +38,17 @@ Record body types (``body["type"]``):
     Clean-shutdown marker: a restart after a drained SIGTERM knows the
     previous life exited on purpose.
 ``checkpoint``
-    Compaction summary: every settled outcome (with its job spec) plus
+    Compaction summary: every settled outcome (with its job's
+    fingerprint — id, kind, client and a sha256 of the payload) plus
     the acceptance sequence counter, folded into one record.  Replay
     treats a checkpoint as a reset — it supersedes everything before
     it, so dropping the pre-checkpoint segments loses nothing.
+
+Bodies are written by splicing canonical texts the caller already has
+(a ``done`` result, an ``accepted`` payload, the queue's settlement
+texts) into the body's text, byte-identical to encoding the decoded
+body.  :func:`_replay` hands the same member texts back, built once for
+the checksum, so nothing is encoded twice either way.
 
 Segments and compaction
 -----------------------
@@ -88,6 +95,40 @@ def _canonical(body):
 
 def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _splice(texts):
+    """The canonical text of an object, spliced from its members' texts.
+
+    ``texts`` maps each key to the canonical text of its value, or, for
+    an object value, to a dict of the same shape.  Keys sort the way
+    :func:`_canonical` sorts them, so the result is byte-identical to
+    the canonical encoding of the decoded object, and no value is
+    encoded again.
+    """
+    return "{%s}" % ",".join(
+        "%s:%s" % (_canonical(key),
+                   _splice(text) if isinstance(text, dict) else text)
+        for key, text in sorted(texts.items())
+    )
+
+
+def _member_texts(body):
+    """The canonical text of each member of ``body`` (key -> text).
+
+    Each value is encoded once.  A checkpoint's ``outcomes`` are split
+    one level further (job id -> outcome text), since the queue keeps
+    every settlement as its text.
+    """
+    texts = {}
+    for key, value in body.items():
+        if (key == "outcomes" and body.get("type") == "checkpoint"
+                and isinstance(value, dict)):
+            texts[key] = {job_id: _canonical(outcome)
+                          for job_id, outcome in value.items()}
+        else:
+            texts[key] = _canonical(value)
+    return texts
 
 
 def _wrap_text(text):
@@ -161,6 +202,24 @@ def read_journal(path):
     any crash point.
     """
     stats = JournalStats()
+    for body, _ in _replay(path, stats):
+        if body.get("type") == "checkpoint":
+            stats.records = []
+        stats.records.append(body)
+    return stats
+
+
+def _replay(path, stats):
+    """Yield ``(body, texts)`` for each verified record of ``path``'s
+    journal, oldest first, one line in memory at a time.
+
+    ``texts`` holds the body's member texts (:func:`_member_texts`), the
+    pieces its checksum was computed over.  Skipped lines, segments,
+    bytes and the clean-stop marker are counted into ``stats`` (a
+    :class:`JournalStats`), complete once the generator is exhausted;
+    its ``records`` are left to the caller, which must itself treat a
+    ``checkpoint`` as a reset.
+    """
     segments = segment_paths(path)
     stats.segments = len(segments)
     for ordinal, segment in enumerate(segments):
@@ -169,29 +228,25 @@ def read_journal(path):
             stats.bytes += os.path.getsize(segment)
         except OSError:  # repro: noqa[RES002] segment unlinked by a concurrent compaction; its records were already superseded
             pass
-        with open(segment, "r", encoding="utf-8", errors="replace") as handle:
-            lines = handle.read().split("\n")
-        # A well-formed segment ends with a newline, so the final split
-        # element is empty; anything else is a partial append.
-        torn = False
-        if lines and lines[-1] == "":
-            lines.pop()
-        else:
-            torn = True
         bad_lines = []
-        for position, line in enumerate(lines):
-            body = _verify_line(line)
-            if body is None:
-                bad_lines.append(position)
-                continue
-            if body.get("type") == "checkpoint":
-                stats.records = []
-                stats.clean_stop = False
-            stats.records.append(body)
-            if body.get("type") == "stop":
-                stats.clean_stop = True
+        position, line = -1, ""
+        with open(segment, "r", encoding="utf-8", errors="replace") as handle:
+            for position, line in enumerate(handle):
+                verified = _verify_line(line)
+                if verified is None:
+                    bad_lines.append(position)
+                    continue
+                kind = verified[0].get("type")
+                if kind == "checkpoint":
+                    stats.clean_stop = False
+                elif kind == "stop":
+                    stats.clean_stop = True
+                yield verified
+        # A well-formed segment ends with a newline; anything else is a
+        # partial append.
+        torn = position >= 0 and not line.endswith("\n")
         if bad_lines:
-            if final_segment and bad_lines[-1] == len(lines) - 1:
+            if final_segment and bad_lines[-1] == position:
                 torn = True
                 bad_lines.pop()
             stats.corrupt += len(bad_lines)
@@ -203,11 +258,15 @@ def read_journal(path):
                 # compaction never leaves one mid-append — so it counts
                 # as corruption, not a routine crash artifact.
                 stats.corrupt += 1
-    return stats
 
 
 def _verify_line(line):
-    """Decode + checksum one journal line; None when it does not verify."""
+    """Decode + checksum one journal line.
+
+    Returns ``(body, texts)``, with ``texts`` the body's member texts
+    the checksum was computed over, or None when the line does not
+    verify.
+    """
     line = line.strip()
     if not line:
         return None
@@ -220,9 +279,10 @@ def _verify_line(line):
     body = wrapper.get("body")
     if not isinstance(body, dict):
         return None
-    if wrapper.get("sha256") != _digest(_canonical(body)):
+    texts = _member_texts(body)
+    if wrapper.get("sha256") != _digest(_splice(texts)):
         return None
-    return body
+    return body, texts
 
 
 def _repair_torn_tail(path):
@@ -319,21 +379,35 @@ class Journal:
                           fsync)
         return body
 
-    def append_done(self, job_id, result):
-        """Write a ``done`` record; returns the result's canonical text.
+    def append_accepted(self, job, seq):
+        """Write and fsync the ``accepted`` record of ``job``; returns the
+        canonical text of its payload.
 
-        The result is encoded once and the body spliced around it (keys
-        sort ``job_id`` < ``result`` < ``type``), so the line is
-        byte-identical to ``append("done", job_id=..., result=...)`` and
-        the caller can splice the same text into a response.
+        The payload is encoded once and the body spliced around it, so
+        the line is byte-identical to ``append("accepted", fsync=True,
+        seq=seq, **job)`` and the caller fingerprints the payload from
+        the same text.
         """
-        result_text = _canonical(result)
+        texts = {key: _canonical(value) for key, value in job.items()}
+        texts["seq"] = _canonical(seq)
+        texts["type"] = _canonical("accepted")
+        self._append_text(_splice(texts), "accepted", job.get("job_id"),
+                          fsync=True)
+        return texts.get("payload", "null")
+
+    def append_done(self, job_id, result_text):
+        """Write a ``done`` record around ``result_text``, the canonical
+        JSON text of the job's result.
+
+        The body is spliced around the text, not encoded, so the line is
+        byte-identical to ``append("done", job_id=..., result=...)`` of
+        the decoded result.
+        """
         self._append_text(
-            '{"job_id":%s,"result":%s,"type":"done"}'
-            % (_canonical(job_id), result_text),
+            _splice({"job_id": _canonical(job_id), "result": result_text,
+                     "type": _canonical("done")}),
             "done", job_id,
         )
-        return result_text
 
     def _append_text(self, text, record_type, job_id, fsync=False):
         """Append the line wrapping canonical body ``text``."""
@@ -357,7 +431,10 @@ class Journal:
         ``bodies`` is the complete replacement state — normally one
         ``checkpoint`` record followed by re-``accepted`` records for
         every still-live job (:meth:`repro.serve.queue.JobQueue.compact`
-        composes it).  The sequencing is crash-safe at every step:
+        composes it).  Each body is a dict, or its canonical text as
+        :func:`_splice` builds it (the queue splices its checkpoint from
+        the settlement texts it keeps).  The sequencing is crash-safe at
+        every step:
 
         * the new segment is written with ``atomic_write`` (fsync +
           rename + parent-dir fsync), so it is durable before the
@@ -372,11 +449,18 @@ class Journal:
         from ..utils.serialization import _fsync_directory, atomic_write
 
         maybe_fire("serve.compact", phase="begin")
-        data = "".join(_wrap(body) + "\n" for body in bodies).encode("utf-8")
+
+        def write(handle):
+            for body in bodies:
+                line = (_wrap_text(body) if isinstance(body, str)
+                        else _wrap(body))
+                handle.write(line.encode("utf-8"))
+                handle.write(b"\n")
+
         old_segments = segment_paths(self.path)
         new_index = self._active_index + 1
         new_path = "%s.%08d" % (self.path, new_index)
-        atomic_write(new_path, lambda handle: handle.write(data))
+        atomic_write(new_path, write)
         maybe_fire("serve.compact", phase="written")
         self._handle.close()
         self._handle = open(new_path, "a", encoding="utf-8")  # repro: noqa[RES001] append-only journal segment; atomic_write already made the checkpoint head durable

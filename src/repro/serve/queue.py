@@ -10,6 +10,10 @@ accepted-but-unsettled job after a crash yields bytes identical to the
 run that never crashed — replay is *safe* re-execution, and settled
 jobs are never re-executed at all (their results ride in the journal).
 
+A settled job costs the queue the text it answers with and nothing
+more: its settlement's canonical JSON text and a fingerprint of its
+spec, both taken from texts the journal line was built from.
+
 :meth:`JobQueue.compact` folds the whole settled history into one
 ``checkpoint`` record plus re-``accepted`` records for every live job
 (see :meth:`repro.serve.journal.Journal.compact` for the crash-safety
@@ -19,12 +23,42 @@ checkpoint) without weakening any replay guarantee.
 
 from __future__ import annotations
 
+import json
 from collections import OrderedDict
 
 from ..telemetry import get_metrics
-from .journal import Journal, read_journal
+from .journal import (
+    Journal,
+    JournalStats,
+    _canonical,
+    _digest,
+    _replay,
+    _splice,
+)
 
 __all__ = ["JobQueue", "recover"]
+
+
+def _fingerprint(job, payload_text):
+    """What ``accepted`` keeps of a job: its id, kind and client, and a
+    sha256 of its payload's canonical text."""
+    fingerprint = {key: job[key] for key in ("client", "job_id", "kind")
+                   if key in job}
+    fingerprint["payload_sha256"] = _digest(payload_text)
+    return fingerprint
+
+
+def _done_text(result_text):
+    """The canonical text of a ``done`` settlement around its result's."""
+    return _splice({"result": result_text, "status": _canonical("done")})
+
+
+def _checkpoint_fingerprint(spec):
+    """One entry of a checkpoint's ``accepted`` map as a fingerprint; a
+    checkpoint written before fingerprints holds the full job spec."""
+    if "payload_sha256" in spec:
+        return dict(spec)
+    return _fingerprint(spec, _canonical(spec.get("payload")))
 
 
 class JobQueue:
@@ -36,13 +70,18 @@ class JobQueue:
     jobs handed to a dispatcher but not yet settled — still the
     daemon's responsibility (a crash replays them), and still counted
     in :meth:`depth` so admission control sees honest load while the
-    persistent pool works.  ``outcomes`` maps job id -> settlement dict
-    (``{"status": "done", "result": ...}`` or ``{"status": "failed",
-    "reason": ..., "message": ...}``).  ``accepted`` maps every job id
-    ever accepted -> its job spec, regardless of where the job is now —
-    it is how a retried submit of an id the daemon already holds is
-    recognized as the *same* job instead of a duplicate (see
-    :meth:`ReproService._handle_submit`).
+    persistent pool works; the full job lives only there.
+
+    ``outcomes`` maps job id -> the canonical JSON text of its
+    settlement, ``{"result":…,"status":"done"}`` or
+    ``{"message":…,"reason":…,"status":"failed"}``: the text the daemon
+    answers with, spliced from the journal line's own text, never a
+    decoded tree (:meth:`outcome` decodes one).  ``accepted`` maps every
+    job id ever accepted -> its fingerprint ``{"client", "job_id",
+    "kind", "payload_sha256"}``, regardless of where the job is now — it
+    is how a retried submit of an id the daemon already holds is
+    recognized as the *same* job instead of a duplicate
+    (:meth:`same_work`).
     """
 
     def __init__(self, journal):
@@ -70,25 +109,32 @@ class JobQueue:
         if job_id in self.accepted:
             raise ValueError("duplicate job id %r" % job_id)
         self._seq += 1
-        self.journal.append("accepted", fsync=True, seq=self._seq, **job)
+        payload_text = self.journal.append_accepted(job, self._seq)
         self.pending[job_id] = dict(job)
-        self.accepted[job_id] = dict(job)
+        self.accepted[job_id] = _fingerprint(job, payload_text)
         get_metrics().counter("serve.accepted").inc()
         return job_id
 
-    def settle_done(self, job_id, result):
-        """Journal a completed job's result and retire it from pending.
+    def same_work(self, job_id, kind, payload):
+        """Whether accepted ``job_id`` is this work: the same kind and a
+        payload whose canonical text is byte-equal (same sha256)."""
+        prior = self.accepted[job_id]
+        return (prior.get("kind") == kind
+                and prior.get("payload_sha256")
+                == _digest(_canonical(payload)))
 
-        Returns the result's canonical JSON text, encoded once for the
-        journal line; the daemon splices it into its answer to clients
-        waiting on the job.  The text is not kept.
+    def settle_done(self, job_id, result_text):
+        """Journal a completed job and retire it from pending.
+
+        ``result_text`` is the canonical JSON text of the job's result,
+        encoded inside the job.  The journal line and the kept
+        settlement are both spliced around it; it is never decoded.
         """
-        result_text = self.journal.append_done(job_id, result)
+        self.journal.append_done(job_id, result_text)
         self.pending.pop(job_id, None)
         self.taken.pop(job_id, None)
-        self.outcomes[job_id] = {"status": "done", "result": result}
+        self.outcomes[job_id] = _done_text(result_text)
         get_metrics().counter("serve.completed").inc()
-        return result_text
 
     def settle_failed(self, job_id, reason, message=""):
         """Journal a failed job (typed reason) and retire it."""
@@ -96,15 +142,16 @@ class JobQueue:
                             message=message)
         self.pending.pop(job_id, None)
         self.taken.pop(job_id, None)
-        self.outcomes[job_id] = {
-            "status": "failed", "reason": reason, "message": message,
-        }
+        outcome = {"status": "failed", "reason": reason, "message": message}
+        self.outcomes[job_id] = _canonical(outcome)
         get_metrics().counter("serve.failed").inc()
-        return self.outcomes[job_id]
+        return outcome
 
     def outcome(self, job_id):
-        """The settlement for ``job_id``, or None while pending/unknown."""
-        return self.outcomes.get(job_id)
+        """The decoded settlement for ``job_id``, or None while
+        pending/unknown."""
+        text = self.outcomes.get(job_id)
+        return None if text is None else json.loads(text)
 
     def take(self, limit):
         """Dequeue up to ``limit`` jobs (acceptance order) for dispatch.
@@ -130,23 +177,27 @@ class JobQueue:
     def compact(self):
         """Fold the journal into one checkpoint segment.
 
-        The checkpoint carries every settled outcome (with its job spec,
-        so idempotent resubmits still match) and the acceptance counter;
-        live jobs — taken first, then pending, preserving acceptance
-        order — are re-journaled as fresh ``accepted`` records.  Replay
-        of the compacted journal is byte-identical to replay of the
-        uncompacted one.  Returns the new active segment path.
+        The checkpoint carries every settled outcome (with its job's
+        fingerprint, so idempotent resubmits still match) and the
+        acceptance counter; live jobs — taken first, then pending,
+        preserving acceptance order — are re-journaled as fresh
+        ``accepted`` records.  The checkpoint is spliced from the kept
+        settlement texts, so compaction decodes and re-encodes no
+        result.  Replay of the compacted journal is byte-identical to
+        replay of the uncompacted one.  Returns the new active segment
+        path.
         """
-        settled_specs = {
-            job_id: spec for job_id, spec in self.accepted.items()
+        settled = {
+            job_id: fingerprint
+            for job_id, fingerprint in self.accepted.items()
             if job_id in self.outcomes
         }
-        bodies = [{
-            "type": "checkpoint",
-            "seq": self._seq,
+        bodies = [_splice({
+            "accepted": _canonical(settled),
             "outcomes": self.outcomes,
-            "accepted": settled_specs,
-        }]
+            "seq": _canonical(self._seq),
+            "type": _canonical("checkpoint"),
+        })]
         for job in list(self.taken.values()) + list(self.pending.values()):
             bodies.append({"type": "accepted", **job})
         path = self.journal.compact(bodies)
@@ -165,49 +216,57 @@ def recover(journal_path):
     """Rebuild a :class:`JobQueue` from a journal file.
 
     Returns ``(queue, stats)`` where ``stats`` is the
-    :class:`repro.serve.journal.JournalStats` of the replay.  Every
-    verified ``accepted`` record without a matching settlement becomes a
-    pending job again — exactly once, in acceptance order; settled jobs
-    come back as outcomes and are never re-executed.  A ``checkpoint``
-    record resets the rebuild to its recorded state (replay across a
-    compaction is byte-identical to replay of the uncompacted journal).
+    :class:`repro.serve.journal.JournalStats` of the replay: its
+    skipped-line accounting, segments and clean-stop marker.  Its
+    ``records`` stay empty — the journal is replayed one line at a
+    time, and the queue keeps what the records said.  Every verified
+    ``accepted`` record without a matching settlement becomes a pending
+    job again — exactly once, in acceptance order; settled jobs come
+    back as outcomes and are never re-executed.  A ``checkpoint`` record
+    resets the rebuild to its recorded state (replay across a compaction
+    is byte-identical to replay of the uncompacted journal); one written
+    with full job specs in ``accepted`` replays too.
+
+    Results, settlements and payload digests come from the member texts
+    the checksum was computed over, so each line is encoded once, for
+    its checksum.
     """
-    stats = read_journal(journal_path)
-    queue = JobQueue(Journal(journal_path))
-    for body in stats.records:
+    stats = JournalStats()
+    pending, outcomes, accepted, seq = OrderedDict(), {}, {}, 0
+    for body, texts in _replay(journal_path, stats):
         kind = body.get("type")
         if kind == "accepted":
             job = {
                 key: value for key, value in body.items()
                 if key not in ("type", "seq")
             }
-            queue.pending[job["job_id"]] = job
-            queue.accepted[job["job_id"]] = dict(job)
-            queue._seq = max(queue._seq, int(body.get("seq", 0)))
+            pending[job["job_id"]] = job
+            accepted[job["job_id"]] = _fingerprint(
+                job, texts.get("payload", "null"))
+            seq = max(seq, int(body.get("seq", 0)))
         elif kind == "done":
-            queue.pending.pop(body.get("job_id"), None)
-            queue.outcomes[body.get("job_id")] = {
-                "status": "done", "result": body.get("result"),
-            }
+            pending.pop(body.get("job_id"), None)
+            outcomes[body.get("job_id")] = _done_text(
+                texts.get("result", "null"))
         elif kind == "failed":
-            queue.pending.pop(body.get("job_id"), None)
-            queue.outcomes[body.get("job_id")] = {
+            pending.pop(body.get("job_id"), None)
+            outcomes[body.get("job_id")] = _canonical({
                 "status": "failed",
                 "reason": body.get("reason", "?"),
                 "message": body.get("message", ""),
-            }
+            })
         elif kind == "checkpoint":
-            queue.pending.clear()
-            queue.taken.clear()
-            queue.outcomes = {
-                job_id: dict(outcome)
-                for job_id, outcome in (body.get("outcomes") or {}).items()
-            }
-            queue.accepted = {
-                job_id: dict(spec)
+            pending.clear()
+            outcomes = dict(texts["outcomes"]) if body.get("outcomes") else {}
+            accepted = {
+                job_id: _checkpoint_fingerprint(spec)
                 for job_id, spec in (body.get("accepted") or {}).items()
             }
-            queue._seq = max(queue._seq, int(body.get("seq", 0)))
+            seq = max(seq, int(body.get("seq", 0)))
+    # Opened only now: opening for append repairs a torn tail.
+    queue = JobQueue(Journal(journal_path))
+    queue.pending, queue.outcomes, queue.accepted = pending, outcomes, accepted
+    queue._seq = seq
     if queue.pending:
         get_metrics().counter("serve.replayed").inc(len(queue.pending))
     return queue, stats

@@ -11,7 +11,8 @@ socket.  Its reliability contract, end to end:
 * **No job is ever run twice to completion.**  Settlements ride in the
   journal; replay serves recorded results instead of re-executing, and
   a client that lost its ACK can re-submit the same ``job_id`` (same
-  kind/payload) for an idempotent ``ok`` instead of a duplicate error.
+  kind, byte-equal canonical payload) for an idempotent ``ok`` instead
+  of a duplicate error.
 * **No job is accepted that the daemon cannot honor.**  Admission
   control (:mod:`repro.serve.admission`) sheds with a structured
   ``retry_after`` *before* the journal is touched; a shed job was never
@@ -19,19 +20,25 @@ socket.  Its reliability contract, end to end:
 * **Overload and poison jobs degrade, not crash.**  With one worker
   jobs run inline; with more they stream to a supervised
   :class:`~repro.parallel.PersistentPool` that respawns dead or hung
-  workers and re-dispatches their job under the same seed.  A
-  :class:`repro.guard.CircuitBreaker` keyed per job kind settles repeat
-  offenders as ``circuit_open`` failures without dispatching them.
+  workers and re-dispatches their job under the same seed.  A result
+  that JSON cannot encode fails inside its job (``TypeError``), not in
+  the loop.  A :class:`repro.guard.CircuitBreaker` keyed per job kind
+  settles repeat offenders as ``circuit_open`` failures without
+  dispatching them.
 * **The journal stays bounded.**  With ``compact_every`` set, the
   daemon folds settled history into a checkpoint segment every N
   settlements (:meth:`repro.serve.queue.JobQueue.compact`) — crash-safe
   at every step, deferred while degraded.
 * **Settlements are pushed, not polled for.**  A ``result`` request
   carrying ``wait`` seconds on an unsettled job parks its connection in
-  the loop; the settlement is sent the moment it is journaled, spliced
-  around the JSON text the journal line was built from (the result is
-  encoded once).  The wait (at most ``_CONN_TIMEOUT``), a stop, or a
-  full parked set (``max_depth`` connections) answers ``pending``.
+  the loop; the settlement is sent the moment it is journaled.  The
+  wait (at most ``_CONN_TIMEOUT``), a stop, or a full parked set
+  (``max_depth`` connections) answers ``pending``.
+* **A settled job costs its answer, once.**  The result is encoded to
+  canonical JSON inside the job and crosses from a worker as that one
+  string.  The journal line, the kept settlement text and every
+  ``result`` answer are spliced around it; the daemon never decodes it,
+  and keeps each accepted job only as a fingerprint once it settles.
 * **Health is observable.**  The ``health`` verb reports an overall
   ``ok | degraded | draining`` state plus queue depth, journal
   segments/bytes, per-worker liveness, and breaker states.  Repeated
@@ -72,6 +79,7 @@ from ..resilience.faults import maybe_fire
 from ..telemetry import get_metrics, get_tracer
 from ..telemetry.clock import monotonic, wall_time
 from .admission import AdmissionController
+from .journal import _canonical
 from .protocol import (
     ProtocolError,
     error_response,
@@ -250,24 +258,24 @@ class ReproService:
         # The daemon already holds that job, so the retry succeeds —
         # checked before admission, because the job occupies no *new*
         # capacity and a shed here would wrongly tell the client its
-        # accepted job was refused.  A reused id with a different
-        # kind/payload is a genuine conflict and stays an error.
+        # accepted job was refused.  A reused id with a different kind
+        # or a payload whose canonical text differs is a genuine
+        # conflict and stays an error.
         requested_id = request.get("job_id")
         if requested_id is not None:
-            prior = self.queue.accepted.get(str(requested_id))
-            if prior is not None:
-                if (prior.get("kind") == kind
-                        and prior.get("payload") == (request.get("payload")
-                                                     or {})):
-                    return ok_response(
-                        job_id=str(requested_id),
-                        position=self.queue.depth(),
-                        duplicate=True,
-                    )
-                return error_response(
-                    "job id %r already used with a different kind/payload"
-                    % str(requested_id)
+            requested_id = str(requested_id)
+        if requested_id in self.queue.accepted:
+            if self.queue.same_work(requested_id, kind,
+                                    request.get("payload") or {}):
+                return ok_response(
+                    job_id=requested_id,
+                    position=self.queue.depth(),
+                    duplicate=True,
                 )
+            return error_response(
+                "job id %r already used with a different kind/payload"
+                % requested_id
+            )
         shed = self.admission.admit(
             client, self.queue.depth(),
             stopping=self._stop_requested is not None,
@@ -301,24 +309,23 @@ class ReproService:
     def _unsettled(self, job_id):
         return job_id in self.queue.pending or job_id in self.queue.taken
 
-    def _result_response(self, job_id, result_text=None):
+    def _result_response(self, job_id):
         """The answer to a ``result`` request for ``job_id``, now.
 
-        ``result_text`` is the canonical JSON of the job's ``done`` result
-        as the journal line just encoded it; the answer is then spliced
-        around it, byte-identical to the frame ``write_message`` would
-        encode from the dict, without encoding the result again.
+        A settled job's answer is its kept settlement text with
+        ``"job_id"`` spliced in front — the first key in sorted order —
+        so the frame is byte-identical to the one ``write_message``
+        would encode from the decoded settlement, and nothing is
+        encoded or decoded again.
         """
-        outcome = self.queue.outcome(job_id)
-        if outcome is None:
+        text = self.queue.outcomes.get(job_id)
+        if text is None:
             if self._unsettled(job_id):
                 return {"status": "pending", "job_id": job_id,
                         "depth": self.queue.depth()}
             return {"status": "not_found", "job_id": job_id}
-        if result_text is not None:
-            return ('{"job_id":%s,"result":%s,"status":"done"}'
-                    % (json.dumps(job_id), result_text)).encode("utf-8")
-        return {"job_id": job_id, **outcome}
+        return ('{"job_id":%s,%s'
+                % (json.dumps(job_id), text[1:])).encode("utf-8")
 
     def _health_state(self):
         if self._stop_requested is not None:
@@ -485,14 +492,14 @@ class ReproService:
         )
         return True
 
-    def _wake(self, job_id, result_text=None):
+    def _wake(self, job_id):
         """Answer every connection parked on ``job_id``, whose settlement
-        was just journaled (``result_text``: see :meth:`_result_response`)."""
+        was just journaled."""
         waiting = [entry for entry in self._parked if entry[1] == job_id]
         if not waiting:
             return
         self._parked = [entry for entry in self._parked if entry[1] != job_id]
-        response = self._result_response(job_id, result_text)
+        response = self._result_response(job_id)
         for _, _, conn in waiting:
             self._send(conn, response)
 
@@ -510,14 +517,21 @@ class ReproService:
     # Dispatch
 
     def _run_job(self, job, _seed):
+        """Execute ``job``; returns its result's canonical JSON text.
+
+        The encode happens here, inside the job (inline or on a worker),
+        so only the text crosses back, and a result that JSON cannot
+        encode fails this job (``TypeError``) instead of the daemon's
+        loop.
+        """
         maybe_fire("serve.dispatch", job_id=job["job_id"], kind=job["kind"])
-        return self.router.dispatch(job)
+        return _canonical(self.router.dispatch(job))
 
     def _settle_outcome(self, job, outcome):
         """Journal one job's settlement, answer its parked clients, and
-        release its admission slot."""
+        release its admission slot.  ``outcome`` is the result text from
+        :meth:`_run_job`, a ``TaskFailure``, or a ``_CircuitOpen``."""
         job_id = job["job_id"]
-        result_text = None
         self.heartbeats[job["kind"]] = round(wall_time(), 3)
         self.heartbeats["worker"] = round(wall_time(), 3)
         if isinstance(outcome, _CircuitOpen):
@@ -537,10 +551,10 @@ class ReproService:
                 get_tracer().event("serve.breaker_opened",
                                    kind=job["kind"], signature=opened)
         else:
-            result_text = self.queue.settle_done(job_id, outcome)
+            self.queue.settle_done(job_id, outcome)
             self.counters["completed"] += 1
             self._death_streak = 0
-        self._wake(job_id, result_text)
+        self._wake(job_id)
         self._settled_since_compact += 1
         client = self._client_of.pop(job_id, job.get("client"))
         if client is not None:

@@ -644,6 +644,22 @@ class TestReportCLI:
             ({"git_sha": "bbb222", "cpu_count": 2}, 0),
         ]
 
+    @pytest.mark.parametrize("names", [["missing.json"],
+                                       ["good.json", "bad.json"]])
+    def test_ingest_bench_fails_cleanly_on_a_bad_record(
+            self, names, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good.json").write_text(
+            json.dumps(perfbench_record(20.0, 0.3, "aaa111")))
+        (tmp_path / "bad.json").write_text('{"workloads": ')
+        assert report_main(["ingest-bench", "--store", "S.sqlite",
+                            *names]) == 2
+        out, err = capsys.readouterr()
+        assert "ingested" not in out
+        assert err.startswith("repro-report: error: ")
+        assert names[-1] in err
+        assert not (tmp_path / "S.sqlite").exists()
+
     def test_options_may_follow_the_positional_arguments(self, tmp_path,
                                                          capsys):
         path = str(tmp_path / "evals.sqlite")

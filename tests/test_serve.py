@@ -29,6 +29,7 @@ from repro.serve import (
     segment_paths,
     write_message,
 )
+from repro.serve.journal import _canonical, _digest
 from repro.telemetry import monotonic
 
 
@@ -311,7 +312,8 @@ class TestQueueCompaction:
             queue.accept(_job("j%d" % i, payload={"n": i}))
         taken = queue.take(4)
         for job in taken[:3]:
-            queue.settle_done(job["job_id"], {"ok": job["job_id"]})
+            queue.settle_done(job["job_id"],
+                              _canonical({"ok": job["job_id"]}))
         queue.settle_failed(taken[3]["job_id"], "boom", "err")
         reference_outcomes = dict(queue.outcomes)
         queue.compact()
@@ -347,10 +349,15 @@ class TestQueueCompaction:
         queue.compact()
         queue.close()
         recovered, _ = recover(path)
-        # Generated ids keep counting past the checkpoint, and the spec
-        # of a settled job still answers idempotent resubmits.
+        # Generated ids keep counting past the checkpoint, and the
+        # fingerprint of a settled job still answers idempotent resubmits.
         assert recovered._seq == 1
-        assert recovered.accepted["job-00000001"]["payload"] == {"x": 1}
+        assert recovered.accepted["job-00000001"] == {
+            "client": "t", "job_id": "job-00000001", "kind": "echo",
+            "payload_sha256": _digest(_canonical({"x": 1})),
+        }
+        assert recovered.same_work("job-00000001", "echo", {"x": 1})
+        assert not recovered.same_work("job-00000001", "echo", {"x": 2})
         recovered.close()
 
     def test_repeated_compaction_keeps_journal_bounded(self, tmp_path):
@@ -361,7 +368,7 @@ class TestQueueCompaction:
             for i in range(10):
                 job_id = "r%d-j%d" % (round_index, i)
                 queue.accept(_job(job_id))
-                queue.settle_done(job_id, {"ok": job_id})
+                queue.settle_done(job_id, _canonical({"ok": job_id}))
             queue.compact()
             sizes.append(queue.journal.size_bytes())
         queue.close()
@@ -396,7 +403,7 @@ class TestQueueRecovery:
         queue = JobQueue(Journal(path))
         queue.accept(_job("j1"))
         queue.accept(_job("j2"))
-        queue.settle_done("j1", {"answer": 42})
+        queue.settle_done("j1", _canonical({"answer": 42}))
         queue.settle_failed("j2", "RuntimeError", "boom")
         queue.close()
         recovered, _ = recover(path)
@@ -433,10 +440,12 @@ class TestQueueRecovery:
         queue.settle_done("j2", 1)
         queue.close()
         recovered, _ = recover(path)
-        # Both the pending and the settled job keep their specs, so a
-        # lost-ACK retry can be recognized across a restart.
-        assert recovered.accepted["j1"]["payload"] == {"x": 1}
-        assert "j2" in recovered.accepted
+        # Both the pending and the settled job keep their fingerprints,
+        # so a lost-ACK retry can be recognized across a restart.
+        assert recovered.accepted["j1"]["payload_sha256"] == _digest(
+            _canonical({"x": 1}))
+        assert recovered.same_work("j1", "echo", {"x": 1})
+        assert recovered.same_work("j2", "echo", {})
         recovered.close()
 
     def test_take_preserves_acceptance_order(self, tmp_path):
@@ -733,7 +742,8 @@ class TestServiceHandlers:
         # Settle only j-keep... dispatch runs both; emulate a crash that
         # lands between the two settlements instead: settle j-done alone.
         first.queue.take(2)
-        first.queue.settle_done("j-done", {"seed": job_seed("j-done")})
+        first.queue.settle_done("j-done",
+                                _canonical({"seed": job_seed("j-done")}))
         first.queue.close()  # SIGKILL: j-keep accepted but unsettled
 
         second = _service(tmp_path, router=router)
@@ -853,7 +863,7 @@ class TestServiceHealth:
         # A completed job resets the streak; the next sweep exits.
         service._handle_submit({"kind": "echo", "client": "a"})
         job = service.queue.take(1)[0]
-        service._settle_outcome(job, {"ok": 1})
+        service._settle_outcome(job, _canonical({"ok": 1}))
         service._supervise(FakePool())
         assert not service._degraded
         assert service.health()["health"] == "ok"

@@ -113,12 +113,51 @@ class TestJournalSplice:
                                                     result):
         path = tmp_path / "journal.jsonl"
         with Journal(path) as journal:
-            result_text = journal.append_done(job_id, result)
+            journal.append_done(job_id, _canonical(result))
         body = {"type": "done", "job_id": job_id, "result": result}
         line = path.read_text(encoding="utf-8")
         assert line == _old_wrap(body) + "\n"
         assert line.startswith('{"body":%s,"sha256":' % _canonical(body))
-        assert result_text == _canonical(result)
+
+    @pytest.mark.parametrize(
+        "body", [body for body in _BODIES if body["type"] == "accepted"],
+        ids=lambda body: body["job_id"])
+    def test_append_accepted_splices_the_canonical_body(self, tmp_path,
+                                                        body):
+        path = tmp_path / "journal.jsonl"
+        job = {key: value for key, value in body.items()
+               if key not in ("type", "seq")}
+        with Journal(path) as journal:
+            payload_text = journal.append_accepted(job, body["seq"])
+        assert path.read_text(encoding="utf-8") == _old_wrap(body) + "\n"
+        assert payload_text == _canonical(body["payload"])
+
+    def test_spliced_checkpoint_is_byte_identical_to_its_encoding(
+            self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        queue = JobQueue(Journal(path))
+        job_ids = ["jé-中文", 'q"uo\\te\'s', "plain", "☃ live"]
+        for job_id in job_ids:
+            queue.accept({"job_id": job_id, "kind": "echo", "client": "café",
+                          "payload": {'k"ey': job_id}})
+        queue.settle_done(job_ids[0], _canonical(
+            {"x": [float("nan"), -float("inf")], "s": "☃\\"}))
+        queue.settle_failed(job_ids[1], "RuntimeError", 'boom "quoted"')
+        queue.settle_done(job_ids[2], _canonical([]))
+        queue.compact()
+        queue.close()
+        (segment,) = queue.journal.segments()
+        with open(segment, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert len(lines) == 2  # the checkpoint and the live job
+        for line in lines:
+            assert line == _old_wrap(json.loads(line)["body"])
+        checkpoint = json.loads(lines[0])["body"]
+        assert sorted(checkpoint["outcomes"]) == sorted(job_ids[:3])
+        assert checkpoint["accepted"][job_ids[1]] == {
+            "client": "café", "job_id": job_ids[1], "kind": "echo",
+            "payload_sha256": _digest(_canonical({'k"ey': job_ids[1]})),
+        }
 
     def test_journal_written_through_the_splice_replays_clean(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -126,7 +165,7 @@ class TestJournalSplice:
         for index, job_id in enumerate(("jé", 'q"1', "plain")):
             queue.accept({"job_id": job_id, "kind": "echo",
                           "payload": {"i": index}})
-        queue.settle_done("jé", {"x": [float("inf")], "s": "☃"})
+        queue.settle_done("jé", _canonical({"x": [float("inf")], "s": "☃"}))
         queue.settle_failed('q"1', "RuntimeError", 'boom "quoted"')
         queue.mark_stop()
         queue.close()
@@ -137,9 +176,10 @@ class TestJournalSplice:
         ]
         replayed, _ = recover(path)
         assert list(replayed.pending) == ["plain"]
-        assert replayed.outcomes["jé"] == {
+        assert replayed.outcome("jé") == {
             "status": "done", "result": {"x": [float("inf")], "s": "☃"},
         }
+        assert replayed.outcomes == queue.outcomes
         replayed.close()
 
     def test_corrupt_fault_tears_the_spliced_done_append(self, tmp_path):
@@ -149,7 +189,7 @@ class TestJournalSplice:
                     when={"record": "done"})
         with inject_faults(plan), Journal(path) as journal:
             journal.append("accepted", fsync=True, job_id="j1", kind="echo")
-            journal.append_done("j1", {"big": list(range(50))})
+            journal.append_done("j1", _canonical({"big": list(range(50))}))
         assert not path.read_bytes().endswith(b"\n")
         stats = read_journal(path)
         assert [r["type"] for r in stats.records] == ["accepted"]
@@ -180,13 +220,17 @@ def _long_poll(service, job_id, wait=5.0):
 class TestParkedResults:
     def test_spliced_done_frame_equals_the_encoded_frame(self, tmp_path):
         service = _service(tmp_path)
-        job_id = 'café "1"'
+        job_id, failed_id = 'café "1"', "jé-中"
         _accept(service, job_id)
+        _accept(service, failed_id)
         result = {"x": [float("nan"), -float("inf")], "s": "☃\\"}
-        result_text = service.queue.settle_done(job_id, result)
-        spliced = service._result_response(job_id, result_text)
-        assert isinstance(spliced, bytes)
-        assert _frame(spliced) == _frame(service._result_response(job_id))
+        service.queue.settle_done(job_id, _canonical(result))
+        service.queue.settle_failed(failed_id, "TypeError", 'not "JSON"')
+        for settled in (job_id, failed_id):
+            spliced = service._result_response(settled)
+            assert isinstance(spliced, bytes)
+            encoded = {"job_id": settled, **service.queue.outcome(settled)}
+            assert _frame(spliced) == _frame(encoded)
         service.queue.close()
 
     def test_parked_connection_is_answered_after_the_journal_append(
@@ -198,13 +242,13 @@ class TestParkedResults:
         journaled = []
         append_done = service.queue.journal.append_done
 
-        def spy(job_id, result):
+        def spy(job_id, result_text):
             assert not conn.sent, "answered before the journal append"
             journaled.append(job_id)
-            return append_done(job_id, result)
+            return append_done(job_id, result_text)
 
         service.queue.journal.append_done = spy
-        service._settle_outcome(job, {"echo": {"x": 1}})
+        service._settle_outcome(job, _canonical({"echo": {"x": 1}}))
         assert journaled == ["j1"]
         assert conn.closed
         assert conn.response() == {"status": "done", "job_id": "j1",
@@ -218,7 +262,7 @@ class TestParkedResults:
         _accept(service, "j2")
         first, second = _long_poll(service, "j1"), _long_poll(service, "j1")
         other = _long_poll(service, "j2")
-        service._settle_outcome(job, {"ok": 1})
+        service._settle_outcome(job, _canonical({"ok": 1}))
         assert first.response() == second.response()
         assert first.response()["status"] == "done"
         assert not other.sent and len(service._parked) == 1
@@ -233,7 +277,7 @@ class TestParkedResults:
         for wait in (0, -1.0, "soon", float("nan")):
             answer = _long_poll(service, "j2", wait=wait).response()
             assert answer["status"] == "pending"
-        service._settle_outcome(job, {"ok": 1})
+        service._settle_outcome(job, _canonical({"ok": 1}))
         assert _long_poll(service, "j1").response()["status"] == "done"
         assert service._parked == []
         service.queue.close()
@@ -282,7 +326,7 @@ class TestParkedResults:
                 events.append(name)
 
         monkeypatch.setattr("repro.serve.service.get_tracer", Tracer)
-        service._settle_outcome(job, {"ok": 1})
+        service._settle_outcome(job, _canonical({"ok": 1}))
         assert events == ["serve.conn_error"]
         assert conn.closed
         assert service.queue.outcome("j1")["status"] == "done"
