@@ -144,29 +144,35 @@ def phase1_fingerprint(config, loss_name):
 
 
 def _train_phase1_attempt(config, loss_name, attempt=None):
-    """One phase-1 training trial (possibly a seed-bumped retry)."""
+    """One phase-1 training trial (possibly a seed-bumped retry).
+
+    Traced as ``phase1.setup`` (dataset, model, loss and optimiser),
+    the trainer's ``phase1`` and ``extract`` spans, and one more
+    ``extract`` span for the test-set features.
+    """
     index = 0 if attempt is None else attempt.index
     seed_offset = 0 if attempt is None else attempt.seed_offset
     lr_scale = 1.0 if attempt is None else attempt.lr_scale
     max_seconds = None if attempt is None else attempt.max_seconds
     report_phase("phase1:%s/%s" % (config.dataset, loss_name))
     maybe_fire("phase1.trial", loss=loss_name, attempt=index)
-    model, train, test, info = _make_model_and_data(
-        config, rng_offset=seed_offset
-    )
-    loss = build_loss(
-        loss_name,
-        class_counts=info["train_counts"],
-        **_loss_kwargs(config, loss_name),
-    )
-    optimizer = SGD(
-        model.parameters(),
-        lr=config.lr * lr_scale,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-    )
-    trainer = ThreePhaseTrainer(model, loss, optimizer, sampler=None)
-    transform = standard_augmentation() if config.augment else None
+    with get_tracer().span("phase1.setup", loss=loss_name):
+        model, train, test, info = _make_model_and_data(
+            config, rng_offset=seed_offset
+        )
+        loss = build_loss(
+            loss_name,
+            class_counts=info["train_counts"],
+            **_loss_kwargs(config, loss_name),
+        )
+        optimizer = SGD(
+            model.parameters(),
+            lr=config.lr * lr_scale,
+            momentum=config.momentum,
+            weight_decay=config.weight_decay,
+        )
+        trainer = ThreePhaseTrainer(model, loss, optimizer, sampler=None)
+        transform = standard_augmentation() if config.augment else None
     start = monotonic()
     trainer.train_phase1(
         train,
@@ -178,7 +184,8 @@ def _train_phase1_attempt(config, loss_name, attempt=None):
     )
     train_seconds = monotonic() - start
     train_emb = trainer.extract_embeddings(train)
-    test_emb = extract_features(model, test.images)
+    with get_tracer().span("extract", n_images=int(test.images.shape[0])):
+        test_emb = extract_features(model, test.images)
     baseline = evaluate_predictions(
         test.labels, _head_predictions(model, test_emb), test.num_classes
     )

@@ -150,7 +150,8 @@ class ServeClient:
 
     def result(self, job_id):
         """The raw settlement response (``done``/``failed``/``pending``/
-        ``not_found``)."""
+        ``not_found``, or ``error`` when a settled job's journal line no
+        longer verifies)."""
         return self.request({"verb": "result", "job_id": job_id})
 
     def wait(self, job_id, timeout=30.0, poll=0.05):
@@ -164,8 +165,11 @@ class ServeClient:
         (the daemon's parked set was full, or it has no long-poll), so
         the loop never spins.
 
-        Raises ``TimeoutError`` if it does not settle in time and
-        :class:`ServeError` if the daemon does not know the job.
+        Raises ``TimeoutError`` if it does not settle in time, and
+        :class:`ServeError` carrying the response on any answer other
+        than a settlement or ``pending``: the daemon does not know the
+        job (``not_found``) or cannot answer for it (``error``, say a
+        settled job whose journal line no longer verifies).
         """
         deadline = monotonic() + timeout
         response = self.result(job_id)
@@ -173,7 +177,7 @@ class ServeClient:
             status = response.get("status")
             if status in ("done", "failed"):
                 return response
-            if status == "not_found":
+            if status != "pending":
                 raise ServeError(response)
             left = deadline - monotonic()
             if left <= 0.0:

@@ -7,8 +7,8 @@ job the client saw accepted exists on disk even if the daemon is
 SIGKILLed in the very next instruction.
 
 Each line is ``{"sha256": <hex>, "body": {...}}`` where the digest
-covers the canonical (sorted, compact) serialization of ``body`` —
-the same discipline as the artifact sidecars in
+covers the canonical (sorted, compact, ASCII) serialization of
+``body`` — the same discipline as the artifact sidecars in
 :mod:`repro.utils.serialization`, inlined per record because a journal
 is one growing file, not a set of immutable artifacts.  On replay:
 
@@ -16,11 +16,11 @@ is one growing file, not a set of immutable artifacts.  On replay:
   does not verify — the shape a crash mid-append leaves) is skipped
   silently: the transition it described never completed, which is
   exactly what the write-ahead contract promises;
-* opening the journal for append *repairs* a torn tail first: a
-  partial final line (no trailing newline) is truncated away, so the
-  recovered daemon's next record — which may be a fsynced, ACKed
-  ``accepted`` — starts on its own physical line instead of fusing
-  with the garbage and getting skipped on the *next* replay;
+* the next record after a torn one starts on its own physical line:
+  opening the journal for append truncates a partial final line away,
+  and so does the first append after a torn one in the same life, so
+  a record written next — which may be a fsynced, ACKed ``accepted`` —
+  never fuses with the garbage and gets skipped on the *next* replay;
 * a corrupt record *before* valid ones (bit rot, manual edits) is
   skipped with a counted warning so a damaged journal still recovers
   every verifiable job.
@@ -33,22 +33,27 @@ Record body types (``body["type"]``):
 ``done`` / ``failed``
     Settlement, including the result payload (``done``) or the typed
     reason (``failed``).  Results ride in the journal so a replayed
-    daemon serves them without re-execution.
+    daemon serves them without re-execution; the daemon keeps only a
+    :class:`Locator` of each ``done`` line and reads the result back
+    from it (:func:`read_done`), verifying the line's checksum first.
 ``stop``
     Clean-shutdown marker: a restart after a drained SIGTERM knows the
     previous life exited on purpose.
 ``checkpoint``
-    Compaction summary: every settled outcome (with its job's
-    fingerprint — id, kind, client and a sha256 of the payload) plus
-    the acceptance sequence counter, folded into one record.  Replay
-    treats a checkpoint as a reset — it supersedes everything before
-    it, so dropping the pre-checkpoint segments loses nothing.
+    Compaction summary: the fingerprint of every settled job (id, kind,
+    client and a sha256 of the payload), the ``failed`` settlements,
+    and the acceptance sequence counter.  The ``done`` lines of its
+    settled results follow it, each byte-identical to the line it was
+    copied from.  Replay treats a checkpoint as a reset — it supersedes
+    everything before it, so dropping the pre-checkpoint segments loses
+    nothing.
 
 Bodies are written by splicing canonical texts the caller already has
-(a ``done`` result, an ``accepted`` payload, the queue's settlement
-texts) into the body's text, byte-identical to encoding the decoded
-body.  :func:`_replay` hands the same member texts back, built once for
-the checksum, so nothing is encoded twice either way.
+(a ``done`` result, an ``accepted`` payload, the queue's ``failed``
+settlements) into the body's text, byte-identical to encoding the
+decoded body.  Replay checks a line's digest over its body bytes as
+written; a canonical ``done`` line is then located, not decoded, so a
+replay holds one line in memory at a time and no result beyond it.
 
 Segments and compaction
 -----------------------
@@ -57,8 +62,10 @@ wrote) plus numbered successors ``<base>.00000001``, ``.00000002`` ...
 Appends always go to the highest-numbered segment.  :meth:`Journal.compact`
 bounds the on-disk size without ever risking the write-ahead contract:
 
-1. compose a fresh segment — one ``checkpoint`` record followed by one
-   ``accepted`` record per still-live (pending or in-flight) job;
+1. compose a fresh segment — one ``checkpoint`` record, one ``done``
+   line per settled result, then one ``accepted`` record per
+   still-live (pending or in-flight) job — streamed one record at a
+   time;
 2. write it with :func:`repro.utils.serialization.atomic_write`
    (temp file + fsync + rename + parent-dir fsync), so the new head is
    durable *before* anything else changes;
@@ -85,8 +92,26 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import namedtuple
 
-__all__ = ["Journal", "JournalStats", "read_journal", "segment_paths"]
+__all__ = ["Journal", "JournalStats", "Locator", "read_done", "read_journal",
+           "segment_paths"]
+
+#: Where one ``done`` line sits: its segment's path, the byte offset of
+#: the line in it, and the line's length without its newline.
+Locator = namedtuple("Locator", ("segment", "offset", "length"))
+
+#: A journal line is ``{"body":<body>,"sha256":"<64 hex>"}``: the body
+#: sits between this head and the fixed-length seal.
+_HEAD = b'{"body":'
+_SEAL = b',"sha256":"'
+_TRAILER = len(_SEAL) + 64 + len(b'"}')
+
+#: A canonical ``done`` body is ``{"job_id":"<id>","result":<R>,
+#: "type":"done"}`` (sorted keys); these pieces frame its id and result.
+_DONE_HEAD = b'{"job_id":"'
+_DONE_RESULT = b'","result":'
+_DONE_TAIL = b',"type":"done"}'
 
 
 def _canonical(body):
@@ -113,22 +138,11 @@ def _splice(texts):
     )
 
 
-def _member_texts(body):
-    """The canonical text of each member of ``body`` (key -> text).
-
-    Each value is encoded once.  A checkpoint's ``outcomes`` are split
-    one level further (job id -> outcome text), since the queue keeps
-    every settlement as its text.
-    """
-    texts = {}
-    for key, value in body.items():
-        if (key == "outcomes" and body.get("type") == "checkpoint"
-                and isinstance(value, dict)):
-            texts[key] = {job_id: _canonical(outcome)
-                          for job_id, outcome in value.items()}
-        else:
-            texts[key] = _canonical(value)
-    return texts
+def _done_body(job_id, result_text):
+    """The canonical text of a ``done`` body, spliced around the
+    canonical text of its result."""
+    return _splice({"job_id": _canonical(job_id), "result": result_text,
+                    "type": _canonical("done")})
 
 
 def _wrap_text(text):
@@ -147,22 +161,92 @@ def _wrap(body):
     return _wrap_text(_canonical(body))
 
 
+def _line_end(line):
+    """Length of the ``bytes`` line without its newline."""
+    return len(line) - 1 if line.endswith(b"\n") else len(line)
+
+
+def _body_stop(line):
+    """Where the body of journal ``line`` (bytes) ends, when its bytes
+    hash to the line's digest as written; None otherwise.
+
+    Such a line is canonical as written, so its offset and length locate
+    exactly the bytes its checksum vouches for, and nothing needs
+    re-encoding to check it.
+    """
+    end = _line_end(line)
+    stop = end - _TRAILER
+    if (stop <= len(_HEAD) or not line.startswith(_HEAD)
+            or not line.startswith(_SEAL, stop)
+            or not line.startswith(b'"}', end - 2)):
+        return None
+    digest = hashlib.sha256(memoryview(line)[len(_HEAD):stop]).hexdigest()
+    if line[stop + len(_SEAL):end - 2] != digest.encode("ascii"):
+        return None
+    return stop
+
+
+def _done_result(line, stop):
+    """``(job_id, start)`` of a canonical ``done`` body ending at
+    ``stop``, its result text being ``line[start:stop - len(_DONE_TAIL)]``;
+    None for any other body.
+
+    The id is the JSON string that opens the body.  A quote inside a JSON
+    string is always escaped, so the first ``","result":`` after the
+    opening quote is the string's close.  The result is sliced, not
+    parsed: the checksum, not a decode, vouches for its bytes.
+    """
+    open_quote = len(_HEAD) + len(_DONE_HEAD) - 1
+    if (not line.startswith(_DONE_HEAD, len(_HEAD))
+            or not line.endswith(_DONE_TAIL, 0, stop)):
+        return None
+    close = line.find(_DONE_RESULT, open_quote + 1, stop)
+    if close < 0:
+        return None
+    try:
+        job_id = json.loads(line[open_quote:close + 1])
+    except ValueError:
+        return None
+    return job_id, close + len(_DONE_RESULT)
+
+
+def read_done(locator, job_id):
+    """``job_id``'s ``done`` line at ``locator`` and its result text.
+
+    Returns ``(line, result)``: the line's bytes (no newline) and a
+    memoryview of the result's canonical text inside them.  None when the
+    segment is gone or the bytes there no longer verify as that job's
+    ``done`` line — a reader never gets unverified bytes.
+    """
+    try:
+        with open(locator.segment, "rb", buffering=0) as handle:
+            line = os.pread(handle.fileno(), locator.length, locator.offset)
+    except OSError:
+        return None
+    stop = _body_stop(line) if len(line) == locator.length else None
+    done = None if stop is None else _done_result(line, stop)
+    if done is None or done[0] != job_id:
+        return None
+    return line, memoryview(line)[done[1]:stop - len(_DONE_TAIL)]
+
+
 def segment_paths(path):
     """Every on-disk segment of ``path``'s journal, oldest first.
 
     The base path itself is segment 0 (the only segment PR-7 journals
     ever had); compaction adds numbered successors ``<base>.00000001``
-    and so on.  Missing files simply do not appear — a fresh journal
-    returns an empty list.
+    and so on, named the way :meth:`Journal.compact` names them.
+    Missing files simply do not appear — a fresh journal returns an
+    empty list.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
+    directory = os.path.dirname(path)
     base = os.path.basename(path)
     found = []
     if os.path.exists(path):
         found.append((0, path))
     try:
-        names = os.listdir(directory)
+        names = os.listdir(directory or ".")
     except FileNotFoundError:
         names = []
     prefix = base + "."
@@ -200,22 +284,41 @@ def read_journal(path):
     record resets the replay — it supersedes every earlier record, which
     is what makes compaction's delete-after-durable sequencing safe at
     any crash point.
+
+    ``records`` are the logical records: the ``done`` lines a compaction
+    writes after its checkpoint (one per job the checkpoint lists as
+    settled) are folded back into the checkpoint's ``outcomes``, so a
+    compacted journal reads as one checkpoint plus what came after it.
+    Every result is decoded; :func:`repro.serve.queue.recover` is the
+    replay that keeps none.
     """
     stats = JournalStats()
-    for body, _ in _replay(path, stats):
-        if body.get("type") == "checkpoint":
+    checkpoint = None
+    for body, _ in _replay(path, stats, results=True):
+        kind = body.get("type")
+        if kind == "checkpoint":
             stats.records = []
+            checkpoint = body
+        elif (kind == "done" and checkpoint is not None
+              and body.get("job_id") in (checkpoint.get("accepted") or {})):
+            outcomes = checkpoint.setdefault("outcomes", {})
+            outcomes[body["job_id"]] = {"status": "done",
+                                        "result": body.get("result")}
+            continue
         stats.records.append(body)
     return stats
 
 
-def _replay(path, stats):
-    """Yield ``(body, texts)`` for each verified record of ``path``'s
+def _replay(path, stats, results=False):
+    """Yield ``(body, locator)`` for each verified record of ``path``'s
     journal, oldest first, one line in memory at a time.
 
-    ``texts`` holds the body's member texts (:func:`_member_texts`), the
-    pieces its checksum was computed over.  Skipped lines, segments,
-    bytes and the clean-stop marker are counted into ``stats`` (a
+    ``locator`` is the :class:`Locator` of a ``done`` line that is
+    canonical as written, whose result :func:`read_done` can read back;
+    its ``body`` then holds only ``type`` and ``job_id`` unless
+    ``results`` asks for the result decoded too.  Any other record
+    yields its decoded body and None.  Skipped lines, segments, bytes
+    and the clean-stop marker are counted into ``stats`` (a
     :class:`JournalStats`), complete once the generator is exhausted;
     its ``records`` are left to the caller, which must itself treat a
     ``checkpoint`` as a reset.
@@ -229,22 +332,33 @@ def _replay(path, stats):
         except OSError:  # repro: noqa[RES002] segment unlinked by a concurrent compaction; its records were already superseded
             pass
         bad_lines = []
-        position, line = -1, ""
-        with open(segment, "r", encoding="utf-8", errors="replace") as handle:
-            for position, line in enumerate(handle):
-                verified = _verify_line(line)
+        position, offset, ended = -1, 0, True
+        with open(segment, "rb") as handle:
+            while True:
+                line = handle.readline()
+                if not line:
+                    break
+                position += 1
+                verified = _verify_line(line, results)
                 if verified is None:
                     bad_lines.append(position)
-                    continue
-                kind = verified[0].get("type")
-                if kind == "checkpoint":
-                    stats.clean_stop = False
-                elif kind == "stop":
-                    stats.clean_stop = True
-                yield verified
+                else:
+                    body, located = verified
+                    kind = body.get("type")
+                    if kind == "checkpoint":
+                        stats.clean_stop = False
+                    elif kind == "stop":
+                        stats.clean_stop = True
+                    yield body, (Locator(segment, offset, _line_end(line))
+                                 if located else None)
+                offset += len(line)
+                ended = line.endswith(b"\n")
+                # Dropped before the next readline, which builds the
+                # next line from chunks: one line in memory, not two.
+                line = None
         # A well-formed segment ends with a newline; anything else is a
         # partial append.
-        torn = position >= 0 and not line.endswith("\n")
+        torn = not ended
         if bad_lines:
             if final_segment and bad_lines[-1] == position:
                 torn = True
@@ -260,29 +374,32 @@ def _replay(path, stats):
                 stats.corrupt += 1
 
 
-def _verify_line(line):
-    """Decode + checksum one journal line.
+def _verify_line(line, results):
+    """Checksum one journal line (``bytes``).
 
-    Returns ``(body, texts)``, with ``texts`` the body's member texts
-    the checksum was computed over, or None when the line does not
-    verify.
+    Returns ``(body, located)``, or None when the line does not verify.
+    A line whose body bytes hash to its digest as written needs no
+    re-encoding; if it is a canonical ``done`` line and ``results`` is
+    false, its result is not decoded either (``body`` holds ``type`` and
+    ``job_id``) and ``located`` is True.  Any other line is decoded and
+    its body re-encoded for the check, the way a non-canonical writer's
+    line must be.
     """
-    line = line.strip()
-    if not line:
-        return None
+    stop = _body_stop(line)
+    if stop is not None and not results:
+        done = _done_result(line, stop)
+        if done is not None:
+            return {"type": "done", "job_id": done[0]}, True
     try:
         wrapper = json.loads(line)
-    except json.JSONDecodeError:
+    except ValueError:
         return None
-    if not isinstance(wrapper, dict):
-        return None
-    body = wrapper.get("body")
+    body = wrapper.get("body") if isinstance(wrapper, dict) else None
     if not isinstance(body, dict):
         return None
-    texts = _member_texts(body)
-    if wrapper.get("sha256") != _digest(_splice(texts)):
+    if stop is None and wrapper.get("sha256") != _digest(_canonical(body)):
         return None
-    return body, texts
+    return body, False
 
 
 def _repair_torn_tail(path):
@@ -336,7 +453,10 @@ class Journal:
     re-executes a deterministic job on replay, it never loses or
     duplicates an acknowledged acceptance.
 
-    Appends go to the newest segment (see :func:`segment_paths`);
+    Appends go to the newest segment (see :func:`segment_paths`), whose
+    size the journal tracks, so each append knows the :class:`Locator`
+    of the line it wrote.  A torn append (the ``corrupt`` fault) leaves
+    its bytes until the next append, which cuts them first.
     :meth:`compact` rolls the family over to a fresh checkpoint segment.
     """
 
@@ -350,6 +470,8 @@ class Journal:
         self._active_index = self._index_of(self.active_path)
         _repair_torn_tail(self.active_path)
         self._handle = open(self.active_path, "a", encoding="utf-8")  # repro: noqa[RES001] write-ahead journals are append-only by design; every record is checksummed and replay skips a torn tail
+        self._size = os.path.getsize(self.active_path)
+        self._torn = False
 
     def _index_of(self, segment):
         if segment == self.path:
@@ -397,44 +519,61 @@ class Journal:
 
     def append_done(self, job_id, result_text):
         """Write a ``done`` record around ``result_text``, the canonical
-        JSON text of the job's result.
+        JSON text of the job's result; returns the line's
+        :class:`Locator`, or None when the append was torn.
 
         The body is spliced around the text, not encoded, so the line is
         byte-identical to ``append("done", job_id=..., result=...)`` of
         the decoded result.
         """
-        self._append_text(
-            _splice({"job_id": _canonical(job_id), "result": result_text,
-                     "type": _canonical("done")}),
-            "done", job_id,
-        )
+        return self._append_text(_done_body(job_id, result_text), "done",
+                                 job_id)
 
     def _append_text(self, text, record_type, job_id, fsync=False):
-        """Append the line wrapping canonical body ``text``."""
+        """Append the line wrapping canonical body ``text``; returns its
+        :class:`Locator`, or None for a torn append."""
         from ..resilience.faults import maybe_fire
 
         line = _wrap_text(text)
         fired = maybe_fire("serve.journal", record=record_type, job_id=job_id)
+        if self._torn:
+            # Cut the torn record, as _repair_torn_tail does at open, so
+            # this one starts on its own line instead of fusing with it.
+            self._handle.flush()
+            os.ftruncate(self._handle.fileno(), self._size)
+            self._torn = False
         if fired == "corrupt":
             # Model a torn append: half the record reaches the disk.
             self._handle.write(line[: max(1, len(line) // 2)])
             self._handle.flush()
-            return
+            self._torn = True
+            return None
         self._handle.write(line + "\n")
         self._handle.flush()
         if fsync:
             os.fsync(self._handle.fileno())
+        # Canonical text is ASCII (json escapes the rest), so its length
+        # is its size on disk, known without encoding a copy.
+        locator = Locator(self.active_path, self._size,
+                          len(line) if line.isascii()
+                          else len(line.encode("utf-8")))
+        self._size += locator.length + 1
+        return locator
 
-    def compact(self, bodies):
-        """Roll the journal over to a fresh segment holding ``bodies``.
+    def compact(self, records):
+        """Roll the journal over to a fresh segment holding ``records``.
 
-        ``bodies`` is the complete replacement state — normally one
-        ``checkpoint`` record followed by re-``accepted`` records for
-        every still-live job (:meth:`repro.serve.queue.JobQueue.compact`
-        composes it).  Each body is a dict, or its canonical text as
-        :func:`_splice` builds it (the queue splices its checkpoint from
-        the settlement texts it keeps).  The sequencing is crash-safe at
-        every step:
+        ``records`` is the complete replacement state, in order —
+        normally one ``checkpoint`` record, the ``done`` line of every
+        settled result and re-``accepted`` records for every still-live
+        job (:meth:`repro.serve.queue.JobQueue.compact` composes it).
+        Each record is a body dict, a body's canonical text as
+        :func:`_splice` builds it, or a whole journal line as ``bytes``
+        (no newline), written as it is.  ``records`` may be a generator:
+        it is consumed once, one record in memory at a time, while the
+        old segments are still in place; an exception it raises leaves
+        the journal untouched.  The sequencing is crash-safe at every
+        step:
 
         * the new segment is written with ``atomic_write`` (fsync +
           rename + parent-dir fsync), so it is durable before the
@@ -443,29 +582,38 @@ class Journal:
           replay's checkpoint-reset makes leftover old segments
           harmless if the unlink never happens.
 
-        Returns the new active segment path.
+        Returns the :class:`Locator` of each line written, in order.
         """
         from ..resilience.faults import maybe_fire
         from ..utils.serialization import _fsync_directory, atomic_write
 
         maybe_fire("serve.compact", phase="begin")
-
-        def write(handle):
-            for body in bodies:
-                line = (_wrap_text(body) if isinstance(body, str)
-                        else _wrap(body))
-                handle.write(line.encode("utf-8"))
-                handle.write(b"\n")
-
         old_segments = segment_paths(self.path)
         new_index = self._active_index + 1
         new_path = "%s.%08d" % (self.path, new_index)
+        placed = []
+
+        def write(handle):
+            offset = 0
+            for record in records:
+                if isinstance(record, bytes):
+                    line = record
+                else:
+                    line = (_wrap_text(record) if isinstance(record, str)
+                            else _wrap(record)).encode("utf-8")
+                handle.write(line)
+                handle.write(b"\n")
+                placed.append(Locator(new_path, offset, len(line)))
+                offset += len(line) + 1
+
         atomic_write(new_path, write)
         maybe_fire("serve.compact", phase="written")
         self._handle.close()
         self._handle = open(new_path, "a", encoding="utf-8")  # repro: noqa[RES001] append-only journal segment; atomic_write already made the checkpoint head durable
         self.active_path = new_path
         self._active_index = new_index
+        self._size = os.path.getsize(new_path)
+        self._torn = False
         maybe_fire("serve.compact", phase="switched")
         for old in old_segments:
             if old == new_path:
@@ -478,7 +626,7 @@ class Journal:
                 pass
         directory = os.path.dirname(self.path)
         _fsync_directory(directory if directory else ".")
-        return new_path
+        return placed
 
     def close(self):
         if self._handle is not None:

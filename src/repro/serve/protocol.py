@@ -29,7 +29,10 @@ Requests are ``{"verb": ..., ...}`` objects; responses always carry a
 ``not_found``
     A ``result`` query for an unknown job id.
 ``error``
-    The request was malformed or the daemon is stopping.
+    The request was malformed or the daemon is stopping, or a
+    ``result`` query named a settled job whose journal line no longer
+    verifies (the daemon never answers with unverified bytes; the
+    response carries the ``job_id``).
 """
 
 from __future__ import annotations

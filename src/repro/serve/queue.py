@@ -10,15 +10,19 @@ accepted-but-unsettled job after a crash yields bytes identical to the
 run that never crashed — replay is *safe* re-execution, and settled
 jobs are never re-executed at all (their results ride in the journal).
 
-A settled job costs the queue the text it answers with and nothing
-more: its settlement's canonical JSON text and a fingerprint of its
-spec, both taken from texts the journal line was built from.
+A settled job costs the queue a fingerprint of its spec and a
+:class:`~repro.serve.journal.Locator` of its ``done`` line: the result
+itself lives in the journal and is read back, checksum first, when a
+client asks for it.  Only ``failed`` settlements, which are small, and
+results the journal cannot locate (a torn append, a line that verifies
+only after re-encoding, an older checkpoint) are kept as text.
 
-:meth:`JobQueue.compact` folds the whole settled history into one
-``checkpoint`` record plus re-``accepted`` records for every live job
-(see :meth:`repro.serve.journal.Journal.compact` for the crash-safety
-sequencing), which bounds the on-disk journal to O(live jobs +
-checkpoint) without weakening any replay guarantee.
+:meth:`JobQueue.compact` rewrites the journal as one ``checkpoint``
+record, the ``done`` line of every settled result (copied one at a
+time) and re-``accepted`` records for every live job (see
+:meth:`repro.serve.journal.Journal.compact` for the crash-safety
+sequencing), which bounds the journal's record count to O(live jobs +
+settled results) without weakening any replay guarantee.
 """
 
 from __future__ import annotations
@@ -30,13 +34,21 @@ from ..telemetry import get_metrics
 from .journal import (
     Journal,
     JournalStats,
+    Locator,
     _canonical,
     _digest,
+    _done_body,
     _replay,
     _splice,
+    read_done,
 )
 
 __all__ = ["JobQueue", "recover"]
+
+#: A ``done`` settlement's canonical text is ``{"result":<R>,"status":
+#: "done"}`` (sorted keys): these open and close the result's text.
+_DONE_OPEN = '{"result":'
+_DONE_CLOSE = ',"status":"done"}'
 
 
 def _fingerprint(job, payload_text):
@@ -50,7 +62,7 @@ def _fingerprint(job, payload_text):
 
 def _done_text(result_text):
     """The canonical text of a ``done`` settlement around its result's."""
-    return _splice({"result": result_text, "status": _canonical("done")})
+    return "%s%s%s" % (_DONE_OPEN, result_text, _DONE_CLOSE)
 
 
 def _checkpoint_fingerprint(spec):
@@ -59,6 +71,10 @@ def _checkpoint_fingerprint(spec):
     if "payload_sha256" in spec:
         return dict(spec)
     return _fingerprint(spec, _canonical(spec.get("payload")))
+
+
+class _Unreadable(Exception):
+    """A settled result's ``done`` line no longer verifies."""
 
 
 class JobQueue:
@@ -72,16 +88,17 @@ class JobQueue:
     in :meth:`depth` so admission control sees honest load while the
     persistent pool works; the full job lives only there.
 
-    ``outcomes`` maps job id -> the canonical JSON text of its
-    settlement, ``{"result":…,"status":"done"}`` or
-    ``{"message":…,"reason":…,"status":"failed"}``: the text the daemon
-    answers with, spliced from the journal line's own text, never a
-    decoded tree (:meth:`outcome` decodes one).  ``accepted`` maps every
-    job id ever accepted -> its fingerprint ``{"client", "job_id",
-    "kind", "payload_sha256"}``, regardless of where the job is now — it
-    is how a retried submit of an id the daemon already holds is
-    recognized as the *same* job instead of a duplicate
-    (:meth:`same_work`).
+    ``outcomes`` maps job id -> where its settlement is: for ``done``,
+    the :class:`~repro.serve.journal.Locator` of its journal line; for
+    ``failed``, and for a result the journal cannot locate, the
+    settlement's canonical text (``{"message":…,"reason":…,"status":
+    "failed"}`` or ``{"result":…,"status":"done"}``).  :meth:`settlement`
+    gives the text either way and :meth:`outcome` decodes it.
+    ``accepted`` maps every job id ever accepted -> its fingerprint
+    ``{"client", "job_id", "kind", "payload_sha256"}``, regardless of
+    where the job is now — it is how a retried submit of an id the
+    daemon already holds is recognized as the *same* job instead of a
+    duplicate (:meth:`same_work`).
     """
 
     def __init__(self, journal):
@@ -127,13 +144,15 @@ class JobQueue:
         """Journal a completed job and retire it from pending.
 
         ``result_text`` is the canonical JSON text of the job's result,
-        encoded inside the job.  The journal line and the kept
-        settlement are both spliced around it; it is never decoded.
+        encoded inside the job.  The journal line is spliced around it
+        and the queue keeps the line's locator, not the text; only a
+        torn append, which leaves no line to locate, keeps the text.
         """
-        self.journal.append_done(job_id, result_text)
+        locator = self.journal.append_done(job_id, result_text)
         self.pending.pop(job_id, None)
         self.taken.pop(job_id, None)
-        self.outcomes[job_id] = _done_text(result_text)
+        self.outcomes[job_id] = (locator if locator is not None
+                                 else _done_text(result_text))
         get_metrics().counter("serve.completed").inc()
 
     def settle_failed(self, job_id, reason, message=""):
@@ -147,10 +166,23 @@ class JobQueue:
         get_metrics().counter("serve.failed").inc()
         return outcome
 
+    def settlement(self, job_id):
+        """The canonical text of ``job_id``'s settlement.
+
+        None while the job is pending or unknown, and when its ``done``
+        line no longer verifies (the segment is gone or its bytes
+        changed): never unverified bytes.
+        """
+        kept = self.outcomes.get(job_id)
+        if not isinstance(kept, Locator):
+            return kept
+        done = read_done(kept, job_id)
+        return None if done is None else _done_text(str(done[1], "utf-8"))
+
     def outcome(self, job_id):
         """The decoded settlement for ``job_id``, or None while
-        pending/unknown."""
-        text = self.outcomes.get(job_id)
+        pending/unknown or unreadable (see :meth:`settlement`)."""
+        text = self.settlement(job_id)
         return None if text is None else json.loads(text)
 
     def take(self, limit):
@@ -174,35 +206,68 @@ class JobQueue:
         self.pending[job["job_id"]] = job
         self.pending.move_to_end(job["job_id"], last=False)
 
+    def _done_record(self, job_id):
+        """The journal record of settled result ``job_id`` for a
+        compaction: its ``done`` line's bytes, read back and verified,
+        or a ``done`` body spliced from a result kept as text."""
+        kept = self.outcomes[job_id]
+        if isinstance(kept, Locator):
+            done = read_done(kept, job_id)
+            if done is None:
+                raise _Unreadable(job_id)
+            return done[0]
+        return _done_body(job_id, kept[len(_DONE_OPEN):-len(_DONE_CLOSE)])
+
     def compact(self):
         """Fold the journal into one checkpoint segment.
 
-        The checkpoint carries every settled outcome (with its job's
-        fingerprint, so idempotent resubmits still match) and the
-        acceptance counter; live jobs — taken first, then pending,
+        The checkpoint carries the fingerprint of every settled job (so
+        idempotent resubmits still match), the ``failed`` settlements
+        and the acceptance counter.  The ``done`` line of each settled
+        result follows it, copied from the old segment byte for byte,
+        one in memory at a time; live jobs — taken first, then pending,
         preserving acceptance order — are re-journaled as fresh
-        ``accepted`` records.  The checkpoint is spliced from the kept
-        settlement texts, so compaction decodes and re-encodes no
-        result.  Replay of the compacted journal is byte-identical to
-        replay of the uncompacted one.  Returns the new active segment
-        path.
+        ``accepted`` records after that.  Locators move to the new
+        segment once it is durable.  Replay of the compacted journal is
+        byte-identical to replay of the uncompacted one.
+
+        Returns the new active segment path, or None when a result's
+        ``done`` line no longer verifies: copying it would lose the job,
+        so the journal is left as it was.
         """
+        failed, results = {}, []
+        for job_id, kept in self.outcomes.items():
+            if isinstance(kept, Locator) or kept.endswith(_DONE_CLOSE):
+                results.append(job_id)
+            else:
+                failed[job_id] = kept
         settled = {
             job_id: fingerprint
             for job_id, fingerprint in self.accepted.items()
             if job_id in self.outcomes
         }
-        bodies = [_splice({
+        checkpoint = _splice({
             "accepted": _canonical(settled),
-            "outcomes": self.outcomes,
+            "outcomes": failed,
             "seq": _canonical(self._seq),
             "type": _canonical("checkpoint"),
-        })]
-        for job in list(self.taken.values()) + list(self.pending.values()):
-            bodies.append({"type": "accepted", **job})
-        path = self.journal.compact(bodies)
+        })
+        live = list(self.taken.values()) + list(self.pending.values())
+
+        def records():
+            yield checkpoint
+            for job_id in results:
+                yield self._done_record(job_id)
+            for job in live:
+                yield {"type": "accepted", **job}
+
+        try:
+            placed = self.journal.compact(records())
+        except _Unreadable:
+            return None
+        self.outcomes.update(zip(results, placed[1:]))
         get_metrics().counter("serve.compactions").inc()
-        return path
+        return self.journal.active_path
 
     def mark_stop(self):
         """Journal the clean-shutdown marker (fsynced)."""
@@ -223,17 +288,20 @@ def recover(journal_path):
     ``accepted`` record without a matching settlement becomes a pending
     job again — exactly once, in acceptance order; settled jobs come
     back as outcomes and are never re-executed.  A ``checkpoint`` record
-    resets the rebuild to its recorded state (replay across a compaction
-    is byte-identical to replay of the uncompacted journal); one written
-    with full job specs in ``accepted`` replays too.
+    resets the rebuild to its recorded state, and the ``done`` lines
+    after it settle its results (replay across a compaction is
+    byte-identical to replay of the uncompacted journal).
 
-    Results, settlements and payload digests come from the member texts
-    the checksum was computed over, so each line is encoded once, for
-    its checksum.
+    A ``done`` line that is canonical as written comes back as its
+    locator, its result neither decoded nor kept; one that verifies only
+    after re-encoding keeps its settlement text.  Older checkpoints
+    replay too — results embedded in ``outcomes``, or full job specs in
+    ``accepted`` — with their results kept as text until the next
+    compaction writes them out as ``done`` lines.
     """
     stats = JournalStats()
     pending, outcomes, accepted, seq = OrderedDict(), {}, {}, 0
-    for body, texts in _replay(journal_path, stats):
+    for body, locator in _replay(journal_path, stats):
         kind = body.get("type")
         if kind == "accepted":
             job = {
@@ -242,12 +310,13 @@ def recover(journal_path):
             }
             pending[job["job_id"]] = job
             accepted[job["job_id"]] = _fingerprint(
-                job, texts.get("payload", "null"))
+                job, _canonical(job.get("payload")))
             seq = max(seq, int(body.get("seq", 0)))
         elif kind == "done":
             pending.pop(body.get("job_id"), None)
-            outcomes[body.get("job_id")] = _done_text(
-                texts.get("result", "null"))
+            outcomes[body.get("job_id")] = (
+                locator if locator is not None
+                else _done_text(_canonical(body.get("result"))))
         elif kind == "failed":
             pending.pop(body.get("job_id"), None)
             outcomes[body.get("job_id")] = _canonical({
@@ -257,7 +326,10 @@ def recover(journal_path):
             })
         elif kind == "checkpoint":
             pending.clear()
-            outcomes = dict(texts["outcomes"]) if body.get("outcomes") else {}
+            outcomes = {
+                job_id: _canonical(outcome)
+                for job_id, outcome in (body.get("outcomes") or {}).items()
+            }
             accepted = {
                 job_id: _checkpoint_fingerprint(spec)
                 for job_id, spec in (body.get("accepted") or {}).items()

@@ -28,17 +28,23 @@ socket.  Its reliability contract, end to end:
 * **The journal stays bounded.**  With ``compact_every`` set, the
   daemon folds settled history into a checkpoint segment every N
   settlements (:meth:`repro.serve.queue.JobQueue.compact`) — crash-safe
-  at every step, deferred while degraded.
+  at every step, deferred while degraded, streamed one result at a
+  time, and skipped (event ``serve.compact_refused``) while a result's
+  journal line no longer verifies, since copying it would lose the job.
 * **Settlements are pushed, not polled for.**  A ``result`` request
   carrying ``wait`` seconds on an unsettled job parks its connection in
   the loop; the settlement is sent the moment it is journaled.  The
   wait (at most ``_CONN_TIMEOUT``), a stop, or a full parked set
   (``max_depth`` connections) answers ``pending``.
-* **A settled job costs its answer, once.**  The result is encoded to
+* **A settled job costs a locator.**  The result is encoded to
   canonical JSON inside the job and crosses from a worker as that one
-  string.  The journal line, the kept settlement text and every
-  ``result`` answer are spliced around it; the daemon never decodes it,
-  and keeps each accepted job only as a fingerprint once it settles.
+  string.  The journal line and the answers to clients parked on the
+  job are spliced around it, and then the daemon drops it: it keeps the
+  job's fingerprint and the locator of its ``done`` line.  A later
+  ``result`` reads that line back and checks its checksum; a line that
+  no longer verifies answers ``error`` naming the job, never unverified
+  bytes, and a restart re-executes the job.  ``failed`` settlements are
+  small and stay as text.
 * **Health is observable.**  The ``health`` verb reports an overall
   ``ok | degraded | draining`` state plus queue depth, journal
   segments/bytes, per-worker liveness, and breaker states.  Repeated
@@ -88,7 +94,7 @@ from .protocol import (
     retry_after_response,
     write_message,
 )
-from .queue import recover
+from .queue import _done_text, recover
 from .router import default_router, job_seed
 
 __all__ = ["ReproService", "ServiceAlreadyRunning"]
@@ -112,6 +118,15 @@ class ServiceAlreadyRunning(RuntimeError):
 
 def _breaker_key(kind):
     return "serve/%s" % kind
+
+
+def _settled_frame(job_id, text):
+    """The ``result`` answer for a job settled as canonical ``text``:
+    ``"job_id"`` spliced in front — the first key in sorted order — so
+    the frame is byte-identical to the one ``write_message`` would
+    encode from the decoded settlement, and nothing is encoded or
+    decoded again."""
+    return ('{"job_id":%s,%s' % (json.dumps(job_id), text[1:])).encode("utf-8")
 
 
 def _close_quietly(conn):
@@ -312,20 +327,22 @@ class ReproService:
     def _result_response(self, job_id):
         """The answer to a ``result`` request for ``job_id``, now.
 
-        A settled job's answer is its kept settlement text with
-        ``"job_id"`` spliced in front — the first key in sorted order —
-        so the frame is byte-identical to the one ``write_message``
-        would encode from the decoded settlement, and nothing is
-        encoded or decoded again.
+        A settled job's answer is its settlement text, read back from
+        the journal for a ``done`` job (:meth:`JobQueue.settlement`),
+        with ``"job_id"`` spliced in front (:func:`_settled_frame`).  A
+        ``done`` line that no longer verifies answers ``error``.
         """
-        text = self.queue.outcomes.get(job_id)
-        if text is None:
+        if job_id not in self.queue.outcomes:
             if self._unsettled(job_id):
                 return {"status": "pending", "job_id": job_id,
                         "depth": self.queue.depth()}
             return {"status": "not_found", "job_id": job_id}
-        return ('{"job_id":%s,%s'
-                % (json.dumps(job_id), text[1:])).encode("utf-8")
+        text = self.queue.settlement(job_id)
+        if text is None:
+            return error_response(
+                "the journal line holding the result of job %r no longer "
+                "verifies" % job_id, job_id=job_id)
+        return _settled_frame(job_id, text)
 
     def _health_state(self):
         if self._stop_requested is not None:
@@ -492,14 +509,16 @@ class ReproService:
         )
         return True
 
-    def _wake(self, job_id):
+    def _wake(self, job_id, result_text=None):
         """Answer every connection parked on ``job_id``, whose settlement
-        was just journaled."""
+        was just journaled; a ``done`` job is answered from
+        ``result_text``, its result's canonical text, still in hand."""
         waiting = [entry for entry in self._parked if entry[1] == job_id]
         if not waiting:
             return
         self._parked = [entry for entry in self._parked if entry[1] != job_id]
-        response = self._result_response(job_id)
+        response = (self._result_response(job_id) if result_text is None
+                    else _settled_frame(job_id, _done_text(result_text)))
         for _, _, conn in waiting:
             self._send(conn, response)
 
@@ -530,8 +549,11 @@ class ReproService:
     def _settle_outcome(self, job, outcome):
         """Journal one job's settlement, answer its parked clients, and
         release its admission slot.  ``outcome`` is the result text from
-        :meth:`_run_job`, a ``TaskFailure``, or a ``_CircuitOpen``."""
+        :meth:`_run_job`, a ``TaskFailure``, or a ``_CircuitOpen``; a
+        result text answers the parked clients and is then dropped (the
+        queue keeps its journal line's locator)."""
         job_id = job["job_id"]
+        result_text = None
         self.heartbeats[job["kind"]] = round(wall_time(), 3)
         self.heartbeats["worker"] = round(wall_time(), 3)
         if isinstance(outcome, _CircuitOpen):
@@ -554,7 +576,8 @@ class ReproService:
             self.queue.settle_done(job_id, outcome)
             self.counters["completed"] += 1
             self._death_streak = 0
-        self._wake(job_id)
+            result_text = outcome
+        self._wake(job_id, result_text)
         self._settled_since_compact += 1
         client = self._client_of.pop(job_id, job.get("client"))
         if client is not None:
@@ -680,6 +703,10 @@ class ReproService:
             return False
         path = self.queue.compact()
         self._settled_since_compact -= self.compact_every
+        if path is None:
+            get_tracer().event("serve.compact_refused",
+                               settled=len(self.queue.outcomes))
+            return False
         self.counters["compactions"] += 1
         get_tracer().event(
             "serve.compacted", segment=os.path.basename(path),

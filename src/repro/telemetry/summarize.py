@@ -15,9 +15,11 @@ import json
 
 __all__ = ["load_trace", "summarize_trace", "render_trace_report"]
 
-#: Span names contributing to each of the paper's three phases.
+#: Span names contributing to each of the paper's three phases
+#: (``phase1.setup`` builds the dataset, model and optimiser that
+#: phase-1 training runs on).
 PHASE_SPANS = {
-    "phase1": ("phase1",),
+    "phase1": ("phase1", "phase1.setup"),
     "phase2": ("extract", "resample", "sampler.fit_resample"),
     "phase3": ("finetune",),
 }

@@ -193,6 +193,30 @@ class TestJournal:
         assert [r["type"] for r in stats.records] == ["accepted"]
         assert stats.torn_tail
 
+    def test_append_after_a_torn_append_starts_a_fresh_line(self, tmp_path):
+        # A torn done append, then an ACKed acceptance in the same life:
+        # the acceptance must not fuse with the torn bytes, or replay
+        # reads the fused line as the torn tail and loses the job.
+        path = tmp_path / "journal.jsonl"
+        plan = FaultPlan()
+        plan.inject("serve.journal", action="corrupt",
+                    when={"record": "done"})
+        queue = JobQueue(Journal(path))
+        queue.accept(_job("j1"))
+        with inject_faults(plan):
+            queue.settle_done("j1", _canonical({"ok": 1}))
+        assert not path.read_bytes().endswith(b"\n")
+        queue.accept(_job("j2"))
+        # The torn settlement left no line to locate: its text is kept.
+        assert queue.outcome("j1") == {"status": "done", "result": {"ok": 1}}
+        queue.close()
+        stats = read_journal(path)
+        assert [r["job_id"] for r in stats.records] == ["j1", "j2"]
+        assert not stats.torn_tail and stats.corrupt == 0
+        recovered, _ = recover(path)
+        assert list(recovered.pending) == ["j1", "j2"]
+        recovered.close()
+
 
 # ----------------------------------------------------------------------
 # Journal segments + compaction
@@ -258,6 +282,24 @@ class TestJournalSegments:
             "checkpoint", "accepted",
         ]
 
+    def test_bare_file_name_reopens_after_compaction(self, tmp_path,
+                                                     monkeypatch):
+        # A journal named without a directory: its numbered segments
+        # must be named the way compaction names them, or reopening the
+        # compacted journal cannot parse the segment index.
+        monkeypatch.chdir(tmp_path)
+        queue = JobQueue(Journal("journal.jsonl"))
+        queue.accept(_job("j1"))
+        queue.settle_done("j1", _canonical({"ok": 1}))
+        queue.compact()
+        queue.close()
+        assert segment_paths("journal.jsonl") == ["journal.jsonl.00000001"]
+        recovered, _ = recover("journal.jsonl")
+        assert recovered.outcome("j1")["result"] == {"ok": 1}
+        recovered.accept(_job("j2"))
+        recovered.close()
+        assert segment_paths("journal.jsonl") == ["journal.jsonl.00000001"]
+
     def test_stray_tmp_files_are_not_segments(self, tmp_path):
         # atomic_write temp files (journal.jsonl.XXXX.tmp) from a crash
         # mid-compaction must never be replayed as segments.
@@ -315,12 +357,17 @@ class TestQueueCompaction:
             queue.settle_done(job["job_id"],
                               _canonical({"ok": job["job_id"]}))
         queue.settle_failed(taken[3]["job_id"], "boom", "err")
-        reference_outcomes = dict(queue.outcomes)
+        reference = {job_id: queue.settlement(job_id)
+                     for job_id in queue.outcomes}
         queue.compact()
         queue.accept(_job("j9"))
         queue.close()
         recovered, stats = recover(path)
-        assert recovered.outcomes == reference_outcomes
+        # Settlements read back byte-identical; the locators the live
+        # queue moved to the new segment are the ones replay finds.
+        assert {job_id: recovered.settlement(job_id)
+                for job_id in recovered.outcomes} == reference
+        assert recovered.outcomes == queue.outcomes
         # Live jobs — the untaken pending ones plus the new accept —
         # replay in acceptance order; settled ones never re-pend.
         assert list(recovered.pending) == ["j4", "j5", "j9"]
@@ -413,6 +460,32 @@ class TestQueueRecovery:
         }
         assert recovered.outcome("j2")["reason"] == "RuntimeError"
         recovered.close()
+
+    def test_done_line_verified_by_re_encoding_keeps_its_text(self,
+                                                              tmp_path):
+        # A done line whose bytes are not canonical (spaces after the
+        # separators) verifies only once decoded and re-encoded, so it
+        # cannot be located: its settlement is kept as text until a
+        # compaction writes it out canonically.
+        path = tmp_path / "journal.jsonl"
+        with Journal(path) as journal:
+            journal.append("accepted", fsync=True, job_id="j1", kind="echo",
+                           client="t", payload={})
+        body = {"type": "done", "job_id": "j1", "result": {"ok": [1, 2.5]}}
+        with open(path, "a", encoding="utf-8") as handle:  # repro: noqa[RES001] writing a non-canonical journal line on purpose
+            handle.write(json.dumps({"sha256": _digest(_canonical(body)),
+                                     "body": body}) + "\n")
+        recovered, stats = recover(path)
+        assert stats.corrupt == 0 and not recovered.pending
+        expected = '{"result":{"ok":[1,2.5]},"status":"done"}'
+        assert recovered.outcomes["j1"] == expected
+        assert recovered.settlement("j1") == expected
+        recovered.compact()
+        recovered.close()
+        again, _ = recover(path)
+        assert not isinstance(again.outcomes["j1"], str)
+        assert again.settlement("j1") == expected
+        again.close()
 
     def test_duplicate_job_id_rejected(self, tmp_path):
         queue = JobQueue(Journal(tmp_path / "journal.jsonl"))

@@ -144,20 +144,35 @@ class TestJournalSplice:
             {"x": [float("nan"), -float("inf")], "s": "☃\\"}))
         queue.settle_failed(job_ids[1], "RuntimeError", 'boom "quoted"')
         queue.settle_done(job_ids[2], _canonical([]))
+        with open(path, encoding="utf-8") as handle:
+            done_lines = [line for line in handle.read().splitlines()
+                          if json.loads(line)["body"]["type"] == "done"]
+        settled = {job_id: queue.settlement(job_id)
+                   for job_id in job_ids[:3]}
         queue.compact()
         queue.close()
         (segment,) = queue.journal.segments()
         with open(segment, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-        assert len(lines) == 2  # the checkpoint and the live job
+        # The checkpoint, the two results' done lines copied byte for
+        # byte, and the live job.
+        assert len(lines) == 4
         for line in lines:
             assert line == _old_wrap(json.loads(line)["body"])
+        assert lines[1:3] == done_lines
+        assert json.loads(lines[3])["body"]["job_id"] == job_ids[3]
         checkpoint = json.loads(lines[0])["body"]
-        assert sorted(checkpoint["outcomes"]) == sorted(job_ids[:3])
+        assert sorted(checkpoint["outcomes"]) == [job_ids[1]]
+        assert sorted(checkpoint["accepted"]) == sorted(job_ids[:3])
         assert checkpoint["accepted"][job_ids[1]] == {
             "client": "café", "job_id": job_ids[1], "kind": "echo",
             "payload_sha256": _digest(_canonical({'k"ey': job_ids[1]})),
         }
+        recovered, _ = recover(path)
+        assert {job_id: recovered.settlement(job_id)
+                for job_id in job_ids[:3]} == settled
+        assert list(recovered.pending) == [job_ids[3]]
+        recovered.close()
 
     def test_journal_written_through_the_splice_replays_clean(self, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -1,23 +1,35 @@
-"""What a settled job costs the daemon: the text of its answer, once.
+"""What a settled job costs the daemon: a locator into its journal.
 
-The daemon keeps each settlement as the canonical JSON text its journal
-line and its ``result`` answers are spliced from, and each accepted job
-as a fingerprint (id, kind, client, payload sha256).  These tests pin
-that the bytes a client and the journal see did not change, that the
-heap grows by about one answer per settled job, that older checkpoints
-still replay, and that a result that JSON cannot encode settles as a
-failure instead of killing the loop.
+The daemon keeps each settled ``done`` job as the locator of its
+journal line, reading the result back (checksum first) when a client
+asks for it, and each accepted job as a fingerprint (id, kind, client,
+payload sha256).  These tests pin that the bytes a client and the
+journal see did not change, that the heap stays flat per settled job
+and through the restart of a compacted journal, that compaction and
+restart answer with the same bytes, that a damaged line answers
+``error`` and re-executes after a restart, that older checkpoints still
+replay, and that a result that JSON cannot encode settles as a failure
+instead of killing the loop.
 """
 
 import gc
 import hashlib
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.serve import Journal, default_router
+from repro.serve import (
+    Journal,
+    ServeClient,
+    ServeError,
+    default_router,
+    read_journal,
+    recover,
+)
+from repro.serve.journal import _canonical, _digest
 
 from .test_serve import _close_service, _drain_service
 from .test_serve_push import _Conn, _frame, _service
@@ -101,18 +113,23 @@ def test_pinned_sequence_writes_the_same_journal_and_frames(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Heap: one answer per settled job
+# Heap: a locator per settled job, and lean restarts
 # ----------------------------------------------------------------------
-def test_heap_grows_by_about_one_answer_per_settled_job(tmp_path):
+def _run_resample(service, index, payload):
+    """Submit, run and ask for one resample job; the result frame."""
+    job_id = "mem-%02d" % index
+    _ask(service, {"verb": "submit", "kind": "resample", "client": "m",
+                   "job_id": job_id, "payload": payload})
+    _drain_service(service, index + 1)
+    return _ask(service, {"verb": "result", "job_id": job_id})
+
+
+def test_settled_job_costs_the_heap_a_locator_not_its_answer(tmp_path):
     service = _service(tmp_path)
     payload = _resample_payload(0)
 
     def run_one(index):
-        job_id = "mem-%02d" % index
-        _ask(service, {"verb": "submit", "kind": "resample", "client": "m",
-                       "job_id": job_id, "payload": payload})
-        _drain_service(service, index + 1)
-        return len(_ask(service, {"verb": "result", "job_id": job_id}))
+        return len(_run_resample(service, index, payload))
 
     tracemalloc.start()
     try:
@@ -126,9 +143,182 @@ def test_heap_grows_by_about_one_answer_per_settled_job(tmp_path):
     finally:
         tracemalloc.stop()
         service.queue.close()
-    # What stays per job is its settlement text: the frame less its job
-    # id and length prefix.
-    assert grown / len(frame_bytes) <= 1.25 * max(frame_bytes)
+    # What stays per job is its fingerprint and the locator of its done
+    # line, not its ~140 KB answer (which read 1.0x a frame when kept).
+    assert min(frame_bytes) > 100_000
+    assert grown / len(frame_bytes) <= 2048
+
+
+def _compacted_resample_journal(tmp_path, jobs):
+    """A journal of ``jobs`` settled resample jobs, compacted; returns
+    the result frames the uncompacted daemon answered with."""
+    service = _service(tmp_path)
+    payload = _resample_payload(0)
+    frames = {"mem-%02d" % index: _run_resample(service, index, payload)
+              for index in range(jobs)}
+    assert service.queue.compact() is not None
+    service.queue.close()
+    return frames
+
+
+def test_recovering_a_compacted_journal_holds_one_result_at_a_time(
+        tmp_path):
+    frames = _compacted_resample_journal(tmp_path, 50)
+    recover(tmp_path / "journal.jsonl")[0].close()  # warm imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        queue, stats = recover(tmp_path / "journal.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.segments == 1 and stats.corrupt == 0
+    assert len(queue.outcomes) == 50 and not queue.pending
+    queue.close()
+    # The checkpoint was 8x its results' text when it embedded them.
+    assert peak <= 3 * max(len(frame) for frame in frames.values())
+
+
+# ----------------------------------------------------------------------
+# Compaction and restart answer with the same bytes
+# ----------------------------------------------------------------------
+_MIXED = [
+    ("mix-resample", "resample", _resample_payload(1)),
+    ("mix-echo", "echo", {"text": "naïve ☃", "n": [1, 2.5, None]}),
+    ("mix-fail", "fail", {"message": 'poison "quoted" ☃'}),
+    ("mix-empty", "echo", {}),
+]
+
+
+def _settle_mixed(service):
+    """Run ``_MIXED``; the ``result`` frame of each job."""
+    for settled, (job_id, kind, payload) in enumerate(_MIXED, 1):
+        _ask(service, {"verb": "submit", "kind": kind, "client": "mix",
+                       "job_id": job_id, "payload": payload})
+        _drain_service(service, settled)
+    return {job_id: _ask(service, {"verb": "result", "job_id": job_id})
+            for job_id, _, _ in _MIXED}
+
+
+def _assert_answers(service, frames):
+    """Each job answers its frame byte for byte; a same-work resubmit
+    is a duplicate and a different-work one a conflict."""
+    for job_id, kind, payload in _MIXED:
+        assert _ask(service, {"verb": "result", "job_id": job_id}) == \
+            frames[job_id]
+        again = _answer(_ask(service, {
+            "verb": "submit", "kind": kind, "client": "mix",
+            "job_id": job_id, "payload": payload}))
+        assert again["status"] == "ok" and again["duplicate"] is True
+        other = _answer(_ask(service, {
+            "verb": "submit", "kind": kind, "client": "mix",
+            "job_id": job_id, "payload": {"other": True}}))
+        assert other["status"] == "error"
+        assert "different kind/payload" in other["message"]
+    assert service.queue.depth() == 0  # no resubmit queued new work
+
+
+def test_compaction_and_restart_answer_with_the_same_bytes(tmp_path):
+    service = _service(tmp_path)
+    frames = _settle_mixed(service)
+    assert [_answer(frames[job_id])["status"] for job_id, _, _ in _MIXED] \
+        == ["done", "done", "failed", "done"]
+    assert service.queue.compact() is not None
+    _assert_answers(service, frames)
+    service.queue.close()
+    # The compacted journal reads as one checkpoint whose outcomes
+    # hold every result, as it did when it embedded them.
+    (checkpoint,) = read_journal(tmp_path / "journal.jsonl").records
+    assert checkpoint["type"] == "checkpoint"
+    assert {job_id: {"job_id": job_id, **outcome}
+            for job_id, outcome in checkpoint["outcomes"].items()} == \
+        {job_id: _answer(frame) for job_id, frame in frames.items()}
+    restarted = _service(tmp_path)
+    assert restarted.counters["replayed"] == 0
+    _assert_answers(restarted, frames)
+    # A second compaction copies the copied lines: still the same bytes.
+    assert restarted.queue.compact() is not None
+    _assert_answers(restarted, frames)
+    assert restarted.counters["completed"] == 0
+    restarted.queue.close()
+
+
+# ----------------------------------------------------------------------
+# A done line that no longer verifies answers error, never its bytes
+# ----------------------------------------------------------------------
+def _flip_result_byte(locator):
+    """Change one digit inside a ``done`` line's result, in place."""
+    with open(locator.segment, "r+b") as handle:
+        handle.seek(locator.offset)
+        line = handle.read(locator.length)
+        at = line.index(b'"result":') + 40
+        while not line[at:at + 1].isdigit():
+            at += 1
+        handle.seek(locator.offset + at)
+        handle.write(b"7" if line[at:at + 1] != b"7" else b"3")
+
+
+def test_altered_done_line_answers_error_and_reexecutes_after_restart(
+        tmp_path):
+    service = _service(tmp_path, compact_every=1)
+    frames = _settle_mixed(service)
+    locator = service.queue.outcomes["mix-resample"]
+    _flip_result_byte(locator)
+    answer = _answer(_ask(service, {"verb": "result",
+                                    "job_id": "mix-resample"}))
+    assert answer["status"] == "error" and answer["job_id"] == "mix-resample"
+    assert "mix-resample" in answer["message"]
+    assert service.queue.outcome("mix-resample") is None
+    # Compaction would lose the job, so it leaves the journal alone.
+    journal_bytes = (tmp_path / "journal.jsonl").read_bytes()
+    service._settled_since_compact = 1
+    assert service._maybe_compact() is False
+    assert service.queue.journal.segments() == [locator.segment]
+    assert (tmp_path / "journal.jsonl").read_bytes() == journal_bytes
+    # A missing segment answers error too, and answers again once back.
+    os.rename(locator.segment, locator.segment + ".moved")
+    assert _answer(_ask(service, {"verb": "result",
+                                  "job_id": "mix-echo"}))["status"] == "error"
+    os.rename(locator.segment + ".moved", locator.segment)
+    assert _ask(service, {"verb": "result", "job_id": "mix-echo"}) == \
+        frames["mix-echo"]
+    service.queue.close()
+    # Replay skips the damaged line, so the job runs again, to the same
+    # bytes, and every other job is served from the journal.
+    restarted = _service(tmp_path)
+    assert restarted.replay_stats.corrupt == 1
+    assert list(restarted.queue.pending) == ["mix-resample"]
+    _drain_service(restarted, len(_MIXED))
+    assert restarted.counters["completed"] == 1
+    for job_id, _, _ in _MIXED:
+        assert _ask(restarted, {"verb": "result", "job_id": job_id}) == \
+            frames[job_id]
+    restarted.queue.close()
+
+
+class _ErrorDaemonClient(ServeClient):
+    """A client whose daemon answers every request ``error``, as it does
+    for a settled job whose journal line no longer verifies."""
+
+    def __init__(self):
+        super().__init__("/nonexistent.sock")
+        self.requests = []
+
+    def request(self, obj):
+        self.requests.append(obj)
+        return {"status": "error", "job_id": "j1",
+                "message": "unreadable j1"}
+
+
+def test_wait_raises_on_an_error_answer_without_spinning():
+    # Before, ``error`` was neither a settlement nor ``pending``, so
+    # wait() re-asked with no sleep until its timeout and then raised
+    # TimeoutError, hiding the daemon's message.
+    client = _ErrorDaemonClient()
+    with pytest.raises(ServeError) as raised:
+        client.wait("j1", timeout=0.5)
+    assert raised.value.response["message"] == "unreadable j1"
+    assert 1 <= len(client.requests) <= 2
 
 
 # ----------------------------------------------------------------------
@@ -156,30 +346,59 @@ def _assert_held(service, answers):
         assert "different kind/payload" in conflict["message"]
 
 
-def test_checkpoint_with_full_specs_still_replays(tmp_path):
-    # The checkpoint shape written before fingerprints: full job specs.
-    outcomes = {
-        "j-done": {"status": "done", "result": {"echo": {"x": True}}},
-        "j-fail": {"status": "failed", "reason": "RuntimeError",
-                   "message": 'boom "quoted"'},
-    }
-    specs = {
-        "j-done": {"job_id": "j-done", "kind": "echo", "client": "a",
-                   "payload": {"x": True}},
-        "j-fail": {"job_id": "j-fail", "kind": "fail", "client": "a",
-                   "payload": {"message": 'boom "quoted"'}},
-    }
+#: Settlements as the checkpoints before done lines embedded them.
+_LEGACY_OUTCOMES = {
+    "j-done": {"status": "done", "result": {"echo": {"x": True}}},
+    "j-fail": {"status": "failed", "reason": "RuntimeError",
+               "message": 'boom "quoted"'},
+}
+_LEGACY_SPECS = {
+    "j-done": {"job_id": "j-done", "kind": "echo", "client": "a",
+               "payload": {"x": True}},
+    "j-fail": {"job_id": "j-fail", "kind": "fail", "client": "a",
+               "payload": {"message": 'boom "quoted"'}},
+}
+
+
+def _assert_legacy_checkpoint_replays(tmp_path, accepted):
+    """A checkpoint with results in ``outcomes`` and ``accepted`` as
+    given replays and answers, and so does the journal a compaction
+    rewrites it into, which keeps no result as text."""
     with Journal(tmp_path / "journal.jsonl") as journal:
         journal.compact([
-            {"type": "checkpoint", "seq": 3, "outcomes": outcomes,
-             "accepted": specs},
+            {"type": "checkpoint", "seq": 3, "outcomes": _LEGACY_OUTCOMES,
+             "accepted": accepted},
             {"type": "accepted", "job_id": "j-live", "kind": "echo",
              "client": "a", "payload": {}},
         ])
+    answers = {job_id: {"job_id": job_id, **outcome}
+               for job_id, outcome in _LEGACY_OUTCOMES.items()}
     service = _service(tmp_path)
-    _assert_held(service, {job_id: {"job_id": job_id, **outcome}
-                           for job_id, outcome in outcomes.items()})
+    _assert_held(service, answers)
+    assert isinstance(service.queue.outcomes["j-done"], str)
+    assert service.queue.compact() is not None
+    _assert_held(service, answers)
     service.queue.close()
+    restarted = _service(tmp_path)
+    _assert_held(restarted, answers)
+    assert not isinstance(restarted.queue.outcomes["j-done"], str)
+    restarted.queue.close()
+
+
+def test_checkpoint_with_full_specs_still_replays(tmp_path):
+    # The checkpoint shape written before fingerprints: full job specs.
+    _assert_legacy_checkpoint_replays(tmp_path, _LEGACY_SPECS)
+
+
+def test_checkpoint_with_embedded_results_still_replays(tmp_path):
+    # The shape written before done lines followed the checkpoint:
+    # fingerprints, with every result inside ``outcomes``.
+    _assert_legacy_checkpoint_replays(tmp_path, {
+        job_id: {"client": spec["client"], "job_id": job_id,
+                 "kind": spec["kind"],
+                 "payload_sha256": _digest(_canonical(spec["payload"]))}
+        for job_id, spec in _LEGACY_SPECS.items()
+    })
 
 
 def test_compacted_fingerprints_replay(tmp_path):
