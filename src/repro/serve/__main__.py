@@ -39,6 +39,8 @@ import argparse
 import json
 import sys
 
+from .client import ServeError
+
 __all__ = ["main"]
 
 
@@ -245,7 +247,7 @@ def main(argv=None):
         return args.fn(args)
     except BrokenPipeError:  # downstream closed the pipe early (e.g. head)
         return 0
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, ServeError) as exc:
         print("repro-serve: error: %s" % exc, file=sys.stderr)
         return 2
 

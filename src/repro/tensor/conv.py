@@ -6,6 +6,25 @@ the convolution becomes a single matrix multiply.  On CPU with numpy this
 is by far the fastest formulation, and its backward pass (col2im) is an
 exact transpose of the unfolding.
 
+im2col is one gather: ``np.take`` of each sample's flat (C, HP, WP)
+values at a per-sample (OH*OW, C*KH*KW) window index.  The index depends
+only on (C, HP, WP, KH, KW, stride), never on the batch size, and lives
+read-only in a bounded LRU cache (64 geometries, the scratch pool's
+bound).  col2im reorders the columns once so that each kernel offset's
+block is contiguous, accumulates the KH*KW window adds in (i, j) order
+from +0.0 in an (HP, WP, N, C) buffer, where each add runs over long
+rows, and copies the sums once into the padded-then-sliced NCHW array.
+Every output element receives the same additions in the same order as
+in a direct strided accumulation, so the sums are exact.
+
+Layout rule: a kernel may compute in any layout, but it returns exactly
+the array the plain formulation returns — bytes, dtype and strides.
+numpy's float32 sums depend on the order in which they read memory, so
+the layouts of the arrays that reductions (the gemms, batch-norm's sums)
+read fix the float32 bits: a change that keeps every value but changes
+a layout a reduction reads can still change the results.  That is why
+``conv2d`` still returns an NCHW-ordered view of NHWC memory.
+
 Hot-path buffer reuse: the per-batch intermediates (padded inputs,
 column matrices, backward gradient columns) come from the per-shape
 scratch pool in :mod:`repro.tensor.pool`.  Only buffers whose lifetime
@@ -18,6 +37,8 @@ of a network never pays for col2im, since image batches are constants.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -37,6 +58,28 @@ __all__ = [
 
 def _out_size(size, kernel, stride, padding):
     return (size + 2 * padding - kernel) // stride + 1
+
+
+@functools.lru_cache(maxsize=64)
+def _window_index(c, hp, wp, kh, kw, stride):
+    """Offsets of every receptive field inside one (C, HP, WP) sample.
+
+    Row ``r`` of the (OH*OW, C*KH*KW) result lists, in (c, i, j) order,
+    the flat offsets read by output position ``r``.  Pure in its
+    arguments and independent of the batch size, so it is cached
+    read-only; forked workers inherit the cache harmlessly.
+    """
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    corner = np.arange(oh)[:, None] * (stride * wp) + np.arange(ow) * stride
+    offset = (
+        np.arange(c)[:, None, None] * (hp * wp)
+        + np.arange(kh)[:, None] * wp
+        + np.arange(kw)
+    )
+    idx = corner.reshape(-1, 1) + offset.reshape(1, -1)
+    idx.flags.writeable = False
+    return idx
 
 
 def im2col(x, kernel, stride=1, padding=0, out=None):
@@ -60,25 +103,19 @@ def im2col(x, kernel, stride=1, padding=0, out=None):
         padded[:, :, padding:padding + h, padding:padding + w] = x
         x = padded
 
-    strides = x.strides
-    shape = (n, c, oh, ow, kh, kw)
-    new_strides = (
-        strides[0],
-        strides[1],
-        strides[2] * stride,
-        strides[3] * stride,
-        strides[2],
-        strides[3],
-    )
-    windows = np.lib.stride_tricks.as_strided(x, shape=shape, strides=new_strides)
-    # (N, OH, OW, C, KH, KW) -> (N*OH*OW, C*KH*KW)
-    transposed = windows.transpose(0, 2, 3, 1, 4, 5)
+    idx = _window_index(c, x.shape[2], x.shape[3], kh, kw, stride)
+    # reshape copies a non-contiguous input (an unpadded NHWC-ordered
+    # view), so the offsets always index C-ordered samples.  The offsets
+    # are in range by construction; mode="clip" lets take write straight
+    # into ``out`` where the default mode would buffer a copy.
+    samples = x.reshape(n, -1)
     if out is None:
-        cols = np.ascontiguousarray(transposed).reshape(
+        cols = np.take(samples, idx, axis=1, mode="clip").reshape(
             n * oh * ow, c * kh * kw
         )
     else:
-        np.copyto(out.reshape(n, oh, ow, c, kh, kw), transposed)
+        np.take(samples, idx, axis=1, mode="clip",
+                out=out.reshape(n, oh * ow, c * kh * kw))
         cols = out
     return cols, oh, ow
 
@@ -93,15 +130,22 @@ def col2im(cols, x_shape, kernel, stride=1, padding=0):
     kh, kw = kernel
     oh = _out_size(h, kh, stride, padding)
     ow = _out_size(w, kw, stride, padding)
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-
+    # One reordering copy puts each kernel offset's (OH, OW, N, C) block
+    # in contiguous memory, so every window add below runs over rows of
+    # N*C (or longer) instead of over the C entries of one window.
+    windows = np.ascontiguousarray(
+        cols.reshape(n, oh, ow, c, kh, kw).transpose(4, 5, 1, 2, 0, 3)
+    )
     hp, wp = h + 2 * padding, w + 2 * padding
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    acc = np.zeros((hp, wp, n, c), dtype=cols.dtype)
     for i in range(kh):
         i_end = i + stride * oh
         for j in range(kw):
             j_end = j + stride * ow
-            out[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, :, :, i, j]
+            acc[i:i_end:stride, j:j_end:stride] += windows[i, j]
+    # copy(), not ascontiguousarray(): a view whose only non-unit axes
+    # are in C order would come back as is, with non-C size-1 strides.
+    out = acc.transpose(2, 3, 0, 1).copy()
     if padding > 0:
         out = out[:, :, padding:-padding, padding:-padding]
     return out

@@ -13,7 +13,7 @@ import numpy as np
 
 from .._rng import fresh_generator
 from ._dtype import default_dtype
-from .tensor import Tensor, _tape1, _tape_many
+from .tensor import Tensor, _row_major, _tape1, _tape_many
 
 __all__ = [
     "softmax",
@@ -192,17 +192,20 @@ def batchnorm_train(x, weight, bias, axes, shape, eps):
     m = xd.size // weight.data.size  # elements reduced per channel
 
     def backward(g):
+        # Layout rule: a row-major g makes each product C-contiguous
+        # whatever x_hat's layout, so no sum reads a different array.
+        xh = np.ascontiguousarray(x_hat) if _row_major(g) else x_hat
         if x.requires_grad:
             dxhat = g * w
             grad_x = (inv_std / m) * (
                 m * dxhat
                 - dxhat.sum(axis=axes, keepdims=True)
-                - x_hat * (dxhat * x_hat).sum(axis=axes, keepdims=True)
+                - xh * (dxhat * xh).sum(axis=axes, keepdims=True)
             )
         else:
             grad_x = None
         grad_w = (
-            (g * x_hat).sum(axis=axes) if weight.requires_grad else None
+            (g * xh).sum(axis=axes) if weight.requires_grad else None
         )
         grad_b = g.sum(axis=axes) if bias.requires_grad else None
         return (grad_x, grad_w, grad_b)

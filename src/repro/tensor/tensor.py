@@ -108,6 +108,18 @@ def _tape_many(tensors):
     return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
 
 
+def _row_major(a):
+    """Is ``a`` laid out in C order, possibly with gaps (a sliced view)?
+
+    An elementwise product with such an operand comes out C-contiguous
+    whatever the other operand's layout (numpy breaks layout conflicts
+    in favour of C order), so a backward pass may swap that other
+    operand for a C-contiguous copy and return the same array.
+    """
+    steps = [s for s, n in zip(a.strides, a.shape) if n > 1]
+    return all(s > 0 for s in steps) and steps == sorted(steps, reverse=True)
+
+
 def _unbroadcast(grad, shape):
     """Reduce ``grad`` so that it matches ``shape``.
 
@@ -564,9 +576,12 @@ class Tensor:
             return Tensor(self.data * (self.data > 0))
         mask = self.data > 0
         out_data = self.data * mask
+        mask_c = np.ascontiguousarray(mask)
 
         def backward(g):
-            return (g * mask,)
+            # Layout rule: return what ``g * mask`` returns; a row-major
+            # g fixes C order, so it may read the C-ordered mask.
+            return (g * (mask_c if _row_major(g) else mask),)
 
         return Tensor._from_op(out_data, (self,), backward)
 

@@ -1178,6 +1178,18 @@ class TestServiceEndToEnd:
         with pytest.raises(ServeError, match="unknown job kind"):
             client.submit("nope")
 
+    def test_cli_reports_a_daemon_error_like_its_other_errors(
+            self, running_service, capsys):
+        from repro.serve.__main__ import main
+
+        service, _, _ = running_service
+        code = main(["submit", "--socket", service.socket_path,
+                     "--kind", "nope", "--no-backoff"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro-serve: error: unknown job kind")
+        assert "Traceback" not in err
+
     def test_wait_on_unknown_job_raises(self, running_service):
         _, client, _ = running_service
         with pytest.raises(ServeError):
