@@ -20,6 +20,8 @@ embeddings instead of re-training the full CNN on over-sampled images.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..losses import CrossEntropyLoss
@@ -41,7 +43,7 @@ __all__ = ["ThreePhaseTrainer", "finetune_classifier"]
 
 
 def _tape_free(model, loss):
-    """True when phase 3 can run :func:`_ce_head_step` instead of the tape.
+    """True when phase 3 can run :func:`_buffered_ce_step`, not the tape.
 
     That is plain (unweighted) cross-entropy on a ``Linear`` head that
     the model's inherited ``forward_head`` calls as is, with every head
@@ -63,34 +65,82 @@ def _tape_free(model, loss):
     )
 
 
-def _ce_head_step(head, x, targets):
-    """One tape-free cross-entropy step on a ``Linear`` head.
+def _buffered_ce_step(head, x_dtype):
+    """Return ``step(x, targets)``: tape-free cross-entropy on a ``Linear`` head.
 
-    Sets ``head``'s parameter gradients and returns the mean loss.  It
+    ``step`` overwrites ``head``'s parameter gradients and returns the
+    mean loss of the batch ``x`` (embeddings of dtype ``x_dtype``).  It
     replays the kernels the tape runs for ``linear`` → ``log_softmax``
     → ``nll_loss`` (tensor/functional.py) and their backward closures,
-    in the same order and dtype, so the loss and the gradients are
-    bitwise equal to the taped step's.
+    with the same operands, in the same order and dtype, so the loss and
+    the gradients are bitwise equal to the taped step's.  Every array it
+    writes is allocated once per batch size (the full batch and the
+    ragged tail) and written in place; the identities that let it skip
+    the one-hot seed are listed in :func:`finetune_classifier`.
     """
-    bias = head.bias
-    logits = x @ head.weight.data.T
+    weight, bias = head.weight, head.bias
+    num_classes, dim = weight.data.shape
+    # The dtypes the taped kernels produce: logits, then log-probs and
+    # their gradient, then the weight gradient ``x.T @ g``.
+    dtype = np.result_type(x_dtype, weight.data.dtype)
     if bias is not None:
-        logits = logits + bias.data
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_norm
-    rows = np.arange(x.shape[0])
-    sample_w = np.ones(x.shape[0], dtype=log_probs.dtype)
-    denom = sample_w.sum()
-    loss = (-log_probs[rows, targets] * sample_w).sum() / denom
-    # Backward from a unit seed: nll_loss, log_softmax, add, matmul.
-    g = np.zeros_like(log_probs)
-    g[rows, targets] = -sample_w * (np.ones_like(loss) / denom)
-    g = g - np.exp(log_probs) * g.sum(axis=-1, keepdims=True)
-    head.weight.grad = (x.T @ g).T.copy()
-    if bias is not None:
-        bias.grad = g.sum(axis=(0,))
-    return loss
+        dtype = np.result_type(dtype, bias.data.dtype)
+        bias_grad = np.empty(num_classes, dtype)
+    grad_dtype = np.result_type(x_dtype, dtype)
+    x_t_g = np.empty((dim, num_classes), grad_dtype)
+    weight_grad = np.empty((num_classes, dim), grad_dtype)
+    buffers = {}
+
+    def allocate(rows):
+        sample_w = np.ones(rows, dtype=dtype)
+        denom = sample_w.sum()
+        seed = (-sample_w * (np.ones((), dtype=dtype) / denom))[0]
+        g = np.empty((rows, num_classes), dtype)  # exp → gradient
+        return (
+            np.empty((rows, num_classes), dtype),  # logits → log-probs
+            g,
+            g.reshape(-1),
+            np.empty((rows, 1), dtype),  # row max → log-norm
+            np.empty(rows, dtype),  # negated log-probs at the targets
+            np.arange(rows) * num_classes,  # flat offset of each row
+            np.empty(rows, np.int64),  # flat index of each target
+            denom,
+            seed,
+            -seed,
+        )
+
+    def step(x, targets):
+        rows = x.shape[0]
+        b = buffers.get(rows)
+        if b is None:
+            b = buffers[rows] = allocate(rows)
+        z, g, g_flat, col, at_t, offsets, flat, denom, seed, neg_seed = b
+        np.matmul(x, weight.data.T, out=z)
+        if bias is not None:
+            np.add(z, bias.data, out=z)
+        np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
+        np.subtract(z, col, out=z)
+        np.exp(z, out=g)
+        np.add.reduce(g, axis=-1, keepdims=True, out=col)
+        np.log(col, out=col)
+        np.subtract(z, col, out=z)
+        np.add(offsets, targets, out=flat)
+        z.take(flat, out=at_t, mode="clip")
+        np.negative(at_t, out=at_t)
+        loss = np.add.reduce(at_t) / denom
+        # Backward from a unit seed: nll_loss, log_softmax, add, matmul.
+        np.exp(z, out=g)
+        np.multiply(g, neg_seed, out=g)
+        np.add.at(g_flat, flat, seed)
+        np.matmul(x.T, g, out=x_t_g)
+        np.copyto(weight_grad, x_t_g.T)
+        weight.grad = weight_grad
+        if bias is not None:
+            np.add.reduce(g, axis=0, out=bias_grad)
+            bias.grad = bias_grad
+        return loss
+
+    return step
 
 
 def finetune_classifier(
@@ -126,18 +176,38 @@ def finetune_classifier(
         Optional callable ``(epoch) -> dict`` whose result is merged
         into the per-epoch history (used for the Figure-7 curve).
 
-    Plain cross-entropy on a ``Linear`` head (the default, and every
-    paper view) runs each batch as a closed-form numpy step with no
-    autograd tape; weights and losses are bitwise equal to the taped
-    step.  Any other loss, a weighted cross-entropy, another head, or a
-    run under ``detect_anomaly()`` goes through the tape.
+    Each epoch gathers the shuffled embeddings and labels once into
+    arrays allocated once per call; every batch is a C-contiguous row
+    slice of them.  Plain cross-entropy on a ``Linear`` head (the
+    default, and every paper view) then runs each batch as a closed-form
+    numpy step with no autograd tape, in buffers reused from batch to
+    batch; weights, losses and gradients are bitwise equal to the taped
+    step.  Any other loss, a weighted cross-entropy, another head, a
+    frozen head parameter, or a run under ``detect_anomaly()`` goes
+    through the tape.
+
+    The tape-free step's rule is "keep today's operands, order and
+    dtype": every float operation takes the operands, runs in the order
+    and yields the dtype of the taped kernels.  Where it departs from
+    their expressions it relies on three identities, each pinned by
+    ``tests/test_finetune_buffers.py``:
+
+    1. a C-contiguous row slice of the per-epoch gather feeds the same
+       gemm as ``embeddings[idx]``;
+    2. ``(-picked * ones).sum() == (-picked).sum()``: multiplying by 1
+       is exact.  The sign flip stays ahead of the sum, because
+       ``-(picked.sum())`` differs at a zero loss: numpy starts a sum
+       at ``+0.0``, so ``-0.0`` terms sum to ``+0.0``;
+    3. each one-hot row of the seed ``s = -1/denom`` sums to ``s``
+       exactly, so ``onehot·s − exp(lp)·rowsum`` equals ``exp(lp)·(−s)``
+       with ``s`` added at the targets (``0 − y == −y`` because
+       ``y = p·s <= 0``).
 
     Returns the per-epoch history list.
     """
     loss = loss if loss is not None else CrossEntropyLoss()
     rng = rng if rng is not None else np.random.default_rng(0)
     head = model.classifier
-    tape_free = _tape_free(model, loss)
     if reinitialize:
         from ..nn import init as nn_init
 
@@ -153,36 +223,50 @@ def finetune_classifier(
     embeddings = np.asarray(embeddings, dtype=default_dtype())
     labels = np.asarray(labels, dtype=np.int64)
     n = embeddings.shape[0]
+    shuffled = np.empty(embeddings.shape, embeddings.dtype)
+    shuffled_labels = np.empty(labels.shape, labels.dtype)
+    if _tape_free(model, loss):
+        # The step picks each target from the flat logits, where a label
+        # out of range would read another row: check the range once and
+        # wrap negative labels, as indexing the logits by row did.
+        classes = head.weight.shape[0]
+        if labels.size and not (-classes <= labels.min()
+                                and labels.max() < classes):
+            raise IndexError(
+                "labels must lie in [-%d, %d) for a %d-class head"
+                % (classes, classes, classes)
+            )
+        labels = labels % classes
+        step = _buffered_ce_step(head, embeddings.dtype)
+    else:
+        def step(x, targets):
+            optimizer.zero_grad()
+            value = loss(model.forward_head(Tensor(x)), targets)
+            value.backward()
+            return value.data
+
     tracer = get_tracer()
     metrics = get_metrics()
     history = []
     for epoch in range(epochs):
         loss.set_epoch(epoch)
         order = rng.permutation(n)
+        embeddings.take(order, axis=0, out=shuffled, mode="clip")
+        labels.take(order, out=shuffled_labels, mode="clip")
         epoch_loss = 0.0
         n_batches = 0
         start_time = monotonic()
         with tracer.span("finetune.epoch", epoch=epoch) as epoch_span:
             for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                optimizer.zero_grad()
+                stop = start + batch_size
                 with tracer.span("finetune.batch"):
-                    if tape_free:
-                        value = _ce_head_step(
-                            head, embeddings[idx], labels[idx]
-                        )
-                    else:
-                        value = loss(
-                            model.forward_head(Tensor(embeddings[idx])),
-                            labels[idx],
-                        )
-                        value.backward()
-                        value = value.data
-                    batch_loss = float(value)
+                    batch_loss = float(
+                        step(shuffled[start:stop], shuffled_labels[start:stop])
+                    )
                     if maybe_fire("finetune.batch", epoch=epoch,
                                   batch=n_batches) == "nan":
                         batch_loss = float("nan")
-                    if not np.isfinite(batch_loss):
+                    if not math.isfinite(batch_loss):
                         tracer.event(
                             "divergence",
                             epoch=epoch,

@@ -8,9 +8,12 @@ exact transpose of the unfolding.
 
 im2col is one gather: ``np.take`` of each sample's flat (C, HP, WP)
 values at a per-sample (OH*OW, C*KH*KW) window index.  The index depends
-only on (C, HP, WP, KH, KW, stride), never on the batch size, and lives
-read-only in a bounded LRU cache (64 geometries, the scratch pool's
-bound).  col2im reorders the columns once so that each kernel offset's
+only on (C, HP, WP, KH, KW, stride) and the sample's element strides,
+never on the batch size, and lives read-only in a bounded LRU cache (64
+geometries, the scratch pool's bound).  A sample stored as one
+contiguous block in another axis order (an NHWC-ordered input) is read
+in place through its strides rather than copied into C order first.
+col2im reorders the columns once so that each kernel offset's
 block is contiguous, accumulates the KH*KW window adds in (i, j) order
 from +0.0 in an (HP, WP, N, C) buffer, where each add runs over long
 rows, and copies the sums once into the padded-then-sliced NCHW array.
@@ -61,25 +64,46 @@ def _out_size(size, kernel, stride, padding):
 
 
 @functools.lru_cache(maxsize=64)
-def _window_index(c, hp, wp, kh, kw, stride):
+def _window_index(c, hp, wp, kh, kw, stride, strides):
     """Offsets of every receptive field inside one (C, HP, WP) sample.
 
-    Row ``r`` of the (OH*OW, C*KH*KW) result lists, in (c, i, j) order,
-    the flat offsets read by output position ``r``.  Pure in its
-    arguments and independent of the batch size, so it is cached
-    read-only; forked workers inherit the cache harmlessly.
+    ``strides`` are the sample's (C, HP, WP) element strides.  Row ``r``
+    of the (OH*OW, C*KH*KW) result lists, in (c, i, j) order, the flat
+    offsets read by output position ``r``.  Pure in its arguments and
+    independent of the batch size, so it is cached read-only; forked
+    workers inherit the cache harmlessly.
     """
+    sc, sh, sw = strides
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    corner = np.arange(oh)[:, None] * (stride * wp) + np.arange(ow) * stride
+    corner = (np.arange(oh)[:, None] * (stride * sh)
+              + np.arange(ow) * (stride * sw))
     offset = (
-        np.arange(c)[:, None, None] * (hp * wp)
-        + np.arange(kh)[:, None] * wp
-        + np.arange(kw)
+        np.arange(c)[:, None, None] * sc
+        + np.arange(kh)[:, None] * sh
+        + np.arange(kw) * sw
     )
     idx = corner.reshape(-1, 1) + offset.reshape(1, -1)
     idx.flags.writeable = False
     return idx
+
+
+def _sample_rows(x):
+    """``x``'s samples as the rows of an (N, C*H*W) array, and the
+    (C, H, W) element strides inside a row.
+
+    When every sample is one contiguous block in some axis order (a
+    C-ordered or an NHWC-ordered input), the rows are a view of that
+    memory; otherwise ``reshape`` copies the samples into C order.
+    """
+    n, c, h, w = x.shape
+    if not x.flags.c_contiguous and min(x.strides[1:]) > 0:
+        by_stride = sorted((1, 2, 3), key=lambda axis: -x.strides[axis])
+        block = x.transpose(0, *by_stride)
+        if block[:1].flags.c_contiguous:
+            return (block.reshape(n, -1),
+                    tuple(stride // x.itemsize for stride in x.strides[1:]))
+    return x.reshape(n, -1), (h * w, w, 1)
 
 
 def im2col(x, kernel, stride=1, padding=0, out=None):
@@ -103,12 +127,12 @@ def im2col(x, kernel, stride=1, padding=0, out=None):
         padded[:, :, padding:padding + h, padding:padding + w] = x
         x = padded
 
-    idx = _window_index(c, x.shape[2], x.shape[3], kh, kw, stride)
-    # reshape copies a non-contiguous input (an unpadded NHWC-ordered
-    # view), so the offsets always index C-ordered samples.  The offsets
-    # are in range by construction; mode="clip" lets take write straight
-    # into ``out`` where the default mode would buffer a copy.
-    samples = x.reshape(n, -1)
+    # An unpadded NHWC-ordered input (ResNet's 1x1 stride-2 shortcut) is
+    # gathered in place, with offsets built from its strides.  The
+    # offsets are in range by construction; mode="clip" lets take write
+    # straight into ``out`` where the default mode would buffer a copy.
+    samples, strides = _sample_rows(x)
+    idx = _window_index(c, x.shape[2], x.shape[3], kh, kw, stride, strides)
     if out is None:
         cols = np.take(samples, idx, axis=1, mode="clip").reshape(
             n * oh * ow, c * kh * kw

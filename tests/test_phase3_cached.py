@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import finetune_classifier, predict_logits
-from repro.core.framework import _ce_head_step
+from repro.core.framework import _buffered_ce_step
 from repro.evals import MatrixSpec, run_matrix
 from repro.experiments import ExtractorCache, bench_config
 from repro.experiments.pipeline import (
@@ -142,11 +142,15 @@ class TestTapeFreeStep:
             bias = Tensor(np.full(3, 0.1, dtype=np.float64),
                           requires_grad=True)
 
+            step = _buffered_ce_step(head, embeddings.dtype)
+
             def tape_free_loss(w, b):
                 head.weight.data[...] = w.data
                 head.bias.data[...] = b.data
-                loss = _ce_head_step(head, embeddings, labels)
-                grad_w, grad_b = head.weight.grad, head.bias.grad
+                loss = step(embeddings, labels)
+                # The step overwrites its gradient buffers on every call.
+                grad_w = head.weight.grad.copy()
+                grad_b = head.bias.grad.copy()
                 return Tensor._from_op(
                     np.asarray(loss), (w, b),
                     lambda g: (g * grad_w, g * grad_b),
