@@ -4,9 +4,9 @@
   AST-based lint engine with repro-specific per-file rules (RNG
   discipline, tape hygiene, sampler validation, export drift, and the
   confinement table that pins each owned API to its module).
-* :mod:`repro.analysis.flow` — whole-program dataflow analyses (the
-  ``FLOW-RNG`` / ``FLOW-DTYPE`` / ``FLOW-FORK`` families) built on a
-  project-wide symbol table and call graph, with mechanical auto-fixes
+* :mod:`repro.analysis.flow` — the whole-program ``FLOW-DTYPE``
+  dataflow analysis, built on a project-wide symbol table with
+  canonical call resolution, with mechanical auto-fixes
   (:mod:`repro.analysis.fixes`) and a frozen-debt baseline
   (:mod:`repro.analysis.baseline`).  Run everything as
   ``python -m repro.analysis [--strict] [--fix] src/`` or via the

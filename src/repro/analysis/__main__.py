@@ -6,7 +6,7 @@ Examples::
     PYTHONPATH=src python -m repro.analysis --strict --format json src/repro
     PYTHONPATH=src python -m repro.analysis --select FLOW src tests
     PYTHONPATH=src python -m repro.analysis --fix src/
-    PYTHONPATH=src python -m repro.analysis --jobs 4 --format sarif src/
+    PYTHONPATH=src python -m repro.analysis --format sarif src/
     PYTHONPATH=src python -m repro.analysis --update-baseline src tests
     PYTHONPATH=src python -m repro.analysis --list-rules
 
@@ -57,8 +57,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Repro-specific AST lint engine (RNG discipline, "
-        "autograd-tape hygiene, sampler validation...) with whole-program "
-        "FLOW-RNG / FLOW-DTYPE / FLOW-FORK dataflow analyses",
+        "autograd-tape hygiene, sampler validation...) with the "
+        "whole-program FLOW-DTYPE dataflow analysis",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(
@@ -77,20 +77,12 @@ def main(argv=None):
         "--select",
         metavar="IDS",
         help="comma-separated rule ids or family prefixes to enable "
-        "exclusively (e.g. FLOW selects FLOW-RNG,FLOW-DTYPE,FLOW-FORK)",
+        "exclusively (e.g. RNG selects RNG001,RNG002)",
     )
     parser.add_argument(
         "--ignore",
         metavar="IDS",
         help="comma-separated rule ids or family prefixes to disable",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        default=1,
-        help="lint files across N worker processes via repro.parallel "
-        "(finding order is identical at any N; 1 = serial, default)",
     )
     parser.add_argument(
         "--fix",
@@ -139,7 +131,7 @@ def main(argv=None):
             select=_split_ids(args.select) if args.select else None,
             ignore=_split_ids(args.ignore) if args.ignore else None,
         )
-        report = engine.run(args.paths, jobs=args.jobs)
+        report = engine.run(args.paths)
     except (ValueError, FileNotFoundError) as exc:
         print("repro-lint: error: %s" % exc, file=sys.stderr)
         return 2
@@ -166,7 +158,7 @@ def main(argv=None):
     if args.fix:
         result = apply_fixes(report.findings)
         print("repro-lint: %s" % result.summary())
-        report = engine.run(args.paths, jobs=args.jobs)
+        report = engine.run(args.paths)
         if baseline_path is not None:
             new, baselined = baseline.filter(report.findings)
             report.findings = new

@@ -1,31 +1,32 @@
 """AST-based lint engine specialised for this reproduction.
 
-The engine is deliberately small: it parses every ``*.py`` file under
-the given paths once, hands the parsed module to each enabled
-:class:`Rule`, collects :class:`Finding` objects, and then applies
-``# repro: noqa[RULE]`` suppression comments.  It exists because the
-usual PyTorch safety nets do not apply to a hand-rolled numpy autograd
-stack — RNG discipline, tape hygiene and dtype policy have to be
-enforced by our own tooling.
+The engine is deliberately small: it parses and walks every ``*.py``
+file under the given paths once, hands the resulting
+:class:`ModuleContext` to each enabled :class:`Rule`, collects
+:class:`Finding` objects, and then applies ``# repro: noqa[RULE]``
+suppression comments.  It exists because the usual PyTorch safety nets
+do not apply to a hand-rolled numpy autograd stack — RNG discipline,
+tape hygiene and dtype policy have to be enforced by our own tooling.
 
 Two rule shapes plug into the engine:
 
 * :class:`Rule` — per-file rules.  ``check(ctx)`` sees one parsed
-  module at a time.
-* :class:`ProjectRule` — whole-program rules (the ``FLOW-*`` families
-  in :mod:`repro.analysis.flow`).  The engine parses the entire tree
-  first, builds one :class:`repro.analysis.flow.ProjectModel`, and
-  hands it to ``check_project(project)``; findings may be anchored to
-  *any* file in the project.  Suppression is always resolved against
-  the noqa comments of the file a finding is anchored to — a noqa in
-  the file that *triggered* an interprocedural finding does not
-  suppress a finding anchored elsewhere.
+  module at a time and reads the node types it inspects from the
+  context's single walk (``ctx.of(ast.Call)``).
+* :class:`ProjectRule` — whole-program rules (``FLOW-DTYPE`` in
+  :mod:`repro.analysis.flow`).  The engine parses the entire tree
+  first, builds one :class:`repro.analysis.flow.ProjectModel` from its
+  contexts, and hands it to ``check_project(project)``; findings may
+  be anchored to *any* file in the project.  Suppression is always
+  resolved against the noqa comments of the file a finding is anchored
+  to — a noqa in the file that *triggered* an interprocedural finding
+  does not suppress a finding anchored elsewhere.
 
 Suppression syntax (always on the flagged line)::
 
     something_risky()  # repro: noqa[RNG001] justification text
     other_thing()      # repro: noqa  (blanket, suppresses every rule)
-    third_thing()      # repro: noqa[RNG001,FLOW-RNG] multiple ids
+    third_thing()      # repro: noqa[RNG002,FLOW-DTYPE] multiple ids
 
 Usage::
 
@@ -53,8 +54,8 @@ __all__ = [
     "parse_noqa_comments",
 ]
 
-# Rule ids may contain hyphens (the FLOW-* families), so the id class
-# includes ``-`` — ``noqa[RNG001,FLOW-RNG]`` parses as two ids.
+# Rule ids may contain hyphens (FLOW-DTYPE), so the id class includes
+# ``-`` — ``noqa[RNG002,FLOW-DTYPE]`` parses as two ids.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_\-,\s]+)\])?")
 
 
@@ -117,9 +118,12 @@ def parse_noqa_comments(source):
     """Extract ``# repro: noqa`` comments, keyed by physical line number.
 
     Uses the tokenizer so that string literals containing the marker are
-    not misread as suppressions.
+    not misread as suppressions.  A comment token is source text, so a
+    source the marker never matches has none and is not tokenized.
     """
     comments = {}
+    if not _NOQA_RE.search(source):
+        return comments
     try:
         tokens = tokenize.generate_tokens(iter(source.splitlines(True)).__next__)
         for tok in tokens:
@@ -142,7 +146,12 @@ def parse_noqa_comments(source):
 
 
 class ModuleContext:
-    """Everything a rule needs to inspect one parsed module."""
+    """Everything a rule needs to inspect one parsed module.
+
+    The tree is walked once, here, and its nodes are indexed by type:
+    a rule reads the nodes it inspects from :meth:`of` instead of
+    walking the module itself.
+    """
 
     def __init__(self, path, source, tree):
         self.path = str(path)
@@ -150,6 +159,17 @@ class ModuleContext:
         self.tree = tree
         self.lines = source.splitlines()
         self.noqa = parse_noqa_comments(source)
+        self._nodes = list(ast.walk(tree))
+        self._by_type = {}
+        for node in self._nodes:
+            self._by_type.setdefault(type(node), []).append(node)
+
+    def of(self, *types):
+        """The module's nodes of exactly these types, in ``ast.walk``
+        order (several types come merged in that order)."""
+        if len(types) == 1:
+            return self._by_type.get(types[0], ())
+        return [node for node in self._nodes if type(node) in types]
 
     def finding(self, rule, node, message, severity="error", fix=None):
         """Build a Finding anchored at an AST node (or (line, col) pair)."""
@@ -335,37 +355,10 @@ class LintReport:
         return "\n".join(lines)
 
 
-class _FileResult:
-    """Per-file lint output: raw findings + noqa table (+ tree when the
-    pass ran serially, so project rules can reuse the parse)."""
-
-    __slots__ = ("path", "source", "findings", "noqa", "tree", "syntax_error")
-
-    def __init__(self, path, source, findings, noqa, tree=None,
-                 syntax_error=False):
-        self.path = path
-        self.source = source
-        self.findings = findings
-        self.noqa = noqa
-        self.tree = tree
-        self.syntax_error = syntax_error
-
-    def __getstate__(self):
-        # Trees never cross a process boundary: the parent re-parses
-        # from source when project rules need them.
-        return (self.path, self.source, self.findings, self.noqa,
-                self.syntax_error)
-
-    def __setstate__(self, state):
-        self.path, self.source, self.findings, self.noqa, \
-            self.syntax_error = state
-        self.tree = None
-
-
 def _spec_matches(spec, rule_id):
     """True when a --select/--ignore spec names this rule.
 
-    A spec is either an exact rule id (``RNG001``, ``FLOW-RNG``) or a
+    A spec is either an exact rule id (``RNG001``, ``FLOW-DTYPE``) or a
     family prefix: ``FLOW`` matches every ``FLOW-*`` rule, ``RNG``
     matches ``RNG001``/``RNG002``.
     """
@@ -386,8 +379,8 @@ class LintEngine:
         :mod:`repro.analysis.rules`.
     select / ignore:
         Optional iterables of rule ids or family prefixes enabling or
-        disabling rules (``FLOW`` selects all three ``FLOW-*``
-        analyses).  ``select`` wins when both are given.
+        disabling rules (``FLOW`` selects every ``FLOW-*`` analysis).
+        ``select`` wins when both are given.
     """
 
     def __init__(self, rules=None, select=None, ignore=None):
@@ -448,81 +441,40 @@ class LintEngine:
         return findings, ctx.noqa
 
     # ------------------------------------------------------------------
-    def _lint_file(self, path, keep_tree):
-        path = Path(path)
-        source = path.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as exc:
-            finding = Finding(
-                "SYNTAX",
-                path,
-                exc.lineno or 1,
-                exc.offset or 0,
-                "syntax error: %s" % exc.msg,
-            )
-            return _FileResult(str(path), source, [finding], {},
-                               syntax_error=True)
-        ctx = ModuleContext(path, source, tree)
-        findings = []
-        for rule in self.file_rules:
-            findings.extend(rule.check(ctx))
-        return _FileResult(str(path), source, findings, ctx.noqa,
-                           tree=tree if keep_tree else None)
-
-    def run(self, paths, jobs=None):
-        """Lint every file under ``paths`` and return a :class:`LintReport`.
-
-        ``jobs`` > 1 fans the per-file pass out through
-        :func:`repro.parallel.parallel_map`; results are assembled in
-        file order, so the report is byte-identical to a serial run.
-        Project rules always run in the parent, over the whole tree.
-        """
+    def run(self, paths):
+        """Lint every file under ``paths`` and return a :class:`LintReport`."""
         files = self.collect_files(paths)
-        jobs = 1 if jobs is None else max(1, int(jobs))
-        project_rules = self.project_rules
-        keep_tree = bool(project_rules)
-
-        if jobs > 1 and len(files) > 1:
-            from ..parallel import parallel_map
-
-            def lint_one(path, _seed):
-                return self._lint_file(path, keep_tree=False)
-
-            results = parallel_map(
-                lint_one, [str(f) for f in files], max_workers=jobs,
-            )
-        else:
-            results = [self._lint_file(f, keep_tree=keep_tree) for f in files]
-
-        raw_findings = []
-        syntax_findings = []
-        noqa_by_path = {}
-        for res in results:
-            noqa_by_path[res.path] = res.noqa
-            if res.syntax_error:
-                syntax_findings.extend(res.findings)
-            else:
-                raw_findings.extend(res.findings)
+        file_rules, project_rules = self.file_rules, self.project_rules
+        contexts, findings, raw_findings = {}, [], []
+        for path in files:
+            source = path.read_text(encoding="utf-8")
+            try:
+                tree = ast.parse(source, filename=str(path))
+            except SyntaxError as exc:
+                findings.append(Finding(
+                    "SYNTAX", path, exc.lineno or 1, exc.offset or 0,
+                    "syntax error: %s" % exc.msg,
+                ))
+                continue
+            ctx = ModuleContext(path, source, tree)
+            contexts[ctx.path] = ctx
+            for rule in file_rules:
+                raw_findings.extend(rule.check(ctx))
 
         if project_rules:
             from .flow import ProjectModel
 
-            modules = {
-                res.path: (res.source, res.tree)
-                for res in results
-                if not res.syntax_error
-            }
-            project = ProjectModel.build(modules)
+            project = ProjectModel.build(contexts.values())
             for rule in project_rules:
                 raw_findings.extend(rule.check_project(project))
 
         # Suppression is resolved against the *anchored* file's noqa
         # table: an interprocedural finding in a.py is never silenced
         # by a noqa comment in b.py, blanket or not.
-        findings, suppressed = list(syntax_findings), []
+        suppressed = []
         for f in raw_findings:
-            comment = noqa_by_path.get(f.path, {}).get(f.line)
+            anchored = contexts.get(f.path)
+            comment = anchored.noqa.get(f.line) if anchored else None
             if comment is not None and comment.suppresses(f.rule):
                 comment.used = True
                 suppressed.append(f)
@@ -530,8 +482,8 @@ class LintEngine:
                 findings.append(f)
 
         if any(r.id == "NOQA001" for r in self.rules):
-            for path in noqa_by_path:
-                for comment in noqa_by_path[path].values():
+            for path, ctx in contexts.items():
+                for comment in ctx.noqa.values():
                     if not comment.used:
                         findings.append(
                             Finding(

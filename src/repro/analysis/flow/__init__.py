@@ -1,47 +1,27 @@
-"""Whole-program dataflow analyses for the repro lint engine.
+"""Whole-program dataflow analysis for the repro lint engine.
 
 This package gives :class:`repro.analysis.LintEngine` an interprocedural
 layer: the engine parses the whole tree once, builds one
-:class:`ProjectModel` (module symbol tables + resolved call graph), and
-runs three rule families over it:
+:class:`ProjectModel` (module symbol tables + canonical call
+resolution) from its module contexts, and runs
+:class:`DtypeFlowRule` (**FLOW-DTYPE**) over it — abstract
+interpretation over the ``{weak, int, float32, float64, unknown}``
+dtype lattice, flagging silent float64 promotions and implicit-width
+allocations on the autograd hot path.
 
-* :class:`RngTaintRule` (**FLOW-RNG**) — taint analysis proving that no
-  unseeded or module-global RNG reaches a sampler, trainer, or
-  parallel task closure;
-* :class:`DtypeFlowRule` (**FLOW-DTYPE**) — abstract interpretation
-  over the ``{weak, int, float32, float64, unknown}`` dtype lattice,
-  flagging silent float64 promotions and implicit-width allocations on
-  the autograd hot path;
-* :class:`ForkSafetyRule` (**FLOW-FORK**) — capture analysis of task
-  closures handed to ``parallel_map``/``run_cells`` (open file
-  handles, live telemetry objects, module-global mutation).
-
-``repro-lint --select FLOW src tests`` runs all three project-wide in
-one invocation.
+``repro-lint --select FLOW src tests`` runs it project-wide in one
+invocation.
 """
 
 from __future__ import annotations
 
 from .dtype_infer import DtypeFlowRule
-from .fork_safety import ForkSafetyRule
-from .project import (
-    CallSite,
-    FunctionInfo,
-    GlobalVar,
-    ModuleInfo,
-    ProjectModel,
-    module_name_for,
-)
-from .rng_taint import RngTaintRule
+from .project import FunctionInfo, ModuleInfo, ProjectModel, module_name_for
 
 __all__ = [
-    "CallSite",
     "DtypeFlowRule",
-    "ForkSafetyRule",
     "FunctionInfo",
-    "GlobalVar",
     "ModuleInfo",
     "ProjectModel",
-    "RngTaintRule",
     "module_name_for",
 ]

@@ -3,9 +3,8 @@
 The float32 migration of the tensor substrate (ROADMAP: "make the
 tensor substrate fast") needs a pre-flight guarantee: no op on the
 autograd hot path silently promotes to float64, and no allocation
-relies on numpy's implicit float64 default.  Per-file rule DTYPE001
-only sees construction keywords; this analysis abstractly interprets
-every function over the lattice::
+relies on numpy's implicit float64 default.  This analysis abstractly
+interprets every function over the lattice::
 
     weak  <  int  <  float32  <  float64        (join = promotion)
                        unknown = top
@@ -204,7 +203,7 @@ class DtypeFlowRule(ProjectRule):
         env = {}
         for _ in range(3):
             changed = False
-            for node in ast.walk(fn.node):
+            for node in fn.nodes:
                 if not isinstance(node, ast.Assign):
                     continue
                 value = self._infer(node.value, env, module, project,
@@ -231,7 +230,7 @@ class DtypeFlowRule(ProjectRule):
                     continue
                 env = self._local_env(fn, fn.module, project, summaries)
                 result = None
-                for node in ast.walk(fn.node):
+                for node in fn.nodes:
                     if isinstance(node, ast.Return) and node.value is not None:
                         value = self._infer(node.value, env, fn.module,
                                             project, summaries)
@@ -255,7 +254,7 @@ class DtypeFlowRule(ProjectRule):
             alias = "numpy"
         else:
             return None
-        segment = ast.get_source_segment(module.source, alloc)
+        segment = ast.get_source_segment(module.ctx.source, alloc)
         if not segment or "\n" in segment or not segment.endswith(")"):
             return None
         line_text = module.ctx.lines[alloc.lineno - 1]
@@ -304,7 +303,7 @@ class DtypeFlowRule(ProjectRule):
             if _is_hot_module(module):
                 yield from self._signature_defaults(fn, module)
 
-            for node in ast.walk(fn.node):
+            for node in fn.nodes:
                 if isinstance(node, (ast.BinOp, ast.AugAssign)):
                     if isinstance(node, ast.AugAssign):
                         left = env.get(node.target.id, _UNKNOWN) \

@@ -1,16 +1,17 @@
-"""Whole-program model: module symbol tables + interprocedural call graph.
+"""Whole-program model: module symbol tables and call resolution.
 
-The flow analyses (:mod:`repro.analysis.flow`) all start from the same
-question — *who calls whom with what* — so the engine parses the whole
-tree once and builds one :class:`ProjectModel`:
+FLOW-DTYPE (:mod:`repro.analysis.flow`) asks *what does this call
+return*, across modules, so the engine builds one :class:`ProjectModel`
+from the :class:`~repro.analysis.engine.ModuleContext` of every
+parseable file:
 
-* a :class:`ModuleInfo` per parseable file, with its import table
-  (alias → dotted target, relative imports resolved against the
-  module's package), its top-level functions/methods as
-  :class:`FunctionInfo` records, and its module-level globals;
-* per-function call sites with callees resolved to *canonical* dotted
-  names, following re-export chains (``from .pool import parallel_map``
-  in ``repro.parallel/__init__`` makes ``repro.parallel.parallel_map``
+* a :class:`ModuleInfo` per file, with its import table (alias →
+  dotted target, relative imports resolved against the module's
+  package), its top-level functions/methods as :class:`FunctionInfo`
+  records, and the names of its classes and module-level globals;
+* callees resolved to *canonical* dotted names, following re-export
+  chains (``from .pool import parallel_map`` in
+  ``repro.parallel/__init__`` makes ``repro.parallel.parallel_map``
   canonicalise to ``repro.parallel.pool.parallel_map``).
 
 Module names are derived from the filesystem: a file inside nested
@@ -18,7 +19,7 @@ Module names are derived from the filesystem: a file inside nested
 layers.py`` → ``repro.nn.layers``); a loose file (test fixture trees)
 is just its stem.  Resolution is best-effort and static — dynamic
 dispatch, ``getattr`` and star imports resolve to ``None`` and the
-analyses treat those calls as opaque.
+analysis treats those calls as opaque.
 """
 
 from __future__ import annotations
@@ -26,19 +27,12 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from ..engine import ModuleContext
-
 __all__ = [
-    "CallSite",
     "FunctionInfo",
-    "GlobalVar",
     "ModuleInfo",
     "ProjectModel",
     "module_name_for",
 ]
-
-_MUTABLE_CTORS = {"list", "dict", "set", "defaultdict", "OrderedDict",
-                  "Counter", "deque"}
 
 
 def module_name_for(path):
@@ -55,98 +49,45 @@ def module_name_for(path):
     return ".".join(parts) if parts else p.stem
 
 
-class CallSite:
-    """One ``ast.Call`` inside a function, with its resolved callee."""
-
-    __slots__ = ("node", "callee", "function")
-
-    def __init__(self, node, callee, function):
-        self.node = node
-        self.callee = callee        # canonical dotted name or None
-        self.function = function    # enclosing FunctionInfo
-
-    def __repr__(self):
-        return "CallSite(%s -> %s)" % (
-            self.function.qualname if self.function else "<module>",
-            self.callee,
-        )
-
-
 class FunctionInfo:
-    """A function or method definition plus its resolved call sites."""
+    """A function or method definition and its nodes in ``ast.walk``
+    order: walked once, then read by every pass of FLOW-DTYPE."""
 
-    __slots__ = ("module", "node", "name", "class_name", "qualname",
-                 "params", "call_sites")
+    __slots__ = ("module", "node", "name", "qualname", "nodes")
 
     def __init__(self, module, node, class_name=None):
         self.module = module
         self.node = node
         self.name = node.name
-        self.class_name = class_name
         local = "%s.%s" % (class_name, node.name) if class_name else node.name
         self.qualname = "%s.%s" % (module.name, local)
-        args = node.args
-        self.params = [a.arg for a in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        )]
-        if args.vararg:
-            self.params.append(args.vararg.arg)
-        if args.kwarg:
-            self.params.append(args.kwarg.arg)
-        self.call_sites = []
+        self.nodes = list(ast.walk(node))
 
     def __repr__(self):
         return "FunctionInfo(%s)" % self.qualname
 
 
-class GlobalVar:
-    """A module-level binding (``NAME = <expr>`` at module scope)."""
-
-    __slots__ = ("name", "node", "value")
-
-    def __init__(self, name, node, value):
-        self.name = name
-        self.node = node      # the assignment statement
-        self.value = value    # the RHS expression (or None)
-
-    def is_mutable_literal(self):
-        value = self.value
-        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                              ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(value, ast.Call):
-            func = value.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None
-            )
-            return name in _MUTABLE_CTORS
-        return False
-
-
 class ModuleInfo:
     """Symbol table for one parsed module."""
 
-    def __init__(self, name, path, source, tree):
+    def __init__(self, name, ctx):
         self.name = name
-        self.path = str(path)
-        self.source = source
-        self.tree = tree
-        self.ctx = ModuleContext(path, source, tree)
+        self.ctx = ctx
         self.imports = {}      # local alias -> dotted target
         self.functions = {}    # "f" / "Cls.m" -> FunctionInfo
-        self.classes = {}      # class name -> ClassDef node
-        self.globals = {}      # name -> GlobalVar
+        self.classes = set()   # class names
+        self.globals = set()   # names bound at module scope
         self._index_top_level()
 
     # -- symbol table ---------------------------------------------------
     def _package(self):
         """Dotted package containing this module."""
-        if Path(self.path).name == "__init__.py":
+        if Path(self.ctx.path).name == "__init__.py":
             return self.name
         return self.name.rpartition(".")[0]
 
     def _index_top_level(self):
-        for node in self.tree.body:
+        for node in self.ctx.tree.body:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -167,7 +108,7 @@ class ModuleInfo:
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.functions[node.name] = FunctionInfo(self, node)
             elif isinstance(node, ast.ClassDef):
-                self.classes[node.name] = node
+                self.classes.add(node.name)
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)):
@@ -179,9 +120,7 @@ class ModuleInfo:
                     else [node.target]
                 for target in targets:
                     if isinstance(target, ast.Name):
-                        self.globals[target.id] = GlobalVar(
-                            target.id, node, getattr(node, "value", None)
-                        )
+                        self.globals.add(target.id)
 
     def _resolve_from_base(self, node):
         """Dotted base module of a ``from X import ...`` statement."""
@@ -199,12 +138,10 @@ class ModuleInfo:
         return ".".join(parts) if parts else None
 
     # -- expression resolution ------------------------------------------
-    def dotted_name(self, expr, class_name=None):
+    def dotted_name(self, expr):
         """Resolve a Name/Attribute chain to a project dotted name.
 
-        ``class_name`` enables ``self.method`` resolution inside a
-        method of that class.  Returns None for locals, calls, and
-        anything dynamic.
+        Returns None for locals, calls, and anything dynamic.
         """
         parts = []
         node = expr
@@ -214,8 +151,6 @@ class ModuleInfo:
         if not isinstance(node, ast.Name):
             return None
         base = node.id
-        if base == "self" and class_name is not None and parts:
-            return ".".join([self.name, class_name] + parts)
         if base in self.imports:
             return ".".join([self.imports[base]] + parts)
         if base in self.functions or base in self.classes \
@@ -225,43 +160,29 @@ class ModuleInfo:
 
 
 class ProjectModel:
-    """All modules of a run, with a resolved interprocedural call graph."""
+    """All modules of a run, with their functions by canonical name."""
 
     def __init__(self, modules):
         self.modules = modules                      # name -> ModuleInfo
-        self.by_path = {m.path: m for m in modules.values()}
         self.functions = {}                         # canonical -> FunctionInfo
         for module in modules.values():
             for info in module.functions.values():
                 self.functions[info.qualname] = info
         self._canonical_cache = {}
-        for module in modules.values():
-            self._link_calls(module)
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def build(cls, sources):
-        """Build from ``{path: (source, tree_or_None)}``.
-
-        Trees are re-parsed from source when absent (the parallel lint
-        path ships sources, not trees, across the process boundary).
-        Unparseable files are skipped — the engine reports their syntax
-        errors separately.
-        """
+    def build(cls, contexts):
+        """Build from the engine's :class:`ModuleContext` of each
+        parseable file (the engine reports syntax errors itself)."""
         modules = {}
-        for path in sorted(sources):
-            source, tree = sources[path]
-            if tree is None:
-                try:
-                    tree = ast.parse(source, filename=str(path))
-                except SyntaxError:
-                    continue
-            name = module_name_for(path)
+        for ctx in sorted(contexts, key=lambda ctx: ctx.path):
+            name = module_name_for(ctx.path)
             if name in modules:
                 # Two files mapping to one dotted name (loose fixture
                 # trees); keep both addressable via a path suffix.
-                name = "%s@%s" % (name, path)
-            modules[name] = ModuleInfo(name, path, source, tree)
+                name = "%s@%s" % (name, ctx.path)
+            modules[name] = ModuleInfo(name, ctx)
         return cls(modules)
 
     # -- canonicalisation -----------------------------------------------
@@ -303,27 +224,10 @@ class ProjectModel:
             return None
         return None
 
-    def resolve_call(self, module, call, class_name=None):
+    def resolve_call(self, module, call):
         """Canonical dotted callee of an ``ast.Call`` (or None)."""
-        return self.canonical(module.dotted_name(call.func, class_name))
+        return self.canonical(module.dotted_name(call.func))
 
-    def function(self, dotted):
-        """FunctionInfo for a dotted name, following re-exports."""
-        return self.functions.get(self.canonical(dotted))
-
-    def _link_calls(self, module):
-        for info in module.functions.values():
-            for node in ast.walk(info.node):
-                if isinstance(node, ast.Call):
-                    callee = self.resolve_call(module, node,
-                                               class_name=info.class_name)
-                    info.call_sites.append(CallSite(node, callee, info))
-
-    # -- iteration helpers ----------------------------------------------
     def iter_functions(self):
         for name in sorted(self.functions):
             yield self.functions[name]
-
-    def iter_modules(self):
-        for name in sorted(self.modules):
-            yield self.modules[name]

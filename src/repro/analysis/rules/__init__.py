@@ -13,9 +13,9 @@ one-line reason every finding carries.
 
 from __future__ import annotations
 
-from ..flow import DtypeFlowRule, ForkSafetyRule, RngTaintRule
+from ..flow import DtypeFlowRule
 from .api import AllExportDriftRule, SamplerValidationRule, UnusedNoqaRule
-from .autograd import MissingNoGradRule, TapeDataEscapeRule, TensorDtypeRule
+from .autograd import MissingNoGradRule, TapeDataEscapeRule
 from .confinement import CONFINEMENTS, ConfinementRule
 from .mutation import MutableDefaultRule, ParamInPlaceMutationRule
 from .resilience import NonAtomicArtifactWriteRule, SwallowedExceptionRule
@@ -31,7 +31,6 @@ __all__ = [
     "UnusedNoqaRule",
     "MissingNoGradRule",
     "TapeDataEscapeRule",
-    "TensorDtypeRule",
     "ConfinementRule",
     "MutableDefaultRule",
     "ParamInPlaceMutationRule",
@@ -40,26 +39,34 @@ __all__ = [
     "BareNumpyRandomRule",
     "UnseededGeneratorRule",
     "DtypeFlowRule",
-    "ForkSafetyRule",
-    "RngTaintRule",
 ]
 
+# Each rule and the tier-1 guarantee it guards.
 RULE_CLASSES = (
-    BareNumpyRandomRule,    # RNG001
-    UnseededGeneratorRule,  # RNG002
-    MutableDefaultRule,     # MUT001
-    ParamInPlaceMutationRule,  # MUT002
-    MissingNoGradRule,      # GRAD001
-    TapeDataEscapeRule,     # TAPE001
-    TensorDtypeRule,        # DTYPE001
-    SamplerValidationRule,  # VAL001
-    NonAtomicArtifactWriteRule,  # RES001
-    SwallowedExceptionRule,      # RES002
-    AllExportDriftRule,     # EXP001
-    UnusedNoqaRule,         # NOQA001
-    RngTaintRule,           # FLOW-RNG (whole-program)
-    DtypeFlowRule,          # FLOW-DTYPE (whole-program)
-    ForkSafetyRule,         # FLOW-FORK (whole-program)
+    # RNG001: no global RNG state: serial == workers, golden digests
+    BareNumpyRandomRule,
+    # RNG002: every Generator is seeded: serial == workers, golden digests
+    UnseededGeneratorRule,
+    # MUT001: no state carried between cells in a worker: serial == workers
+    MutableDefaultRule,
+    # MUT002: cells leave the shared phase-1 embeddings intact: golden digests
+    ParamInPlaceMutationRule,
+    # GRAD001: inference records no tape; no tier-1 test pins it
+    MissingNoGradRule,
+    # TAPE001: persisted .data is a copy; no tier-1 test pins it
+    TapeDataEscapeRule,
+    # VAL001: samplers reject NaN/Inf (test_samplers_reject_nan_embeddings)
+    SamplerValidationRule,
+    # RES001: no torn artifact on a kill: kill/resume, no lost or extra rows
+    NonAtomicArtifactWriteRule,
+    # RES002: kills and divergences reach the retry layer: kill/resume
+    SwallowedExceptionRule,
+    # EXP001: __all__ matches each module's definitions; no tier-1 test
+    AllExportDriftRule,
+    # NOQA001: every suppression in the lint gate still suppresses something
+    UnusedNoqaRule,
+    # FLOW-DTYPE: allocations follow the float32 default (TestTreeDtypeFixes)
+    DtypeFlowRule,
 )
 
 

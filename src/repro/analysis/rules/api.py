@@ -28,8 +28,8 @@ class SamplerValidationRule(Rule):
                    "another fit_resample")
 
     def check(self, ctx):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.FunctionDef) or node.name != "fit_resample":
+        for node in ctx.of(ast.FunctionDef):
+            if node.name != "fit_resample":
                 continue
             validated = False
             for inner in ast.walk(node):

@@ -1,9 +1,8 @@
 """Autograd-tape hygiene rules.
 
 These rules encode the safety conventions of the hand-rolled tape engine
-in :mod:`repro.tensor`: inference code must not record tape nodes,
-``.data`` buffers must not escape into persisted state without a copy,
-and tensor construction must not silently mix float precisions.
+in :mod:`repro.tensor`: inference code must not record tape nodes, and
+``.data`` buffers must not escape into persisted state without a copy.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import re
 
 from ..engine import Rule
 
-__all__ = ["MissingNoGradRule", "TapeDataEscapeRule", "TensorDtypeRule"]
+__all__ = ["MissingNoGradRule", "TapeDataEscapeRule"]
 
 _EVAL_NAME_RE = re.compile(
     r"^(predict|evaluate|extract_features|extract_embeddings|infer|inference)"
@@ -74,9 +73,7 @@ class MissingNoGradRule(Rule):
         return False
 
     def check(self, ctx):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
+        for node in ctx.of(ast.FunctionDef):
             if not _EVAL_NAME_RE.match(node.name):
                 continue
             forward_calls = [
@@ -108,9 +105,7 @@ class TapeDataEscapeRule(Rule):
     severity = "error"
 
     def check(self, ctx):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.of(ast.Call):
             name = _call_name(node.func)
             if name is None or not _PERSIST_NAMES.search(name):
                 continue
@@ -124,47 +119,3 @@ class TapeDataEscapeRule(Rule):
                         "tape — persist .data.copy()" % name,
                     )
 
-
-class TensorDtypeRule(Rule):
-    """DTYPE001: no reduced-precision dtypes at tensor-construction sites.
-
-    The autograd stack standardises on float64.  Constructing
-    ``Tensor``/``Parameter`` leaves as float32/float16 invites float64
-    gradients flowing into float32 leaves — exactly the mismatch
-    ``detect_anomaly()`` traps at runtime.
-    """
-
-    id = "DTYPE001"
-    name = "tensor-dtype-mix"
-    description = ("Tensor/Parameter constructed with a reduced-precision "
-                   "dtype (float32/float16)")
-    severity = "warning"
-
-    _CTORS = {"Tensor", "Parameter"}
-    _BAD_DTYPES = {"float32", "float16", "half", "single"}
-
-    def _is_bad_dtype(self, node):
-        if isinstance(node, ast.Attribute):
-            return node.attr in self._BAD_DTYPES
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value in self._BAD_DTYPES
-        if isinstance(node, ast.Name):
-            return node.id in self._BAD_DTYPES
-        return False
-
-    def check(self, ctx):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node.func)
-            if name not in self._CTORS:
-                continue
-            for kw in node.keywords:
-                if kw.arg == "dtype" and self._is_bad_dtype(kw.value):
-                    yield self.finding(
-                        ctx,
-                        kw.value,
-                        "%s constructed with reduced precision; the autograd "
-                        "stack standardises on float64 (use detect_anomaly() "
-                        "to see the resulting grad-dtype mismatches)" % name,
-                    )

@@ -163,7 +163,7 @@ class ConfinementRule(Rule):
     def check(self, ctx):
         if _at_home(ctx.path, self.row.home):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.of(ast.Import, ast.ImportFrom, ast.Call):
             for subject in self._subjects(node):
                 yield self.finding(ctx, node, "%s %s" % (subject, self.row.reason))
 

@@ -10,6 +10,7 @@ from it (the runtime counterpart of these rules is
 from __future__ import annotations
 
 import ast
+from collections import deque
 
 from ..engine import Rule
 
@@ -41,9 +42,7 @@ class MutableDefaultRule(Rule):
         return False
 
     def check(self, ctx):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for node in ctx.of(ast.FunctionDef, ast.AsyncFunctionDef):
             defaults = list(node.args.defaults) + [
                 d for d in node.args.kw_defaults if d is not None
             ]
@@ -63,6 +62,11 @@ class ParamInPlaceMutationRule(Rule):
     ``x[...] = v`` or ``x += v`` on a bare parameter name writes through
     to the caller's array.  Copy first (``x = x.copy()``) or document the
     contract with a noqa justification.
+
+    Names are scoped per function: a nested function's parameters and
+    the names it assigns shadow the enclosing function's, and a write in
+    a nested function to a name it does not shadow is reported once,
+    from the function whose parameter it mutates.
     """
 
     id = "MUT002"
@@ -70,59 +74,76 @@ class ParamInPlaceMutationRule(Rule):
     description = "in-place mutation (subscript/augmented assign) of a parameter"
 
     def check(self, ctx):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            args = node.args
-            params = {
-                a.arg
-                for a in (
-                    list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-                )
-            }
-            params.discard("self")
-            params.discard("cls")
-            if args.vararg:
-                params.add(args.vararg.arg)
-            yield from self._check_body(ctx, node, params)
+        # Per function: its enclosing function, the names it binds, and
+        # the parameters that still hold the caller's object.  Functions
+        # come in walk order, so every enclosing function is scanned
+        # before the functions nested in it.
+        enclosing, bound, live = {}, {}, {}
+        for func in ctx.of(ast.FunctionDef, ast.AsyncFunctionDef):
+            assigned, writes = set(), []
+            for node in _own_statements(func):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    enclosing[node] = func
+                elif isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            assigned.add(target.id)
+                        elif isinstance(target, ast.Subscript) \
+                                and isinstance(target.value, ast.Name):
+                            writes.append((target.value.id, target, _WRITE))
+                elif isinstance(node, ast.AnnAssign) \
+                        and isinstance(node.target, ast.Name):
+                    assigned.add(node.target.id)
+                elif isinstance(node, ast.AugAssign):
+                    target = node.target
+                    base = target.value if isinstance(target, ast.Subscript) \
+                        else target
+                    if isinstance(base, ast.Name):
+                        writes.append((base.id, node, _AUGMENTED))
+            params, checked = _parameters(func)
+            bound[func] = params | assigned
+            # A param that is also plainly rebound (`x = x.copy()`, `x =
+            # np.asarray(x)` ...) points at a function-local object by
+            # the time it is written, so mutations of it are local.
+            live[func] = checked - assigned
+            for name, node, message in writes:
+                scope = func
+                while scope is not None and name not in bound[scope]:
+                    scope = enclosing.get(scope)
+                if scope is not None and name in live[scope]:
+                    yield self.finding(ctx, node, message % name)
 
-    def _check_body(self, ctx, func, params):
-        # A param that is also plainly rebound (`x = x.copy()`, `x =
-        # np.asarray(x)` ...) points at a function-local object by the
-        # time it is written, so mutations of it are considered local.
-        rebound = set()
-        body_nodes = []
-        for node in ast.walk(func):
-            if node is func or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            body_nodes.append(node)
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        rebound.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                rebound.add(node.target.id)
 
-        live = params - rebound
-        for node in body_nodes:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Subscript):
-                        base = target.value
-                        if isinstance(base, ast.Name) and base.id in live:
-                            yield self.finding(
-                                ctx,
-                                target,
-                                "in-place write to parameter %r mutates the "
-                                "caller's array; copy before mutating" % base.id,
-                            )
-            elif isinstance(node, ast.AugAssign):
-                target = node.target
-                base = target.value if isinstance(target, ast.Subscript) else target
-                if isinstance(base, ast.Name) and base.id in live:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "augmented assignment mutates parameter %r in place; "
-                        "copy before mutating" % base.id,
-                    )
+_WRITE = ("in-place write to parameter %r mutates the caller's array; "
+          "copy before mutating")
+_AUGMENTED = ("augmented assignment mutates parameter %r in place; copy "
+              "before mutating")
+_BLOCKS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
+def _own_statements(func):
+    """``func``'s statements at any block depth, in ``ast.walk`` order.
+
+    Assignments are statements, so expressions are never visited; a
+    nested function definition is yielded but not entered.
+    """
+    todo = deque(func.body)
+    while todo:
+        node = todo.popleft()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for field in _BLOCKS:
+                todo.extend(getattr(node, field, ()))
+
+
+def _parameters(func):
+    """(every parameter name, the ones MUT002 checks): ``self``, ``cls``
+    and ``**kwargs`` bind a name but are not checked."""
+    args = func.args
+    checked = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    if args.vararg:
+        checked.add(args.vararg.arg)
+    params = set(checked)
+    if args.kwarg:
+        params.add(args.kwarg.arg)
+    return params, checked - {"self", "cls"}

@@ -49,9 +49,7 @@ class NonAtomicArtifactWriteRule(Rule):
                    "repro.utils.serialization.atomic_write")
 
     def check(self, ctx):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.of(ast.Call):
             func = node.func
             if (
                 isinstance(func, ast.Attribute)
@@ -100,9 +98,7 @@ class SwallowedExceptionRule(Rule):
         return isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
 
     def check(self, ctx):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Try):
-                continue
+        for node in ctx.of(ast.Try):
             for handler in node.handlers:
                 if handler.type is None:
                     yield self.finding(

@@ -46,9 +46,7 @@ class BareNumpyRandomRule(Rule):
                    "Generator (np.random.default_rng(seed)) instead")
 
     def check(self, ctx):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.of(ast.Call):
             func = node.func
             if (
                 isinstance(func, ast.Attribute)
@@ -93,9 +91,7 @@ class UnseededGeneratorRule(Rule):
         )
 
     def check(self, ctx):
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.of(ast.Call):
             func = node.func
             is_default_rng = (
                 isinstance(func, ast.Attribute)

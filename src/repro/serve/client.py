@@ -32,7 +32,7 @@ def retry_jitter(token):
     """Deterministic uniform fraction in ``[0, 1)`` for backoff jitter.
 
     Full-jitter backoff needs a per-attempt random fraction, but this
-    codebase bans ad-hoc RNG state (lint FLOW-RNG): an unseeded
+    codebase bans ad-hoc RNG state (lint RNG002): an unseeded
     generator here would make client behavior unreproducible in tests.
     Hashing the attempt's identity instead gives a fraction that is
     *uniform across clients* (which is all de-synchronizing a thundering

@@ -1,15 +1,19 @@
-"""Tests for the whole-program dataflow analyses (repro.analysis.flow):
-FLOW-RNG taint tracking, FLOW-DTYPE abstract interpretation, FLOW-FORK
-capture analysis — plus the machinery that rides with them: the --fix
-engine, the finding baseline, --jobs fan-out, SARIF/GitHub output, and
-the cross-file noqa edge cases."""
+"""Tests for the whole-program dataflow analysis (repro.analysis.flow):
+the project model and FLOW-DTYPE abstract interpretation — plus the
+machinery that rides with them: the --fix engine, the finding baseline,
+SARIF/GitHub output, and the cross-file noqa edge cases."""
 
+import ast
 import json
 import textwrap
 
-import pytest
-
-from repro.analysis import Baseline, LintEngine, apply_fixes, finding_key
+from repro.analysis import (
+    Baseline,
+    LintEngine,
+    ModuleContext,
+    apply_fixes,
+    finding_key,
+)
 from repro.analysis.__main__ import main as lint_main
 from repro.analysis.flow import ProjectModel
 from repro.analysis.flow.project import module_name_for
@@ -34,6 +38,16 @@ def run_flow(root, files, select=("FLOW",)):
 
 def rule_ids(findings):
     return {f.rule for f in findings}
+
+
+def build_project(paths):
+    """A ProjectModel over the files, from one ModuleContext each, as
+    the engine builds it."""
+    contexts = []
+    for path in paths:
+        source = path.read_text(encoding="utf-8")
+        contexts.append(ModuleContext(path, source, ast.parse(source)))
+    return ProjectModel.build(contexts)
 
 
 # ----------------------------------------------------------------------
@@ -62,10 +76,7 @@ class TestProjectModel:
                 "pkg/impl.py": "def work():\n    return 1\n",
             },
         )
-        sources = {
-            str(p): (p.read_text(encoding="utf-8"), None) for p in paths
-        }
-        project = ProjectModel.build(sources)
+        project = build_project(paths)
         assert project.canonical("pkg.work") == "pkg.impl.work"
         assert project.functions["pkg.impl.work"].name == "work"
 
@@ -81,112 +92,10 @@ class TestProjectModel:
                 ),
             },
         )
-        sources = {
-            str(p): (p.read_text(encoding="utf-8"), None) for p in paths
-        }
-        project = ProjectModel.build(sources)
+        project = build_project(paths)
         main = project.functions["app.main"]
-        callees = {site.callee for site in main.call_sites}
-        assert "util.helper" in callees
-
-
-# ----------------------------------------------------------------------
-# FLOW-RNG
-# ----------------------------------------------------------------------
-class TestFlowRng:
-    def test_unseeded_rng_into_fit_resample(self, tmp_path):
-        findings = run_flow(
-            tmp_path,
-            {
-                "pipeline.py": """
-                import numpy as np
-
-                def run(sampler, X, y):
-                    rng = np.random.default_rng()
-                    return sampler.fit_resample(X, y, rng)
-                """,
-            },
-        )
-        assert any(
-            f.rule == "FLOW-RNG" and "fit_resample" in f.message
-            for f in findings
-        )
-
-    def test_seeded_rng_is_clean(self, tmp_path):
-        findings = run_flow(
-            tmp_path,
-            {
-                "pipeline.py": """
-                import numpy as np
-
-                def run(sampler, X, y):
-                    rng = np.random.default_rng(42)
-                    return sampler.fit_resample(X, y, rng)
-                """,
-            },
-        )
-        assert "FLOW-RNG" not in rule_ids(findings)
-
-    def test_interprocedural_taint_through_helper_return(self, tmp_path):
-        findings = run_flow(
-            tmp_path,
-            {
-                "rngs.py": """
-                import numpy as np
-
-                def make_rng():
-                    return np.random.default_rng()
-                """,
-                "train.py": """
-                from rngs import make_rng
-
-                def run(sampler, X, y):
-                    rng = make_rng()
-                    return sampler.fit_resample(X, y, rng)
-                """,
-            },
-        )
-        flagged = [f for f in findings if f.rule == "FLOW-RNG"]
-        assert flagged
-        assert any(f.path.endswith("train.py") for f in flagged)
-
-    def test_tainted_closure_free_variable_into_parallel_map(self, tmp_path):
-        findings = run_flow(
-            tmp_path,
-            {
-                "fanout.py": """
-                import numpy as np
-                from repro.parallel import parallel_map
-
-                def run(items):
-                    rng = np.random.default_rng()
-                    return parallel_map(lambda item, seed: rng.random(), items)
-                """,
-            },
-        )
-        assert any(
-            f.rule == "FLOW-RNG" and "parallel_map" in f.message
-            for f in findings
-        )
-
-    def test_module_global_rng_read_in_fit_resample(self, tmp_path):
-        findings = run_flow(
-            tmp_path,
-            {
-                "sampler.py": """
-                import numpy as np
-
-                _RNG = np.random.default_rng(7)
-
-                class Sampler:
-                    def _fit_resample(self, X, y):
-                        return _RNG.permutation(len(X))
-                """,
-            },
-        )
-        assert any(
-            f.rule == "FLOW-RNG" and "_RNG" in f.message for f in findings
-        )
+        call = next(n for n in main.nodes if isinstance(n, ast.Call))
+        assert project.resolve_call(main.module, call) == "util.helper"
 
 
 # ----------------------------------------------------------------------
@@ -357,87 +266,6 @@ class TestFlowDtype:
 
 
 # ----------------------------------------------------------------------
-# FLOW-FORK
-# ----------------------------------------------------------------------
-class TestFlowFork:
-    def test_captured_file_handle_flagged(self, tmp_path):
-        findings = run_flow(
-            tmp_path,
-            {
-                "fanout.py": """
-                from repro.parallel import parallel_map
-
-                def run(items):
-                    log = open("run.log", "a")
-                    return parallel_map(
-                        lambda item, seed: log.write(str(item)), items
-                    )
-                """,
-            },
-        )
-        assert any(
-            f.rule == "FLOW-FORK" and "file" in f.message.lower()
-            for f in findings
-        )
-
-    def test_captured_tracer_flagged(self, tmp_path):
-        findings = run_flow(
-            tmp_path,
-            {
-                "fanout.py": """
-                from repro.parallel import parallel_map
-                from repro.telemetry import Tracer
-
-                def run(items):
-                    tracer = Tracer()
-                    return parallel_map(
-                        lambda item, seed: tracer.span(item), items
-                    )
-                """,
-            },
-        )
-        assert any(f.rule == "FLOW-FORK" for f in findings)
-
-    def test_mutated_module_global_flagged(self, tmp_path):
-        findings = run_flow(
-            tmp_path,
-            {
-                "fanout.py": """
-                from repro.parallel import parallel_map
-
-                RESULTS = []
-
-                def run(items):
-                    def work(item, seed):
-                        RESULTS.append(item)
-                        return item
-                    return parallel_map(work, items)
-                """,
-            },
-        )
-        assert any(
-            f.rule == "FLOW-FORK" and "RESULTS" in f.message
-            for f in findings
-        )
-
-    def test_pure_closure_is_clean(self, tmp_path):
-        findings = run_flow(
-            tmp_path,
-            {
-                "fanout.py": """
-                from repro.parallel import parallel_map
-
-                def run(items, scale):
-                    return parallel_map(
-                        lambda item, seed: item * scale, items
-                    )
-                """,
-            },
-        )
-        assert "FLOW-FORK" not in rule_ids(findings)
-
-
-# ----------------------------------------------------------------------
 # Auto-fix engine
 # ----------------------------------------------------------------------
 FIXABLE_TREE = {
@@ -592,7 +420,7 @@ class TestBaseline:
 
 
 # ----------------------------------------------------------------------
-# CLI: --jobs, formats, family select
+# CLI: formats, family select
 # ----------------------------------------------------------------------
 MIXED_TREE = dict(FIXABLE_TREE)
 MIXED_TREE["other.py"] = """
@@ -603,15 +431,6 @@ rng = np.random.default_rng()
 
 
 class TestCli:
-    def test_jobs_output_matches_serial(self, tmp_path, capsys):
-        write_tree(tmp_path, MIXED_TREE)
-        lint_main(["--no-baseline", str(tmp_path)])
-        serial = capsys.readouterr().out
-        lint_main(["--no-baseline", "--jobs", "3", str(tmp_path)])
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-        assert "FLOW-DTYPE" in serial and "RNG002" in serial
-
     def test_sarif_output_is_well_formed(self, tmp_path, capsys):
         write_tree(tmp_path, MIXED_TREE)
         lint_main(["--no-baseline", "--format", "sarif", str(tmp_path)])
@@ -709,47 +528,55 @@ class TestTreeDtypeFixes:
 # noqa edge cases for cross-file findings
 # ----------------------------------------------------------------------
 class TestCrossFileNoqa:
-    TAINT_TREE = {
-        "rngs.py": """
+    DTYPE_TREE = {
+        "helper.py": """
         import numpy as np
 
-        def make_rng():
-            return np.random.default_rng()  # repro: noqa[RNG002] factory under test
+        def make():
+            return np.ones(3).astype(np.float32)  # repro: noqa[FLOW-DTYPE] helper under test
         """,
-        "train.py": """
-        from rngs import make_rng
+        "app.py": """
+        import numpy as np
+        from helper import make
 
-        def run(sampler, X, y):
-            rng = make_rng()
-            return sampler.fit_resample(X, y, rng)
+        def run():
+            wide = np.zeros(3, dtype=np.float64)
+            return wide + make()
         """,
     }
 
     def test_noqa_in_source_file_does_not_suppress_sink_finding(
         self, tmp_path
     ):
-        """A blanket/targeted noqa at the taint *source* (rngs.py) must
-        not silence the FLOW-RNG finding anchored at the *sink* in
-        train.py — suppression resolves against the anchored file."""
-        write_tree(tmp_path, self.TAINT_TREE)
-        report = LintEngine(select=["RNG002", "FLOW-RNG"]).run([tmp_path])
-        assert "RNG002" not in rule_ids(report.findings)  # suppressed
-        flow = [f for f in report.findings if f.rule == "FLOW-RNG"]
-        assert flow and all(f.path.endswith("train.py") for f in flow)
+        """A noqa in the helper whose float32 return feeds the mix must
+        not silence the FLOW-DTYPE finding anchored at the *sink* in
+        app.py — suppression resolves against the anchored file — and
+        it is itself reported as unused."""
+        write_tree(tmp_path, self.DTYPE_TREE)
+        report = LintEngine(select=["FLOW-DTYPE", "NOQA001"]).run([tmp_path])
+        flow = [f for f in report.findings if f.rule == "FLOW-DTYPE"]
+        assert [(f.path, f.line) for f in flow] == [
+            (str(tmp_path / "app.py"), 7)
+        ]
+        unused = [f for f in report.findings if f.rule == "NOQA001"]
+        assert [(f.path, f.line) for f in unused] == [
+            (str(tmp_path / "helper.py"), 5)
+        ]
 
     def test_noqa_on_sink_line_suppresses_flow_finding(self, tmp_path):
-        tree = dict(self.TAINT_TREE)
-        tree["train.py"] = """
-        from rngs import make_rng
+        tree = dict(self.DTYPE_TREE)
+        tree["app.py"] = """
+        import numpy as np
+        from helper import make
 
-        def run(sampler, X, y):
-            rng = make_rng()
-            return sampler.fit_resample(X, y, rng)  # repro: noqa[FLOW-RNG] exploratory notebook path
+        def run():
+            wide = np.zeros(3, dtype=np.float64)
+            return wide + make()  # repro: noqa[FLOW-DTYPE] widening on purpose
         """
         write_tree(tmp_path, tree)
-        report = LintEngine(select=["RNG002", "FLOW-RNG"]).run([tmp_path])
-        assert "FLOW-RNG" not in rule_ids(report.findings)
-        assert any(f.rule == "FLOW-RNG" for f in report.suppressed)
+        report = LintEngine(select=["FLOW-DTYPE"]).run([tmp_path])
+        assert "FLOW-DTYPE" not in rule_ids(report.findings)
+        assert any(f.rule == "FLOW-DTYPE" for f in report.suppressed)
 
     def test_multi_id_noqa_parses_flow_ids(self, tmp_path):
         write_tree(
@@ -758,17 +585,17 @@ class TestCrossFileNoqa:
                 "mod.py": """
                 import numpy as np
 
-                def run(sampler, X, y):
-                    rng = np.random.default_rng()  # repro: noqa[RNG002,FLOW-RNG] seeded upstream
-                    return sampler.fit_resample(X, y, rng)
+                def run():
+                    wide = np.ones(3, dtype=np.float64)
+                    return wide + np.zeros(3, dtype=np.float32), np.random.default_rng()  # repro: noqa[RNG002,FLOW-DTYPE] both under test
                 """,
             },
         )
-        report = LintEngine(select=["RNG002", "FLOW-RNG"]).run([tmp_path])
-        assert "RNG002" not in rule_ids(report.findings)
-        # the sink finding anchors on the fit_resample line, not the
-        # noqa'd constructor line, so it survives
-        assert "FLOW-RNG" in rule_ids(report.findings)
+        report = LintEngine(select=["RNG002", "FLOW-DTYPE", "NOQA001"]).run(
+            [tmp_path]
+        )
+        assert not report.findings
+        assert rule_ids(report.suppressed) == {"RNG002", "FLOW-DTYPE"}
 
     def test_blanket_noqa_suppresses_flow_finding_on_its_line(
         self, tmp_path
@@ -779,12 +606,13 @@ class TestCrossFileNoqa:
                 "mod.py": """
                 import numpy as np
 
-                def run(sampler, X, y):
-                    rng = np.random.default_rng(1)
-                    rng = np.random.default_rng()
-                    return sampler.fit_resample(X, y, rng)  # repro: noqa
+                def mix():
+                    a = np.zeros(3, dtype=np.float32)
+                    b = np.zeros(3, dtype=np.float64)
+                    return a + b  # repro: noqa
                 """,
             },
         )
-        report = LintEngine(select=["FLOW-RNG"]).run([tmp_path])
-        assert "FLOW-RNG" not in rule_ids(report.findings)
+        report = LintEngine(select=["FLOW-DTYPE"]).run([tmp_path])
+        assert "FLOW-DTYPE" not in rule_ids(report.findings)
+        assert rule_ids(report.suppressed) == {"FLOW-DTYPE"}
