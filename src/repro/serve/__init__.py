@@ -23,6 +23,9 @@ machinery of PRs 2–5:
   clean ``stop`` marker is journaled; anything unfinished stays
   journaled for the successor.
 
+A ``resample`` result packs its matrix ``x`` (:func:`pack_array`, the
+base64 of its float64 bytes); :func:`unpack_array` reads it back.
+
 The ``repro-serve`` CLI (:mod:`~repro.serve.__main__`) wraps
 start/submit/status/result/stop, and the chaos suite in
 ``tests/test_serve_chaos.py`` proves the recovery contract by
@@ -38,8 +41,10 @@ from .protocol import (
     ProtocolError,
     error_response,
     ok_response,
+    pack_array,
     read_message,
     retry_after_response,
+    unpack_array,
     write_message,
 )
 from .queue import JobQueue, recover
@@ -61,8 +66,10 @@ __all__ = [
     "ProtocolError",
     "error_response",
     "ok_response",
+    "pack_array",
     "read_message",
     "retry_after_response",
+    "unpack_array",
     "write_message",
     "JobQueue",
     "recover",

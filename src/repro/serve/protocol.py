@@ -33,12 +33,20 @@ Requests are ``{"verb": ..., ...}`` objects; responses always carry a
     ``result`` query named a settled job whose journal line no longer
     verifies (the daemon never answers with unverified bytes; the
     response carries the ``job_id``).
+
+A float64 matrix in a result travels packed (:func:`pack_array`): the
+base64 of its C-order little-endian bytes, with its ``"<f8"`` dtype and
+shape; exact, and far cheaper to write and read than decimal text.
+:func:`unpack_array` reads it, and the nested lists of older results.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import struct
+
+import numpy as np
 
 __all__ = [
     "MAX_FRAME",
@@ -46,8 +54,10 @@ __all__ = [
     "ProtocolError",
     "error_response",
     "ok_response",
+    "pack_array",
     "read_message",
     "retry_after_response",
+    "unpack_array",
     "write_message",
 ]
 
@@ -142,3 +152,31 @@ def retry_after_response(retry_after, reason, **fields):
 
 def error_response(message, **fields):
     return {"status": "error", "message": message, **fields}
+
+
+def pack_array(array):
+    """``array`` as float64 for a JSON result: ``{"data", "dtype",
+    "shape"}``, ``data`` the base64 of its C-order little-endian bytes."""
+    array = np.ascontiguousarray(array, dtype="<f8")
+    return {"data": base64.b64encode(array).decode("ascii"),
+            "dtype": "<f8", "shape": list(array.shape)}
+
+
+def unpack_array(packed):
+    """The writable float64 array :func:`pack_array` packed, or a nested
+    list read as one.  ``ValueError`` on anything else: a dtype other
+    than ``"<f8"``, a shape not a list of non-negative ints, data not
+    base64, or a byte count other than 8 times the shape's product."""
+    if isinstance(packed, list):
+        try:
+            return np.asarray(packed, dtype=np.float64)
+        except TypeError as exc:
+            raise ValueError("not a float matrix: %s" % exc) from exc
+    shape = packed.get("shape") if isinstance(packed, dict) else None
+    if (not isinstance(shape, list) or packed.get("dtype") != "<f8"
+            or not isinstance(packed.get("data"), str)
+            or not all(type(size) is int and size >= 0 for size in shape)):
+        raise ValueError("not a packed <f8 array: %.80r" % (packed,))
+    # binascii.Error and a size that does not fit are ValueErrors too.
+    raw = base64.b64decode(packed["data"], validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()

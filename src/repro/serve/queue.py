@@ -298,6 +298,10 @@ def recover(journal_path):
     replay too — results embedded in ``outcomes``, or full job specs in
     ``accepted`` — with their results kept as text until the next
     compaction writes them out as ``done`` lines.
+
+    A job the checkpoint lists as settled whose ``done`` line did not
+    verify can neither answer nor run again (its payload was compacted
+    away): it settles ``failed`` with reason ``lost``.
     """
     stats = JournalStats()
     pending, outcomes, accepted, seq = OrderedDict(), {}, {}, 0
@@ -335,6 +339,11 @@ def recover(journal_path):
                 for job_id, spec in (body.get("accepted") or {}).items()
             }
             seq = max(seq, int(body.get("seq", 0)))
+    for job_id in accepted:
+        if job_id not in outcomes and job_id not in pending:
+            outcomes[job_id] = _canonical({
+                "status": "failed", "reason": "lost", "message":
+                "the journal line of job %r no longer verifies" % job_id})
     # Opened only now: opening for append repairs a torn tail.
     queue = JobQueue(Journal(journal_path))
     queue.pending, queue.outcomes, queue.accepted = pending, outcomes, accepted

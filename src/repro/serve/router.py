@@ -11,9 +11,9 @@ Built-in kinds:
 
 ``resample``
     The paper's workload: EOS (or any registered sampler) over an
-    embedding matrix shipped as nested lists.  Runs against the warm
-    daemon — no phase-1 retraining, which is precisely the economic
-    case for embedding-space over-sampling made in PAPER.md.
+    embedding matrix sent as nested lists and returned packed.  Runs
+    against the warm daemon — no phase-1 retraining, which is precisely
+    the economic case for embedding-space over-sampling made in PAPER.md.
 ``echo`` / ``sleep`` / ``fail``
     Diagnostics and chaos-harness primitives: ``sleep`` gives the kill
     window a place to land, ``fail`` feeds the per-family circuit
@@ -26,6 +26,8 @@ import hashlib
 import time
 
 import numpy as np
+
+from .protocol import pack_array
 
 __all__ = ["Router", "default_router", "job_seed"]
 
@@ -88,14 +90,16 @@ def _handle_resample(payload, seed):
     """Embedding-space resampling against the warm daemon.
 
     Payload: ``{"x": [[...], ...], "y": [...], "sampler": "eos",
-    "sampler_kwargs": {...}}``.  Arrays travel as nested lists (the
-    protocol is JSON); the handler seeds the sampler from the job id so
-    repeat executions are byte-identical.
+    "sampler_kwargs": {...}}``, arrays as nested lists; labels reach the
+    sampler's check as sent.  The result's ``x`` is packed
+    (:func:`~repro.serve.protocol.pack_array`), its other arrays lists.
+    The handler seeds the sampler from the job id so repeat executions
+    are byte-identical.
     """
     from ..experiments.config import build_sampler
 
     x = np.asarray(payload["x"], dtype=np.float64)
-    y = np.asarray(payload["y"], dtype=np.int64)
+    y = payload["y"]
     sampler = build_sampler(
         payload.get("sampler", "eos"),
         k_neighbors=int(payload.get("k_neighbors", 5)),
@@ -105,7 +109,7 @@ def _handle_resample(payload, seed):
     x_res, y_res = sampler.fit_resample(x, y)
     counts = np.bincount(np.asarray(y_res, dtype=np.int64))
     return {
-        "x": np.asarray(x_res).tolist(),
+        "x": pack_array(x_res),
         "y": np.asarray(y_res).tolist(),
         "class_counts": counts.tolist(),
         "n_synthetic": int(len(y_res) - len(y)),

@@ -256,3 +256,22 @@ class TestValidateXYNonFinite:
         x[3, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             EOS(k_neighbors=3).fit_resample(x, y)
+
+
+class TestValidateXYLabels:
+    @pytest.mark.parametrize("labels,row", [
+        ([0, 1.9], 1), ([0, -1], 1), ([-0.5, 1.0], 0),
+        ([0.0, np.nan], 1), ([np.inf, 0.0], 0),
+    ])
+    def test_rejects_labels_that_are_not_whole_and_non_negative(
+            self, labels, row):
+        with pytest.raises(ValueError, match="first at row %d" % row):
+            validate_xy(np.ones((2, 2)), labels)
+
+    def test_accepts_whole_float_labels(self):
+        _, y = validate_xy(np.ones((2, 2)), [0.0, 1.0])
+        assert y.dtype == np.int64 and y.tolist() == [0, 1]
+
+    def test_int64_labels_are_not_copied(self):
+        labels = np.array([0, 1, 1], dtype=np.int64)
+        assert validate_xy(np.ones((3, 2)), labels)[1] is labels

@@ -28,8 +28,10 @@ from repro.serve import (
     default_router,
     read_journal,
     recover,
+    unpack_array,
+    write_message,
 )
-from repro.serve.journal import _canonical, _digest
+from repro.serve.journal import _canonical, _digest, _wrap
 
 from .test_serve import _close_service, _drain_service
 from .test_serve_push import _Conn, _frame, _service
@@ -90,11 +92,43 @@ def _pinned_sequence(service):
 #: prefixes included) that ``_pinned_sequence`` produced at commit
 #: 08cb66f, before settled jobs were kept as text: 173,104 journal bytes
 #: in 6 lines, and 8 frames of 144,339 bytes.  The resample result rests
-#: on float arithmetic, as the golden report digests do.
+#: on float arithmetic, as the golden report digests do.  Its matrix was
+#: then nested lists of decimal floats; with ``x`` unpacked back to
+#: lists, today's journal and frames must still hash to these.
 _PINNED_JOURNAL_SHA256 = (
     "50e75fc7f7520754397a6d0577f473d2f5e87e6bebc4dacf23a5b619b89c7883")
 _PINNED_FRAMES_SHA256 = (
     "7c881ae4ed173d5f87c86649288f4fd8bdea523afeae8a9724c763ece4723562")
+#: The same bytes with ``x`` packed (``pack_array``): 132,495 journal
+#: bytes in 6 lines, and 8 frames of 103,730 bytes.
+_PACKED_JOURNAL_SHA256 = (
+    "4cfa2e8cf4fd6272eeaf7cc7b9301995b9e6324870df08e2d3e4a9f7226b1f11")
+_PACKED_FRAMES_SHA256 = (
+    "1b3a5f537cbf92778a57ff46c015f01b3db4ca0bd086f80da7bdb1b0dc3de0c6")
+
+
+def _as_lists(body):
+    """``body`` with a packed resample matrix back in nested lists."""
+    result = body.get("result")
+    if isinstance(result, dict) and isinstance(result.get("x"), dict):
+        body = {**body, "result": {**result,
+                                   "x": unpack_array(result["x"]).tolist()}}
+    return body
+
+
+def _listed_journal(journal):
+    """The journal lines re-wrapped with their matrices as lists."""
+    return b"".join(
+        _wrap(_as_lists(json.loads(line)["body"])).encode("utf-8") + b"\n"
+        for line in journal.splitlines())
+
+
+def _listed_frames(frames):
+    """The frames re-framed with their matrices as lists."""
+    conn = _Conn()
+    for frame in frames:
+        write_message(conn, _as_lists(_answer(frame)))
+    return bytes(conn.sent)
 
 
 def test_pinned_sequence_writes_the_same_journal_and_frames(tmp_path):
@@ -107,8 +141,13 @@ def test_pinned_sequence_writes_the_same_journal_and_frames(tmp_path):
     ]
     assert answers[6]["duplicate"] is True
     journal = (tmp_path / "journal.jsonl").read_bytes()
-    assert hashlib.sha256(journal).hexdigest() == _PINNED_JOURNAL_SHA256
+    assert hashlib.sha256(journal).hexdigest() == _PACKED_JOURNAL_SHA256
     assert hashlib.sha256(b"".join(frames)).hexdigest() == \
+        _PACKED_FRAMES_SHA256
+    # Unpacked, the matrix is the very floats the lists carried.
+    assert hashlib.sha256(_listed_journal(journal)).hexdigest() == \
+        _PINNED_JOURNAL_SHA256
+    assert hashlib.sha256(_listed_frames(frames)).hexdigest() == \
         _PINNED_FRAMES_SHA256
 
 
@@ -144,7 +183,7 @@ def test_settled_job_costs_the_heap_a_locator_not_its_answer(tmp_path):
         tracemalloc.stop()
         service.queue.close()
     # What stays per job is its fingerprint and the locator of its done
-    # line, not its ~140 KB answer (which read 1.0x a frame when kept).
+    # line, not its ~103 KB answer (which read 1.0x a frame when kept).
     assert min(frame_bytes) > 100_000
     assert grown / len(frame_bytes) <= 2048
 
