@@ -2,14 +2,12 @@
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
   AST-based lint engine with repro-specific per-file rules (RNG
-  discipline, tape hygiene, sampler validation, export drift, and the
-  confinement table that pins each owned API to its module).
+  discipline, tape hygiene, sampler validation, and the confinement
+  table that pins each owned API to its module).
 * :mod:`repro.analysis.flow` — the whole-program ``FLOW-DTYPE``
   dataflow analysis, built on a project-wide symbol table with
-  canonical call resolution, with mechanical auto-fixes
-  (:mod:`repro.analysis.fixes`) and a frozen-debt baseline
-  (:mod:`repro.analysis.baseline`).  Run everything as
-  ``python -m repro.analysis [--strict] [--fix] src/`` or via the
+  canonical call resolution.  Run everything as
+  ``python -m repro.analysis [--strict] src/`` or via the
   ``repro-lint`` console script.
 
 Nothing in the runtime imports this package.  The runtime half of the
@@ -17,7 +15,6 @@ tooling, the opt-in ``detect_anomaly()`` tape sanitizer, lives with the
 autograd engine in :mod:`repro.tensor.anomaly`.
 """
 
-from .baseline import Baseline, finding_key
 from .engine import (
     Finding,
     LintEngine,
@@ -26,15 +23,11 @@ from .engine import (
     ProjectRule,
     Rule,
 )
-from .fixes import Fix, FixResult, apply_fixes
 from .flow import ProjectModel
 from .rules import RULE_CLASSES, all_rules, rule_index
 
 __all__ = [
-    "Baseline",
     "Finding",
-    "Fix",
-    "FixResult",
     "LintEngine",
     "LintReport",
     "ModuleContext",
@@ -43,7 +36,5 @@ __all__ = [
     "Rule",
     "RULE_CLASSES",
     "all_rules",
-    "apply_fixes",
-    "finding_key",
     "rule_index",
 ]

@@ -60,24 +60,17 @@ _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_\-,\s]+)\])?")
 
 
 class Finding:
-    """A single lint finding anchored to a file and line.
+    """A single lint finding anchored to a file and line."""
 
-    ``fix`` optionally carries a :class:`repro.analysis.fixes.Fix`
-    describing a mechanical rewrite that removes the finding;
-    ``repro-lint --fix`` applies it.
-    """
+    __slots__ = ("rule", "path", "line", "col", "message", "severity")
 
-    __slots__ = ("rule", "path", "line", "col", "message", "severity", "fix")
-
-    def __init__(self, rule, path, line, col, message, severity="error",
-                 fix=None):
+    def __init__(self, rule, path, line, col, message, severity="error"):
         self.rule = rule
         self.path = str(path)
         self.line = int(line)
         self.col = int(col)
         self.message = message
         self.severity = severity
-        self.fix = fix
 
     def to_dict(self):
         return {
@@ -87,7 +80,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "severity": self.severity,
-            "fixable": self.fix is not None,
         }
 
     def __repr__(self):
@@ -112,6 +104,13 @@ class NoqaComment:
 
     def suppresses(self, rule_id):
         return self.rules is None or rule_id in self.rules
+
+    def names_any(self, rule_ids):
+        """True when the comment names one of ``rule_ids`` (a blanket
+        comment names every rule)."""
+        if self.rules is None:
+            return bool(rule_ids)
+        return not self.rules.isdisjoint(rule_ids)
 
 
 def parse_noqa_comments(source):
@@ -157,7 +156,6 @@ class ModuleContext:
         self.path = str(path)
         self.source = source
         self.tree = tree
-        self.lines = source.splitlines()
         self.noqa = parse_noqa_comments(source)
         self._nodes = list(ast.walk(tree))
         self._by_type = {}
@@ -171,13 +169,13 @@ class ModuleContext:
             return self._by_type.get(types[0], ())
         return [node for node in self._nodes if type(node) in types]
 
-    def finding(self, rule, node, message, severity="error", fix=None):
+    def finding(self, rule, node, message, severity="error"):
         """Build a Finding anchored at an AST node (or (line, col) pair)."""
         if isinstance(node, tuple):
             line, col = node
         else:
             line, col = node.lineno, getattr(node, "col_offset", 0)
-        return Finding(rule, self.path, line, col, message, severity, fix=fix)
+        return Finding(rule, self.path, line, col, message, severity)
 
 
 class Rule:
@@ -196,9 +194,8 @@ class Rule:
     def check(self, ctx):
         raise NotImplementedError
 
-    def finding(self, ctx, node, message, fix=None):
-        return ctx.finding(self.id, node, message, severity=self.severity,
-                           fix=fix)
+    def finding(self, ctx, node, message):
+        return ctx.finding(self.id, node, message, severity=self.severity)
 
 
 class ProjectRule(Rule):
@@ -223,11 +220,10 @@ class ProjectRule(Rule):
 class LintReport:
     """Findings plus bookkeeping from one engine run."""
 
-    def __init__(self, findings, suppressed, files_checked, baselined=0):
+    def __init__(self, findings, suppressed, files_checked):
         self.findings = findings
         self.suppressed = suppressed
         self.files_checked = files_checked
-        self.baselined = baselined
 
     @property
     def error_count(self):
@@ -236,10 +232,6 @@ class LintReport:
     @property
     def warning_count(self):
         return sum(1 for f in self.findings if f.severity == "warning")
-
-    @property
-    def fixable_count(self):
-        return sum(1 for f in self.findings if f.fix is not None)
 
     def exit_code(self, strict=False):
         """0 when clean; 1 when errors (or, under --strict, any finding)."""
@@ -262,10 +254,6 @@ class LintReport:
             self.warning_count,
             len(self.suppressed),
         )
-        if self.baselined:
-            summary += ", %d baselined" % self.baselined
-        if self.fixable_count:
-            summary += " (%d fixable with --fix)" % self.fixable_count
         lines.append(summary)
         return "\n".join(lines)
 
@@ -276,83 +264,10 @@ class LintReport:
                 "errors": self.error_count,
                 "warnings": self.warning_count,
                 "suppressed": len(self.suppressed),
-                "baselined": self.baselined,
                 "findings": [f.to_dict() for f in self.findings],
             },
             indent=2,
         )
-
-    def format_sarif(self, rule_index=None):
-        """SARIF 2.1.0 — the format GitHub code scanning ingests."""
-        seen_rules = []
-        for f in self.findings:
-            if f.rule not in seen_rules:
-                seen_rules.append(f.rule)
-        driver_rules = []
-        for rid in sorted(seen_rules):
-            entry = {"id": rid}
-            if rule_index and rid in rule_index:
-                name, description, _severity = rule_index[rid]
-                entry["name"] = name
-                entry["shortDescription"] = {"text": description}
-            driver_rules.append(entry)
-        results = [
-            {
-                "ruleId": f.rule,
-                "level": "error" if f.severity == "error" else "warning",
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.path},
-                            "region": {
-                                "startLine": f.line,
-                                "startColumn": max(1, f.col + 1),
-                            },
-                        }
-                    }
-                ],
-            }
-            for f in self.findings
-        ]
-        payload = {
-            "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "repro-lint",
-                            "informationUri":
-                                "https://github.com/repro/repro",
-                            "rules": driver_rules,
-                        }
-                    },
-                    "results": results,
-                }
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-    def format_github(self):
-        """GitHub Actions workflow annotations (``::error file=...``)."""
-        lines = [
-            "::%s file=%s,line=%d,col=%d,title=%s::%s"
-            % (
-                "error" if f.severity == "error" else "warning",
-                f.path,
-                f.line,
-                max(1, f.col + 1),
-                f.rule,
-                f.message.replace("%", "%25").replace("\n", "%0A"),
-            )
-            for f in self.findings
-        ]
-        lines.append(
-            "%d file(s) checked: %d error(s), %d warning(s)"
-            % (self.files_checked, self.error_count, self.warning_count)
-        )
-        return "\n".join(lines)
 
 
 def _spec_matches(spec, rule_id):
@@ -380,7 +295,9 @@ class LintEngine:
     select / ignore:
         Optional iterables of rule ids or family prefixes enabling or
         disabling rules (``FLOW`` selects every ``FLOW-*`` analysis).
-        ``select`` wins when both are given.
+        ``select`` wins when both are given.  NOQA001 does not judge a
+        suppression that names a disabled rule (a blanket one, if any
+        rule is disabled).
     """
 
     def __init__(self, rules=None, select=None, ignore=None):
@@ -404,6 +321,7 @@ class LintEngine:
             rules = [r for r in rules
                      if not any(_spec_matches(s, r.id) for s in unwanted)]
         self.rules = rules
+        self.disabled = known - {r.id for r in rules}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -484,7 +402,9 @@ class LintEngine:
         if any(r.id == "NOQA001" for r in self.rules):
             for path, ctx in contexts.items():
                 for comment in ctx.noqa.values():
-                    if not comment.used:
+                    # A noqa naming a rule this run disabled may still
+                    # suppress something: its finding was not looked for.
+                    if not comment.used and not comment.names_any(self.disabled):
                         findings.append(
                             Finding(
                                 "NOQA001",

@@ -21,8 +21,7 @@ Three finding shapes:
   linspace`` without an explicit ``dtype=`` whose result either feeds
   a ``Tensor``/``Parameter``/``register_buffer`` construction or is
   returned from a hot-path module (``repro.tensor``, ``repro.nn``).
-  These are mechanically fixable (``--fix`` appends
-  ``dtype=np.float64``), making every default-width decision explicit
+  Passing ``dtype=`` makes every default-width decision explicit
   before the default flips.
 * **float64 signature default** — a hot-path function signature pins
   ``dtype=np.float64`` (or ``"float64"`` / ``np.double``) as a
@@ -38,7 +37,6 @@ from __future__ import annotations
 import ast
 
 from ..engine import ProjectRule
-from ..fixes import Fix
 
 __all__ = ["DtypeFlowRule"]
 
@@ -221,7 +219,7 @@ class DtypeFlowRule(ProjectRule):
 
     def _summaries(self, project):
         """Canonical name → return _DVal (implicit flag stripped: the
-        finding and fix belong at the allocation site, not the caller)."""
+        finding belongs at the allocation site, not the caller)."""
         summaries = {}
         for _ in range(len(project.functions) + 1):
             changed = False
@@ -242,28 +240,6 @@ class DtypeFlowRule(ProjectRule):
             if not changed:
                 break
         return summaries
-
-    # -- fixes -----------------------------------------------------------
-    def _implicit_fix(self, alloc, module):
-        """Append ``dtype=np.float64`` to a single-line allocation call."""
-        if alloc.lineno != getattr(alloc, "end_lineno", None):
-            return None
-        if module.imports.get("np") == "numpy":
-            alias = "np"
-        elif module.imports.get("numpy") == "numpy":
-            alias = "numpy"
-        else:
-            return None
-        segment = ast.get_source_segment(module.ctx.source, alloc)
-        if not segment or "\n" in segment or not segment.endswith(")"):
-            return None
-        line_text = module.ctx.lines[alloc.lineno - 1]
-        if line_text.count(segment) != 1:
-            return None
-        replacement = "%s, dtype=%s.float64)" % (segment[:-1], alias)
-        if not alloc.args and not alloc.keywords:
-            replacement = "%sdtype=%s.float64)" % (segment[:-1], alias)
-        return Fix([(alloc.lineno, segment, replacement)])
 
     def _signature_defaults(self, fn, module):
         """Findings for float64-pinned parameter defaults in hot modules."""
@@ -344,7 +320,6 @@ class DtypeFlowRule(ProjectRule):
                             "pass an explicit dtype so the float32 "
                             "migration can retarget it" % trailing,
                             severity=self.severity,
-                            fix=self._implicit_fix(alloc, module),
                         )
                 elif isinstance(node, ast.Return) and node.value is not None \
                         and _is_hot_module(module):
@@ -360,5 +335,4 @@ class DtypeFlowRule(ProjectRule):
                         "hot-path function %r returns an implicit float64 "
                         "allocation; pass an explicit dtype" % fn.name,
                         severity=self.severity,
-                        fix=self._implicit_fix(alloc, module),
                     )

@@ -14,8 +14,8 @@ one-line reason every finding carries.
 from __future__ import annotations
 
 from ..flow import DtypeFlowRule
-from .api import AllExportDriftRule, SamplerValidationRule, UnusedNoqaRule
-from .autograd import MissingNoGradRule, TapeDataEscapeRule
+from .api import SamplerValidationRule, UnusedNoqaRule
+from .autograd import MissingNoGradRule
 from .confinement import CONFINEMENTS, ConfinementRule
 from .mutation import MutableDefaultRule, ParamInPlaceMutationRule
 from .resilience import NonAtomicArtifactWriteRule, SwallowedExceptionRule
@@ -26,11 +26,9 @@ __all__ = [
     "RULE_CLASSES",
     "all_rules",
     "rule_index",
-    "AllExportDriftRule",
     "SamplerValidationRule",
     "UnusedNoqaRule",
     "MissingNoGradRule",
-    "TapeDataEscapeRule",
     "ConfinementRule",
     "MutableDefaultRule",
     "ParamInPlaceMutationRule",
@@ -51,18 +49,15 @@ RULE_CLASSES = (
     MutableDefaultRule,
     # MUT002: cells leave the shared phase-1 embeddings intact: golden digests
     ParamInPlaceMutationRule,
-    # GRAD001: inference records no tape; no tier-1 test pins it
+    # GRAD001 (perf guard): inference records no tape; the work ledger
+    # cannot see a tape (profile_ops counts every forward op either way)
     MissingNoGradRule,
-    # TAPE001: persisted .data is a copy; no tier-1 test pins it
-    TapeDataEscapeRule,
     # VAL001: samplers reject NaN/Inf (test_samplers_reject_nan_embeddings)
     SamplerValidationRule,
     # RES001: no torn artifact on a kill: kill/resume, no lost or extra rows
     NonAtomicArtifactWriteRule,
     # RES002: kills and divergences reach the retry layer: kill/resume
     SwallowedExceptionRule,
-    # EXP001: __all__ matches each module's definitions; no tier-1 test
-    AllExportDriftRule,
     # NOQA001: every suppression in the lint gate still suppresses something
     UnusedNoqaRule,
     # FLOW-DTYPE: allocations follow the float32 default (TestTreeDtypeFixes)

@@ -1,8 +1,7 @@
-"""Autograd-tape hygiene rules.
+"""Autograd-tape hygiene rule.
 
-These rules encode the safety conventions of the hand-rolled tape engine
-in :mod:`repro.tensor`: inference code must not record tape nodes, and
-``.data`` buffers must not escape into persisted state without a copy.
+Inference code must not record tape nodes in the hand-rolled tape
+engine of :mod:`repro.tensor`.
 """
 
 from __future__ import annotations
@@ -12,14 +11,13 @@ import re
 
 from ..engine import Rule
 
-__all__ = ["MissingNoGradRule", "TapeDataEscapeRule"]
+__all__ = ["MissingNoGradRule"]
 
 _EVAL_NAME_RE = re.compile(
     r"^(predict|evaluate|extract_features|extract_embeddings|infer|inference)"
 )
 _MODEL_NAMES = {"model", "net", "network", "classifier", "encoder", "decoder",
                 "extractor", "backbone"}
-_PERSIST_NAMES = re.compile(r"(^|_)(save|savez|savez_compressed|dump|tofile)($|_)")
 
 
 def _call_name(func):
@@ -88,34 +86,3 @@ class MissingNoGradRule(Rule):
                     "%r runs a model forward pass without no_grad(); inference "
                     "must not record tape nodes" % node.name,
                 )
-
-
-class TapeDataEscapeRule(Rule):
-    """TAPE001: no raw ``.data`` buffers into persistence calls.
-
-    ``Tensor.data`` shares memory with the live tape.  Handing it to
-    ``np.save*``/``pickle.dump`` persists a view that later in-place
-    updates (optimizer steps) will have mutated.  Persist a copy.
-    """
-
-    id = "TAPE001"
-    name = "tape-data-escape"
-    description = ("raw Tensor .data passed to a save/dump call; persist "
-                   ".data.copy() instead")
-    severity = "error"
-
-    def check(self, ctx):
-        for node in ctx.of(ast.Call):
-            name = _call_name(node.func)
-            if name is None or not _PERSIST_NAMES.search(name):
-                continue
-            values = list(node.args) + [kw.value for kw in node.keywords]
-            for value in values:
-                if isinstance(value, ast.Attribute) and value.attr == "data":
-                    yield self.finding(
-                        ctx,
-                        value,
-                        "raw .data buffer passed to %s(); it aliases the live "
-                        "tape — persist .data.copy()" % name,
-                    )
-

@@ -10,7 +10,6 @@ from __future__ import annotations
 import ast
 
 from ..engine import Rule
-from ..fixes import Fix
 
 __all__ = ["BareNumpyRandomRule", "UnseededGeneratorRule"]
 
@@ -72,24 +71,6 @@ class UnseededGeneratorRule(Rule):
     name = "unseeded-default-rng"
     description = "np.random.default_rng() called without an explicit seed"
 
-    @staticmethod
-    def _fix_for(ctx, node):
-        """Seedable-constructor injection: swap the unseeded call for
-        ``fresh_generator()`` (independent stream of the seeded process
-        root) and import it."""
-        if node.lineno != getattr(node, "end_lineno", None):
-            return None
-        segment = ast.get_source_segment(ctx.source, node)
-        if not segment:
-            return None
-        line_text = ctx.lines[node.lineno - 1]
-        if line_text.count(segment) != 1:
-            return None
-        return Fix(
-            [(node.lineno, segment, "fresh_generator()")],
-            add_imports=("from repro._rng import fresh_generator",),
-        )
-
     def check(self, ctx):
         for node in ctx.of(ast.Call):
             func = node.func
@@ -104,5 +85,4 @@ class UnseededGeneratorRule(Rule):
                     node,
                     "default_rng() without a seed is non-reproducible; pass "
                     "an explicit seed or an existing Generator",
-                    fix=self._fix_for(ctx, node),
                 )

@@ -73,11 +73,6 @@ def _cmd_start(args):
 
         telemetry_session = telemetry.session(trace_out=args.trace_out)
         telemetry_session.__enter__()
-    cache = None
-    if args.cache_entries:
-        from ..experiments import ExtractorCache
-
-        cache = ExtractorCache(max_entries=args.cache_entries)
     service = ReproService(
         args.socket,
         args.journal,
@@ -87,7 +82,6 @@ def _cmd_start(args):
         task_deadline=args.task_deadline,
         breaker_threshold=args.breaker_threshold,
         drain_seconds=args.drain_seconds,
-        cache=cache,
         recycle_after=args.recycle_after,
         compact_every=args.compact_every,
         degraded_threshold=args.degraded_threshold,
@@ -207,8 +201,6 @@ def main(argv=None):
     start.add_argument("--task-deadline", type=float, default=None)
     start.add_argument("--breaker-threshold", type=int, default=3)
     start.add_argument("--drain-seconds", type=float, default=5.0)
-    start.add_argument("--cache-entries", type=int, default=0,
-                       help="warm ExtractorCache size (0: no cache)")
     start.add_argument("--trace-out", default=None,
                        help="flush a telemetry trace here on exit")
     start.add_argument("--recycle-after", type=int, default=None,

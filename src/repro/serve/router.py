@@ -11,9 +11,10 @@ Built-in kinds:
 
 ``resample``
     The paper's workload: EOS (or any registered sampler) over an
-    embedding matrix sent as nested lists and returned packed.  Runs
-    against the warm daemon — no phase-1 retraining, which is precisely
-    the economic case for embedding-space over-sampling made in PAPER.md.
+    embedding matrix sent as nested lists and returned packed.  The
+    embeddings arrive in the payload, so no job retrains phase 1, which
+    is precisely the economic case for embedding-space over-sampling
+    made in PAPER.md.
 ``echo`` / ``sleep`` / ``fail``
     Diagnostics and chaos-harness primitives: ``sleep`` gives the kill
     window a place to land, ``fail`` feeds the per-family circuit
@@ -87,7 +88,7 @@ def _handle_fail(payload, seed):
 
 
 def _handle_resample(payload, seed):
-    """Embedding-space resampling against the warm daemon.
+    """Embedding-space resampling of the embeddings in the payload.
 
     Payload: ``{"x": [[...], ...], "y": [...], "sampler": "eos",
     "sampler_kwargs": {...}}``, arrays as nested lists; labels reach the

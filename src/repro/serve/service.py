@@ -56,11 +56,6 @@ socket.  Its reliability contract, end to end:
   ``drain_seconds``, journals a clean ``stop`` marker, and leaves
   anything unfinished safely journaled for its successor.
 
-Warm state (an :class:`repro.experiments.ExtractorCache`, optionally
-registry-backed) hangs off the service so repeat ``resample`` jobs
-against the same extractor skip phase-1 — the economics the paper's
-efficiency argument needs from a serving layer.
-
 Fault points (see :class:`repro.resilience.FaultPlan`): ``serve.accept``
 fires between admission and the journal write, ``serve.dispatch``
 inside each job execution, ``serve.journal`` inside every journal
@@ -174,9 +169,6 @@ class ReproService:
         stop marker is written.
     router:
         A :class:`repro.serve.Router`; defaults to the built-ins.
-    cache:
-        Optional warm :class:`repro.experiments.ExtractorCache` exposed
-        to handlers via ``service.cache`` (stats surface in ``status``).
     recycle_after:
         Retire and replace each pool worker after this many completed
         jobs (bounds slow memory growth; None disables).
@@ -190,7 +182,7 @@ class ReproService:
     def __init__(self, socket_path, journal_path, max_depth=64,
                  per_client_limit=None, workers=1, task_deadline=None,
                  deadline_retries=1, breaker_threshold=3, drain_seconds=5.0,
-                 router=None, cache=None, recycle_after=None,
+                 router=None, recycle_after=None,
                  compact_every=None, degraded_threshold=3):
         self.socket_path = os.fspath(socket_path)
         self.journal_path = os.fspath(journal_path)
@@ -200,7 +192,6 @@ class ReproService:
         )
         self.router = router if router is not None else default_router()
         self.breaker = CircuitBreaker(threshold=breaker_threshold)
-        self.cache = cache
         self.workers = max(1, int(workers))
         self.task_deadline = task_deadline
         self.deadline_retries = int(deadline_retries)
@@ -392,8 +383,6 @@ class ReproService:
                 "clean_stop": self.replay_stats.clean_stop,
             },
         }
-        if self.cache is not None:
-            payload["cache"] = self.cache.stats()
         return ok_response(**payload)
 
     def health(self):

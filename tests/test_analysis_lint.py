@@ -214,28 +214,6 @@ class TestGRAD001MissingNoGrad:
         assert "GRAD001" not in rule_ids(findings)
 
 
-class TestTAPE001DataEscape:
-    def test_flags_raw_data_into_save(self):
-        findings = lint(
-            """
-            import numpy as np
-            def checkpoint(tensor, path):
-                np.save(path, tensor.data)
-            """
-        )
-        assert "TAPE001" in rule_ids(findings)
-
-    def test_allows_copied_data(self):
-        findings = lint(
-            """
-            import numpy as np
-            def checkpoint(tensor, path):
-                np.save(path, tensor.data.copy())
-            """
-        )
-        assert "TAPE001" not in rule_ids(findings)
-
-
 class TestVAL001SamplerValidation:
     def test_flags_unvalidated_fit_resample(self):
         findings = lint(
@@ -269,56 +247,6 @@ class TestVAL001SamplerValidation:
             """
         )
         assert "VAL001" not in rule_ids(findings)
-
-
-class TestEXP001ExportDrift:
-    def test_flags_phantom_export(self):
-        findings = lint(
-            """
-            __all__ = ["missing_thing"]
-            """
-        )
-        assert "EXP001" in rule_ids(findings)
-
-    def test_flags_unexported_public_def(self):
-        findings = lint(
-            """
-            __all__ = ["f"]
-
-            def f():
-                pass
-
-            def g():
-                pass
-            """
-        )
-        messages = [f.message for f in findings if f.rule == "EXP001"]
-        assert any("'g'" in m for m in messages)
-
-    def test_clean_module_passes(self):
-        findings = lint(
-            """
-            __all__ = ["f", "CONST"]
-
-            CONST = 3
-
-            def f():
-                pass
-
-            def _private():
-                pass
-            """
-        )
-        assert "EXP001" not in rule_ids(findings)
-
-    def test_no_all_is_ignored(self):
-        findings = lint(
-            """
-            def anything():
-                pass
-            """
-        )
-        assert "EXP001" not in rule_ids(findings)
 
 
 # ----------------------------------------------------------------------
@@ -364,6 +292,34 @@ class TestNoqaSuppression:
         mod.write_text('DOC = "example:  # repro: noqa[RNG001]"\n')
         report = LintEngine().run([tmp_path])
         assert not report.findings
+
+    DISABLED_RULE_SOURCE = (
+        "def risky():\n"
+        "    try:\n"
+        "        return 1\n"
+        "    except ValueError:  # repro: noqa[RES002] fixture: justified\n"
+        "        pass\n"
+        "x = 1  # repro: noqa[RNG001]\n"
+        "y = 2  # repro: noqa[NOPE999]\n"
+        "z = 3  # repro: noqa\n"
+    )
+
+    @pytest.mark.parametrize("config, suppressed, unused_lines", [
+        ({}, ["RES002"], [6, 7, 8]),
+        ({"ignore": ["RES002"]}, [], [6, 7]),
+        ({"select": ["RNG001", "NOQA001"]}, [], [6, 7]),
+    ], ids=["all-rules", "ignore", "select"])
+    def test_noqa_of_a_disabled_rule_is_not_judged(
+            self, tmp_path, config, suppressed, unused_lines):
+        """A run that turned RES002 off never looked for the finding its
+        noqa suppresses, so it cannot call that noqa (or a blanket one)
+        unused; a stale noqa of an enabled rule, or of an unknown id,
+        still warns."""
+        (tmp_path / "m.py").write_text(self.DISABLED_RULE_SOURCE)
+        report = LintEngine(**config).run([tmp_path])
+        assert [f.rule for f in report.suppressed] == suppressed
+        assert [(f.rule, f.line) for f in report.findings] == [
+            ("NOQA001", line) for line in unused_lines]
 
 
 class TestRES001NonAtomicArtifactWrite:
@@ -899,9 +855,9 @@ class TestEngineConfig:
         assert [f.name for f in ctx.of(ast.FunctionDef)] == ["c", "b"]
         assert not ctx.of(ast.ClassDef)
 
-    def test_registry_has_eighteen_rules(self):
-        assert len(all_rules()) == 18
-        assert len(rule_index()) == 18
+    def test_registry_has_sixteen_rules(self):
+        assert len(all_rules()) == 16
+        assert len(rule_index()) == 16
         flow = [r for r in all_rules() if r.requires_project]
         assert {r.id for r in flow} == {"FLOW-DTYPE"}
 
@@ -915,14 +871,9 @@ VIOLATION_FIXTURES = {
     "MUT001": "def f(items=[]):\n    return items\n",
     "MUT002": "def f(x):\n    x[0] = 1\n",
     "GRAD001": "def predict(model, images):\n    return model(images)\n",
-    "TAPE001": (
-        "import numpy as np\n"
-        "def f(t, path):\n    np.save(path, t.data)\n"
-    ),
     "VAL001": (
         "class S:\n    def fit_resample(self, x, y):\n        return x, y\n"
     ),
-    "EXP001": '__all__ = ["ghost"]\n',
     "OBS001": "import time\nt0 = time.perf_counter()\n",
     "PAR001": "import multiprocessing\npool = multiprocessing.Pool(4)\n",
     "SRV001": "import socketserver\n",

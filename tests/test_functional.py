@@ -91,14 +91,14 @@ class TestDropout:
         assert dropout(x, p=0.0) is x
 
     def test_mask_reused_in_backward(self, rng):
-        x = Tensor(np.ones((200, 10)), requires_grad=True)
+        x = Tensor(np.ones((200, 10), dtype=np.float64), requires_grad=True)
         out = dropout(x, p=0.5, rng=np.random.default_rng(0))
         out.sum().backward()
         # Gradient is exactly the mask: zero where dropped, 2 where kept.
         np.testing.assert_array_equal((x.grad == 0), (out.data == 0))
 
     def test_seeded_rng_reproducible(self, rng):
-        x = Tensor(np.ones((50, 4)))
+        x = Tensor(np.ones((50, 4), dtype=np.float64))
         a = dropout(x, 0.5, rng=np.random.default_rng(3)).data
         b = dropout(x, 0.5, rng=np.random.default_rng(3)).data
         np.testing.assert_array_equal(a, b)

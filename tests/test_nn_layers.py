@@ -103,7 +103,7 @@ class TestLinear:
     def test_no_bias(self, rng):
         layer = Linear(5, 3, bias=False, rng=rng)
         assert layer.bias is None
-        out = layer(Tensor(np.zeros((2, 5))))
+        out = layer(Tensor(np.zeros((2, 5), dtype=np.float64)))
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_gradcheck(self, rng):
@@ -201,14 +201,14 @@ class TestBatchNorm:
 
     def test_wrong_dims_raise(self, rng):
         with pytest.raises(ValueError):
-            BatchNorm2d(2)(Tensor(np.zeros((2, 2))))
+            BatchNorm2d(2)(Tensor(np.zeros((2, 2), dtype=np.float64)))
         with pytest.raises(ValueError):
-            BatchNorm1d(2)(Tensor(np.zeros((2, 2, 2, 2))))
+            BatchNorm1d(2)(Tensor(np.zeros((2, 2, 2, 2), dtype=np.float64)))
 
 
 class TestMiscLayers:
     def test_flatten(self, rng):
-        out = Flatten()(Tensor(np.zeros((2, 3, 4))))
+        out = Flatten()(Tensor(np.zeros((2, 3, 4), dtype=np.float64)))
         assert out.shape == (2, 12)
 
     def test_identity(self, rng):
@@ -216,13 +216,13 @@ class TestMiscLayers:
         assert Identity()(x) is x
 
     def test_global_avg_pool_layer(self, rng):
-        out = GlobalAvgPool2d()(Tensor(np.ones((2, 3, 4, 4))))
+        out = GlobalAvgPool2d()(Tensor(np.ones((2, 3, 4, 4), dtype=np.float64)))
         np.testing.assert_allclose(out.data, 1.0)
         assert out.shape == (2, 3)
 
     def test_dropout_train_vs_eval(self, rng):
         drop = Dropout(0.5, rng=rng)
-        x = Tensor(np.ones((100, 10)))
+        x = Tensor(np.ones((100, 10), dtype=np.float64))
         out_train = drop(x).data
         assert (out_train == 0).any()
         # Inverted dropout preserves expectation.
@@ -234,7 +234,7 @@ class TestMiscLayers:
         from repro.tensor import dropout
 
         with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), p=1.0)
+            dropout(Tensor(np.ones(3, dtype=np.float64)), p=1.0)
 
 
 class TestInit:

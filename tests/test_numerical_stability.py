@@ -53,7 +53,7 @@ class TestTrainingWithExtremeInputs:
         from repro.nn import BatchNorm2d
 
         bn = BatchNorm2d(2)
-        x = Tensor(np.full((4, 2, 3, 3), 7.0), requires_grad=True)
+        x = Tensor(np.full((4, 2, 3, 3), 7.0, dtype=np.float64), requires_grad=True)
         out = bn(x)
         assert np.all(np.isfinite(out.data))
         out.sum().backward()

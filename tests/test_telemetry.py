@@ -506,7 +506,7 @@ class TestProfiler:
 
         with telemetry.session() as tracer:
             with profile_ops():
-                t = Tensor(np.ones((2, 2)), requires_grad=True)
+                t = Tensor(np.ones((2, 2), dtype=np.float64), requires_grad=True)
                 (t * 2.0).sum().backward()
         events = [r for r in tracer.records if r.get("type") == "event"]
         assert [e["name"] for e in events] == ["profile"]
@@ -515,7 +515,7 @@ class TestProfiler:
     def test_disabled_profiler_leaves_tensor_ops_untouched(self):
         from repro.tensor import Tensor
 
-        t = Tensor(np.ones((2, 2)), requires_grad=True)
+        t = Tensor(np.ones((2, 2), dtype=np.float64), requires_grad=True)
         out = (t * 3.0).sum()
         out.backward()
         assert profile_ops.stats() is not None  # stats readable anytime

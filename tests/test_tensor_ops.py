@@ -44,7 +44,7 @@ class TestConstruction:
 
     def test_item_and_len(self):
         assert Tensor([[3.5]]).item() == 3.5
-        assert len(Tensor(np.zeros((4, 2)))) == 4
+        assert len(Tensor(np.zeros((4, 2), dtype=np.float64))) == 4
 
 
 class TestArithmetic:
@@ -56,8 +56,8 @@ class TestArithmetic:
         np.testing.assert_allclose(b.grad, [1.0, 1.0])
 
     def test_add_broadcast_backward(self):
-        a = Tensor(np.ones((3, 4)), requires_grad=True)
-        b = Tensor(np.ones(4), requires_grad=True)
+        a = Tensor(np.ones((3, 4), dtype=np.float64), requires_grad=True)
+        b = Tensor(np.ones(4, dtype=np.float64), requires_grad=True)
         (a + b).sum().backward()
         np.testing.assert_allclose(b.grad, [3.0] * 4)
 
@@ -193,12 +193,12 @@ class TestReductions:
         np.testing.assert_allclose(a.grad, np.ones((2, 3)))
 
     def test_mean_grad_scaled(self):
-        a = Tensor(np.ones((2, 4)), requires_grad=True)
+        a = Tensor(np.ones((2, 4), dtype=np.float64), requires_grad=True)
         a.mean().backward()
         np.testing.assert_allclose(a.grad, np.full((2, 4), 1 / 8))
 
     def test_mean_axis_tuple(self):
-        a = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        a = Tensor(np.ones((2, 3, 4), dtype=np.float64), requires_grad=True)
         out = a.mean(axis=(1, 2))
         assert out.shape == (2,)
         out.sum().backward()
@@ -234,7 +234,7 @@ class TestShapes:
         assert a.grad.shape == (12,)
 
     def test_flatten(self):
-        a = Tensor(np.zeros((2, 3, 4)))
+        a = Tensor(np.zeros((2, 3, 4), dtype=np.float64))
         assert a.flatten().shape == (2, 12)
         assert a.flatten(start_dim=0).shape == (24,)
 
@@ -246,7 +246,7 @@ class TestShapes:
         np.testing.assert_allclose(a.grad, 2 * a.data)
 
     def test_transpose_with_axes(self):
-        a = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+        a = Tensor(np.zeros((2, 3, 4), dtype=np.float64), requires_grad=True)
         out = a.transpose(2, 0, 1)
         assert out.shape == (4, 2, 3)
         out.sum().backward()
@@ -259,7 +259,7 @@ class TestShapes:
         np.testing.assert_allclose(a.grad, [2.0, 0.0, 1.0, 0.0])
 
     def test_pad2d(self):
-        a = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+        a = Tensor(np.ones((1, 1, 2, 2), dtype=np.float64), requires_grad=True)
         out = a.pad2d(1)
         assert out.shape == (1, 1, 4, 4)
         out.sum().backward()
@@ -267,11 +267,11 @@ class TestShapes:
 
     def test_pad2d_rejects_non_4d(self):
         with pytest.raises(ValueError):
-            Tensor(np.ones((2, 2))).pad2d(1)
+            Tensor(np.ones((2, 2), dtype=np.float64)).pad2d(1)
 
     def test_concatenate_grad_routing(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((3, 2)), requires_grad=True)
+        a = Tensor(np.ones((2, 2), dtype=np.float64), requires_grad=True)
+        b = Tensor(np.ones((3, 2), dtype=np.float64), requires_grad=True)
         out = concatenate([a, b], axis=0)
         assert out.shape == (5, 2)
         (out * 2).sum().backward()
@@ -333,11 +333,9 @@ class TestBackwardSemantics:
     def test_no_grad_restores_on_exception(self):
         from repro.tensor import is_grad_enabled
 
-        try:
+        with pytest.raises(RuntimeError):
             with no_grad():
                 raise RuntimeError("boom")
-        except RuntimeError:
-            pass
         assert is_grad_enabled()
 
     def test_comparisons_are_detached(self):
