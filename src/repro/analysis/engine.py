@@ -326,16 +326,20 @@ class LintEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def collect_files(paths):
-        files = []
+        """The ``.py`` files under ``paths``, each once: the first
+        mention of a resolved path, in order."""
+        files = {}
         for path in paths:
             p = Path(path)
             if p.is_dir():
-                files.extend(sorted(p.rglob("*.py")))
+                found = sorted(p.rglob("*.py"))
             elif p.suffix == ".py":
-                files.append(p)
+                found = [p]
             else:
                 raise FileNotFoundError("not a python file or directory: %s" % path)
-        return files
+            for file in found:
+                files.setdefault(file.resolve(), file)
+        return list(files.values())
 
     @property
     def file_rules(self):

@@ -24,7 +24,9 @@ machinery of PRs 2–5:
   journaled for the successor.
 
 A ``resample`` result packs its matrix ``x`` (:func:`pack_array`, the
-base64 of its float64 bytes); :func:`unpack_array` reads it back.
+base64 of its float64 bytes), and :class:`ServeClient` sends a
+``resample`` payload's ``x`` packed (:func:`pack_payload`);
+:func:`unpack_array` reads either back.
 
 The ``repro-serve`` CLI (:mod:`~repro.serve.__main__`) wraps
 start/submit/status/result/stop, and the chaos suite in
@@ -42,6 +44,7 @@ from .protocol import (
     error_response,
     ok_response,
     pack_array,
+    pack_payload,
     read_message,
     retry_after_response,
     unpack_array,
@@ -67,6 +70,7 @@ __all__ = [
     "error_response",
     "ok_response",
     "pack_array",
+    "pack_payload",
     "read_message",
     "retry_after_response",
     "unpack_array",

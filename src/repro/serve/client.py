@@ -23,7 +23,7 @@ import socket
 import time
 
 from ..telemetry.clock import monotonic
-from .protocol import read_message, write_message
+from .protocol import pack_payload, read_message, write_message
 
 __all__ = ["LoadShedded", "ServeClient", "ServeError", "retry_jitter"]
 
@@ -99,6 +99,10 @@ class ServeClient:
     def submit(self, kind, payload=None, job_id=None):
         """Submit one job; returns its id.
 
+        A ``resample`` payload's ``x`` goes packed
+        (:func:`~repro.serve.protocol.pack_payload`), the same bytes on
+        every attempt, so a lost-ACK retry is the same work.
+
         Raises :class:`LoadShedded` when admission control refuses (the
         job was NOT accepted) and :class:`ServeError` on malformed or
         rejected requests.
@@ -106,7 +110,7 @@ class ServeClient:
         response = self.request({
             "verb": "submit",
             "kind": kind,
-            "payload": payload or {},
+            "payload": pack_payload(kind, payload or {}),
             "client": self.client_id,
             **({"job_id": job_id} if job_id is not None else {}),
         })

@@ -34,10 +34,13 @@ Requests are ``{"verb": ..., ...}`` objects; responses always carry a
     verifies (the daemon never answers with unverified bytes; the
     response carries the ``job_id``).
 
-A float64 matrix in a result travels packed (:func:`pack_array`): the
-base64 of its C-order little-endian bytes, with its ``"<f8"`` dtype and
-shape; exact, and far cheaper to write and read than decimal text.
-:func:`unpack_array` reads it, and the nested lists of older results.
+A float64 matrix travels packed (:func:`pack_array`) in both
+directions: the base64 of its C-order little-endian bytes, with its
+``"<f8"`` dtype and shape; exact, and far cheaper to write and read
+than decimal text.  A ``resample`` result carries its ``x`` packed, and
+the shipped client sends a ``resample`` payload's ``x`` packed
+(:func:`pack_payload`, :data:`PACKED_FIELDS`).  :func:`unpack_array`
+reads it, and the nested lists of older results.
 """
 
 from __future__ import annotations
@@ -50,11 +53,13 @@ import numpy as np
 
 __all__ = [
     "MAX_FRAME",
+    "PACKED_FIELDS",
     "STATUSES",
     "ProtocolError",
     "error_response",
     "ok_response",
     "pack_array",
+    "pack_payload",
     "read_message",
     "retry_after_response",
     "unpack_array",
@@ -71,6 +76,9 @@ MAX_FRAME = 64 << 20
 STATUSES = (
     "ok", "retry_after", "pending", "done", "failed", "not_found", "error",
 )
+
+#: The payload field of a job kind that the shipped client sends packed.
+PACKED_FIELDS = {"resample": "x"}
 
 
 class ProtocolError(RuntimeError):
@@ -170,7 +178,7 @@ def unpack_array(packed):
     if isinstance(packed, list):
         try:
             return np.asarray(packed, dtype=np.float64)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError("not a float matrix: %s" % exc) from exc
     shape = packed.get("shape") if isinstance(packed, dict) else None
     if (not isinstance(shape, list) or packed.get("dtype") != "<f8"
@@ -180,3 +188,19 @@ def unpack_array(packed):
     # binascii.Error and a size that does not fit are ValueErrors too.
     raw = base64.b64decode(packed["data"], validate=True)
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+
+def pack_payload(kind, payload):
+    """``payload`` as the client sends a ``kind`` job: a copy with its
+    :data:`PACKED_FIELDS` list packed (:func:`pack_array`), or, when
+    there is none or it does not convert to float64, ``payload`` itself,
+    which the handler then fails as it always did."""
+    field = PACKED_FIELDS.get(kind)
+    matrix = payload.get(field) if isinstance(payload, dict) else None
+    if not isinstance(matrix, list):
+        return payload
+    try:
+        matrix = np.asarray(matrix, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return payload
+    return {**payload, field: pack_array(matrix)}

@@ -200,12 +200,6 @@ class JobQueue:
             batch.append(job)
         return batch
 
-    def requeue(self, job):
-        """Put an unsettled job back at the *front* (drain interrupted)."""
-        self.taken.pop(job["job_id"], None)
-        self.pending[job["job_id"]] = job
-        self.pending.move_to_end(job["job_id"], last=False)
-
     def _done_record(self, job_id):
         """The journal record of settled result ``job_id`` for a
         compaction: its ``done`` line's bytes, read back and verified,

@@ -11,7 +11,8 @@ Built-in kinds:
 
 ``resample``
     The paper's workload: EOS (or any registered sampler) over an
-    embedding matrix sent as nested lists and returned packed.  The
+    embedding matrix that arrives packed from the shipped client, or as
+    nested lists, and is returned packed.  The
     embeddings arrive in the payload, so no job retrains phase 1, which
     is precisely the economic case for embedding-space over-sampling
     made in PAPER.md.
@@ -28,7 +29,7 @@ import time
 
 import numpy as np
 
-from .protocol import pack_array
+from .protocol import pack_array, unpack_array
 
 __all__ = ["Router", "default_router", "job_seed"]
 
@@ -91,15 +92,20 @@ def _handle_resample(payload, seed):
     """Embedding-space resampling of the embeddings in the payload.
 
     Payload: ``{"x": [[...], ...], "y": [...], "sampler": "eos",
-    "sampler_kwargs": {...}}``, arrays as nested lists; labels reach the
-    sampler's check as sent.  The result's ``x`` is packed
-    (:func:`~repro.serve.protocol.pack_array`), its other arrays lists.
-    The handler seeds the sampler from the job id so repeat executions
-    are byte-identical.
+    "sampler_kwargs": {...}}``; ``x`` packed
+    (:func:`~repro.serve.protocol.pack_array`) or nested lists, which
+    give the sampler the same float64 bytes, and labels reach the
+    sampler's check as sent.  The result's ``x`` is packed, its other
+    arrays lists.  The handler seeds the sampler from the job id so
+    repeat executions are byte-identical.
     """
     from ..experiments.config import build_sampler
 
-    x = np.asarray(payload["x"], dtype=np.float64)
+    x = payload["x"]
+    if isinstance(x, dict):
+        x = unpack_array(x)
+    else:
+        x = np.asarray(x, dtype=np.float64)
     y = payload["y"]
     sampler = build_sampler(
         payload.get("sampler", "eos"),

@@ -949,3 +949,22 @@ class TestViolationTree:
 
     def test_cli_bad_path_exits_two(self, tmp_path, capsys):
         assert lint_main([str(tmp_path / "nope.txt")]) == 2
+
+    def test_cli_lints_a_file_named_twice_once(self, tmp_path, capsys):
+        target = tmp_path / "f.py"
+        target.write_text("import numpy as np\n\nnp.random.rand(3)\n")
+        assert lint_main([str(target), str(target)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[RNG001]") == 1
+        assert "1 file(s) checked: 1 error(s)" in out
+
+    def test_cli_overlapping_paths_count_as_the_directory(self, capsys):
+        package = Path(repro.__file__).parent / "analysis"
+
+        def counts(*paths):
+            lint_main(["--format", "json", *map(str, paths)])
+            return json.loads(capsys.readouterr().out)
+
+        alone = counts(package)
+        assert alone["files_checked"] > 1 and alone["suppressed"] > 0
+        assert counts(package, package / "engine.py", package) == alone

@@ -1,16 +1,20 @@
-"""A ``resample`` result carries its matrix packed, and nothing is lost.
+"""A ``resample`` matrix travels packed both ways, and nothing is lost.
 
-``x`` travels as the base64 of its float64 bytes (``pack_array``).
-These tests check that those are the very bits the nested-list result
-held, against the handler as it was before packing, kept here verbatim;
-that ``unpack_array`` round-trips every shape, still reads a nested
-list (a result journaled before packing, which a daemon answers as it
-was journaled) and rejects malformed input; that labels a cast would
-have truncated fail their job; and that a compacted job whose ``done``
-line no longer verifies settles ``failed``/``lost`` instead of
-vanishing.
+``x`` travels as the base64 of its float64 bytes (``pack_array``): in
+a result, and in a payload the shipped client submits
+(``pack_payload``).  These tests check that those are the very bits
+the nested-list result held, against the handler as it was before
+packing, kept here verbatim; that a packed payload gives the result of
+its list payload, journals the same floats, and falls back to the list
+where ``x`` does not convert; that ``unpack_array`` round-trips every
+shape, still reads a nested list (a result journaled before packing,
+which a daemon answers as it was journaled) and rejects malformed
+input; that labels a cast would have truncated fail their job; and that
+a compacted job whose ``done`` line no longer verifies settles
+``failed``/``lost`` instead of vanishing.
 """
 
+import copy
 import json
 import os
 
@@ -23,10 +27,11 @@ from repro.serve import (
     default_router,
     job_seed,
     pack_array,
+    pack_payload,
     segment_paths,
     unpack_array,
 )
-from repro.serve.journal import Locator, _canonical
+from repro.serve.journal import Locator, _canonical, _wrap
 
 from .test_serve import _drain_service
 from .test_serve_push import _frame, _service
@@ -64,6 +69,20 @@ def _reference_handle_resample(payload, seed):
 
 def _job(job_id, payload):
     return {"job_id": job_id, "kind": "resample", "payload": payload}
+
+
+class _InProcessClient(ServeClient):
+    """A client whose requests go straight to ``service``'s handler;
+    ``responses`` keeps each answer."""
+
+    def __init__(self, service):
+        super().__init__("/nonexistent.sock")
+        self.service = service
+        self.responses = []
+
+    def request(self, obj):
+        self.responses.append(_answer(_ask(self.service, obj)))
+        return self.responses[-1]
 
 
 def _two_class_payload():
@@ -104,6 +123,135 @@ def test_packed_matrix_is_the_reference_bits(job_id, payload):
         assert {key: value for key, value in result.items() if key != "x"} \
             == {key: value for key, value in reference.items()
                 if key != "x"}
+
+
+# ----------------------------------------------------------------------
+# Packed input: the list input's result, the list input's floats
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("job_id,payload", _CASES,
+                         ids=[case[0] for case in _CASES])
+def test_packed_input_gives_the_list_input_result(job_id, payload):
+    router = default_router()
+    listed = router.dispatch(_job(job_id, payload))
+    sent = pack_payload("resample", payload)
+    assert sent["x"] == pack_array(np.asarray(payload["x"]))
+    # As the daemon reads it: through the frame's JSON text.
+    packed = router.dispatch(_job(job_id, json.loads(_canonical(sent))))
+    assert unpack_array(packed["x"]).tobytes() == \
+        unpack_array(listed["x"]).tobytes()
+    assert packed == listed
+
+
+def _accepted_line(journal_path, job_id):
+    for line in journal_path.read_text(encoding="utf-8").splitlines():
+        body = json.loads(line)["body"]
+        if body["type"] == "accepted" and body["job_id"] == job_id:
+            return line, body
+    raise AssertionError("no accepted line for %s" % job_id)
+
+
+def _submit_listed(service, job_id, kind, payload):
+    """A submit as a client that sends nested lists makes it."""
+    return _answer(_ask(service, {"verb": "submit", "kind": kind,
+                                  "client": "default", "job_id": job_id,
+                                  "payload": payload}))
+
+
+def test_client_journals_the_list_payload_floats_packed(tmp_path):
+    payload = _resample_payload(0)
+    before = copy.deepcopy(payload)
+    packed_dir, listed_dir = tmp_path / "packed", tmp_path / "listed"
+    service = _service(packed_dir)
+    assert _InProcessClient(service).submit(
+        "resample", payload, job_id="rs") == "rs"
+    service.queue.close()
+    assert payload == before
+    _, body = _accepted_line(packed_dir / "journal.jsonl", "rs")
+    assert body["payload"]["x"] == pack_array(np.asarray(payload["x"]))
+    service = _service(listed_dir)
+    assert _submit_listed(service, "rs", "resample", payload)["status"] \
+        == "ok"
+    service.queue.close()
+    listed_line, _ = _accepted_line(listed_dir / "journal.jsonl", "rs")
+    x = unpack_array(body["payload"]["x"]).tolist()
+    assert _wrap({**body, "payload": {**body["payload"], "x": x}}) == \
+        listed_line
+
+
+def _unconvertible(row, cell):
+    """The benchmark payload with the first cell of ``x[row]`` set to
+    ``cell``, or, for ``cell`` None, its last cell dropped (ragged)."""
+    payload = _resample_payload(0)
+    payload["x"][row] = [cell] + payload["x"][row][1:] \
+        if cell is not None else payload["x"][row][:-1]
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    _unconvertible(3, None), _unconvertible(0, "abc"),
+    _unconvertible(5, 10 ** 400)], ids=["ragged", "string", "overflow"])
+def test_unconvertible_x_goes_as_lists_and_fails_as_before(tmp_path,
+                                                            payload):
+    assert pack_payload("resample", payload) is payload
+    with pytest.raises(Exception) as raised:
+        _reference_handle_resample(payload, job_seed("bad"))
+    service = _service(tmp_path)
+    _InProcessClient(service).submit("resample", payload, job_id="bad")
+    _drain_service(service, 1)
+    answer = _answer(_ask(service, {"verb": "result", "job_id": "bad"}))
+    service.queue.close()
+    assert answer["status"] == "failed"
+    assert answer["reason"] == type(raised.value).__name__
+    assert answer["message"] == str(raised.value)
+    _, body = _accepted_line(tmp_path / "journal.jsonl", "bad")
+    assert body["payload"]["x"] == payload["x"]
+
+
+def test_other_kinds_are_sent_unchanged(tmp_path):
+    payload = {"x": [[1.0, 2.5], [3.0, -4.0]], "y": [0, 1]}
+    assert pack_payload("echo", payload) is payload
+    service = _service(tmp_path)
+    _InProcessClient(service).submit("echo", payload, job_id="e")
+    _drain_service(service, 1)
+    answer = _answer(_ask(service, {"verb": "result", "job_id": "e"}))
+    service.queue.close()
+    assert answer["status"] == "done"
+    assert answer["result"]["echo"] == payload
+
+
+def test_client_resubmit_is_a_duplicate_across_a_restart(tmp_path):
+    payload = _resample_payload(0)
+    listed = _service(tmp_path / "listed")
+    _submit_listed(listed, "rs", "resample", payload)
+    _drain_service(listed, 1)
+    expected = _ask(listed, {"verb": "result", "job_id": "rs"})
+    # A list and a packed x are different work under one id.
+    refused = _answer(_ask(listed, {
+        "verb": "submit", "kind": "resample", "client": "default",
+        "job_id": "rs", "payload": pack_payload("resample", payload)}))
+    assert refused["status"] == "error"
+    listed.queue.close()
+
+    service = _service(tmp_path / "packed")
+    client = _InProcessClient(service)
+    client.submit("resample", payload, job_id="rs")
+    assert client.submit("resample", payload, job_id="rs") == "rs"
+    assert client.responses[-1]["duplicate"] is True
+    service.queue.close()  # a restart with the job still pending
+    restarted = _service(tmp_path / "packed")
+    assert restarted.counters["replayed"] == 1
+    client = _InProcessClient(restarted)
+    client.submit("resample", payload, job_id="rs")
+    assert client.responses[-1]["duplicate"] is True
+    _drain_service(restarted, 1)
+    assert _ask(restarted, {"verb": "result", "job_id": "rs"}) == expected
+    restarted.queue.close()
+    again = _service(tmp_path / "packed")
+    client = _InProcessClient(again)
+    client.submit("resample", payload, job_id="rs")
+    assert client.responses[-1]["duplicate"] is True
+    assert again.queue.depth() == 0
+    again.queue.close()
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +303,7 @@ _GOOD = pack_array(np.arange(6.0).reshape(2, 3))
     3.5,
     [[1.0, 2.0], [3.0]],
     [{"a": 1}],
+    [[10 ** 400]],
 ], ids=lambda packed: "%.40r" % (packed,))
 def test_unpack_rejects_malformed_input(packed):
     with pytest.raises(ValueError):
@@ -209,17 +358,6 @@ def test_fractional_label_fails_the_resample_job(tmp_path):
 # ----------------------------------------------------------------------
 # A damaged done line in a compacted segment settles failed/lost
 # ----------------------------------------------------------------------
-class _InProcessClient(ServeClient):
-    """A client whose requests go straight to ``service``'s handler."""
-
-    def __init__(self, service):
-        super().__init__("/nonexistent.sock")
-        self.service = service
-
-    def request(self, obj):
-        return _answer(_ask(self.service, obj))
-
-
 def _done_locators(segment):
     """job id -> Locator of each ``done`` line of ``segment``."""
     found, offset = {}, 0
