@@ -178,6 +178,16 @@ def test_client_journals_the_list_payload_floats_packed(tmp_path):
         listed_line
 
 
+def _run_through_client(tmp_path, kind, payload):
+    """Submit ``payload`` through the client and run it; its settlement."""
+    service = _service(tmp_path)
+    _InProcessClient(service).submit(kind, payload, job_id="job")
+    _drain_service(service, 1)
+    answer = _answer(_ask(service, {"verb": "result", "job_id": "job"}))
+    service.queue.close()
+    return answer
+
+
 def _unconvertible(row, cell):
     """The benchmark payload with the first cell of ``x[row]`` set to
     ``cell``, or, for ``cell`` None, its last cell dropped (ragged)."""
@@ -194,27 +204,19 @@ def test_unconvertible_x_goes_as_lists_and_fails_as_before(tmp_path,
                                                             payload):
     assert pack_payload("resample", payload) is payload
     with pytest.raises(Exception) as raised:
-        _reference_handle_resample(payload, job_seed("bad"))
-    service = _service(tmp_path)
-    _InProcessClient(service).submit("resample", payload, job_id="bad")
-    _drain_service(service, 1)
-    answer = _answer(_ask(service, {"verb": "result", "job_id": "bad"}))
-    service.queue.close()
+        _reference_handle_resample(payload, job_seed("job"))
+    answer = _run_through_client(tmp_path, "resample", payload)
     assert answer["status"] == "failed"
     assert answer["reason"] == type(raised.value).__name__
     assert answer["message"] == str(raised.value)
-    _, body = _accepted_line(tmp_path / "journal.jsonl", "bad")
+    _, body = _accepted_line(tmp_path / "journal.jsonl", "job")
     assert body["payload"]["x"] == payload["x"]
 
 
 def test_other_kinds_are_sent_unchanged(tmp_path):
     payload = {"x": [[1.0, 2.5], [3.0, -4.0]], "y": [0, 1]}
     assert pack_payload("echo", payload) is payload
-    service = _service(tmp_path)
-    _InProcessClient(service).submit("echo", payload, job_id="e")
-    _drain_service(service, 1)
-    answer = _answer(_ask(service, {"verb": "result", "job_id": "e"}))
-    service.queue.close()
+    answer = _run_through_client(tmp_path, "echo", payload)
     assert answer["status"] == "done"
     assert answer["result"]["echo"] == payload
 
