@@ -1,14 +1,12 @@
 """Static analysis for the reproduction: the ``repro-lint`` engine.
 
-* :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
-  AST-based lint engine with repro-specific per-file rules (RNG
-  discipline, tape hygiene, sampler validation, and the confinement
-  table that pins each owned API to its module).
-* :mod:`repro.analysis.flow` — the whole-program ``FLOW-DTYPE``
-  dataflow analysis, built on a project-wide symbol table with
-  canonical call resolution.  Run everything as
-  ``python -m repro.analysis [--strict] src/`` or via the
-  ``repro-lint`` console script.
+:mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
+AST-based lint engine whose rules check one module at a time: RNG
+discipline, tape hygiene, sampler validation, the confinement table
+that pins each owned API to its module, and the ``FLOW-DTYPE`` dtype
+dataflow analysis.  Run everything as
+``python -m repro.analysis [--strict] src/`` or via the ``repro-lint``
+console script.
 
 Nothing in the runtime imports this package.  The runtime half of the
 tooling, the opt-in ``detect_anomaly()`` tape sanitizer, lives with the
@@ -20,10 +18,8 @@ from .engine import (
     LintEngine,
     LintReport,
     ModuleContext,
-    ProjectRule,
     Rule,
 )
-from .flow import ProjectModel
 from .rules import RULE_CLASSES, all_rules, rule_index
 
 __all__ = [
@@ -31,8 +27,6 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "ModuleContext",
-    "ProjectModel",
-    "ProjectRule",
     "Rule",
     "RULE_CLASSES",
     "all_rules",

@@ -30,8 +30,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Repro-specific AST lint engine (RNG discipline, "
-        "autograd-tape hygiene, sampler validation...) with the "
-        "whole-program FLOW-DTYPE dataflow analysis",
+        "autograd-tape hygiene, sampler validation, FLOW-DTYPE dtype "
+        "dataflow...), one module at a time",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(

@@ -3,24 +3,13 @@
 The engine is deliberately small: it parses and walks every ``*.py``
 file under the given paths once, hands the resulting
 :class:`ModuleContext` to each enabled :class:`Rule`, collects
-:class:`Finding` objects, and then applies ``# repro: noqa[RULE]``
-suppression comments.  It exists because the usual PyTorch safety nets
-do not apply to a hand-rolled numpy autograd stack — RNG discipline,
-tape hygiene and dtype policy have to be enforced by our own tooling.
-
-Two rule shapes plug into the engine:
-
-* :class:`Rule` — per-file rules.  ``check(ctx)`` sees one parsed
-  module at a time and reads the node types it inspects from the
-  context's single walk (``ctx.of(ast.Call)``).
-* :class:`ProjectRule` — whole-program rules (``FLOW-DTYPE`` in
-  :mod:`repro.analysis.flow`).  The engine parses the entire tree
-  first, builds one :class:`repro.analysis.flow.ProjectModel` from its
-  contexts, and hands it to ``check_project(project)``; findings may
-  be anchored to *any* file in the project.  Suppression is always
-  resolved against the noqa comments of the file a finding is anchored
-  to — a noqa in the file that *triggered* an interprocedural finding
-  does not suppress a finding anchored elsewhere.
+:class:`Finding` objects, and then applies that file's
+``# repro: noqa[RULE]`` suppression comments.  A rule's ``check(ctx)``
+sees one parsed module at a time and reads the node types it inspects
+from the context's single walk (``ctx.of(ast.Call)``).  The engine
+exists because the usual PyTorch safety nets do not apply to a
+hand-rolled numpy autograd stack — RNG discipline, tape hygiene and
+dtype policy have to be enforced by our own tooling.
 
 Suppression syntax (always on the flagged line)::
 
@@ -47,7 +36,6 @@ __all__ = [
     "Finding",
     "ModuleContext",
     "Rule",
-    "ProjectRule",
     "LintEngine",
     "LintReport",
     "NoqaComment",
@@ -179,7 +167,7 @@ class ModuleContext:
 
 
 class Rule:
-    """Base class for per-file lint rules.
+    """Base class for lint rules.
 
     Subclasses set ``id`` / ``name`` / ``description`` and implement
     :meth:`check`, yielding :class:`Finding` objects.
@@ -189,32 +177,12 @@ class Rule:
     name = "base-rule"
     description = ""
     severity = "error"
-    requires_project = False
 
     def check(self, ctx):
         raise NotImplementedError
 
     def finding(self, ctx, node, message):
         return ctx.finding(self.id, node, message, severity=self.severity)
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules.
-
-    ``check_project`` receives a :class:`repro.analysis.flow.ProjectModel`
-    covering every parseable file of the run and yields findings that
-    may be anchored to any of them.  ``check(ctx)`` is a no-op so
-    project rules degrade gracefully under :meth:`LintEngine.check_source`
-    (which has no project to offer).
-    """
-
-    requires_project = True
-
-    def check(self, ctx):
-        return ()
-
-    def check_project(self, project):
-        raise NotImplementedError
 
 
 class LintReport:
@@ -341,24 +309,14 @@ class LintEngine:
                 files.setdefault(file.resolve(), file)
         return list(files.values())
 
-    @property
-    def file_rules(self):
-        return [r for r in self.rules if not r.requires_project]
-
-    @property
-    def project_rules(self):
-        return [r for r in self.rules if r.requires_project]
-
     def check_source(self, source, path="<string>"):
-        """Lint one in-memory module; returns (findings, noqa_comments).
-
-        Only per-file rules run here — project rules need the whole
-        tree and therefore only fire under :meth:`run`.
-        """
+        """Lint one in-memory module; returns its findings, before noqa
+        suppression, and its noqa comments.  Raises SyntaxError when the
+        source does not parse."""
         tree = ast.parse(source, filename=str(path))
         ctx = ModuleContext(path, source, tree)
         findings = []
-        for rule in self.file_rules:
+        for rule in self.rules:
             findings.extend(rule.check(ctx))
         return findings, ctx.noqa
 
@@ -366,59 +324,41 @@ class LintEngine:
     def run(self, paths):
         """Lint every file under ``paths`` and return a :class:`LintReport`."""
         files = self.collect_files(paths)
-        file_rules, project_rules = self.file_rules, self.project_rules
-        contexts, findings, raw_findings = {}, [], []
+        judge_noqa = any(r.id == "NOQA001" for r in self.rules)
+        findings, suppressed = [], []
         for path in files:
             source = path.read_text(encoding="utf-8")
             try:
-                tree = ast.parse(source, filename=str(path))
+                raw, noqa = self.check_source(source, path)
             except SyntaxError as exc:
                 findings.append(Finding(
                     "SYNTAX", path, exc.lineno or 1, exc.offset or 0,
                     "syntax error: %s" % exc.msg,
                 ))
                 continue
-            ctx = ModuleContext(path, source, tree)
-            contexts[ctx.path] = ctx
-            for rule in file_rules:
-                raw_findings.extend(rule.check(ctx))
-
-        if project_rules:
-            from .flow import ProjectModel
-
-            project = ProjectModel.build(contexts.values())
-            for rule in project_rules:
-                raw_findings.extend(rule.check_project(project))
-
-        # Suppression is resolved against the *anchored* file's noqa
-        # table: an interprocedural finding in a.py is never silenced
-        # by a noqa comment in b.py, blanket or not.
-        suppressed = []
-        for f in raw_findings:
-            anchored = contexts.get(f.path)
-            comment = anchored.noqa.get(f.line) if anchored else None
-            if comment is not None and comment.suppresses(f.rule):
-                comment.used = True
-                suppressed.append(f)
-            else:
-                findings.append(f)
-
-        if any(r.id == "NOQA001" for r in self.rules):
-            for path, ctx in contexts.items():
-                for comment in ctx.noqa.values():
-                    # A noqa naming a rule this run disabled may still
-                    # suppress something: its finding was not looked for.
-                    if not comment.used and not comment.names_any(self.disabled):
-                        findings.append(
-                            Finding(
-                                "NOQA001",
-                                path,
-                                comment.line,
-                                0,
-                                "unused suppression: no finding on this line "
-                                "matches this noqa comment",
-                                severity="warning",
-                            )
+            for f in raw:
+                comment = noqa.get(f.line)
+                if comment is not None and comment.suppresses(f.rule):
+                    comment.used = True
+                    suppressed.append(f)
+                else:
+                    findings.append(f)
+            if not judge_noqa:
+                continue
+            for comment in noqa.values():
+                # A noqa naming a rule this run disabled may still
+                # suppress something: its finding was not looked for.
+                if not comment.used and not comment.names_any(self.disabled):
+                    findings.append(
+                        Finding(
+                            "NOQA001",
+                            path,
+                            comment.line,
+                            0,
+                            "unused suppression: no finding on this line "
+                            "matches this noqa comment",
+                            severity="warning",
                         )
+                    )
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return LintReport(findings, suppressed, len(files))

@@ -13,10 +13,10 @@ one-line reason every finding carries.
 
 from __future__ import annotations
 
-from ..flow import DtypeFlowRule
 from .api import SamplerValidationRule, UnusedNoqaRule
 from .autograd import MissingNoGradRule
 from .confinement import CONFINEMENTS, ConfinementRule
+from .dtype import DtypeFlowRule
 from .mutation import MutableDefaultRule, ParamInPlaceMutationRule
 from .resilience import NonAtomicArtifactWriteRule, SwallowedExceptionRule
 from .rng import BareNumpyRandomRule, UnseededGeneratorRule

@@ -4,13 +4,14 @@ The float32 migration of the tensor substrate (ROADMAP: "make the
 tensor substrate fast") needs a pre-flight guarantee: no op on the
 autograd hot path silently promotes to float64, and no allocation
 relies on numpy's implicit float64 default.  This analysis abstractly
-interprets every function over the lattice::
+interprets every top-level function and class method of a module over
+the lattice::
 
     weak  <  int  <  float32  <  float64        (join = promotion)
                        unknown = top
 
-with interprocedural return summaries (a helper returning
-``x.astype(np.float32)`` in one module taints arithmetic in another).
+A call to anything but a known numpy constructor, a numpy scalar type
+or ``.astype`` infers ``unknown``.
 
 Three finding shapes:
 
@@ -35,10 +36,11 @@ Three finding shapes:
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 
-from ..engine import ProjectRule
+from ..engine import Rule
 
-__all__ = ["DtypeFlowRule"]
+__all__ = ["DtypeFlowRule", "module_name_for"]
 
 WEAK = "weak"          # python scalar: adopts the other operand's dtype
 INT = "int"
@@ -52,6 +54,56 @@ _F32_NAMES = {"float32", "float16", "half", "single"}
 _F64_NAMES = {"float64", "double"}
 _INT_NAMES = {"int8", "int16", "int32", "int64", "uint8", "intp", "int_"}
 _TENSOR_SINKS = {"Tensor", "Parameter", "register_buffer"}
+
+
+def module_name_for(path):
+    """Dotted module name for a file, walking up ``__init__.py`` packages.
+
+    Source that is not a file (``check_source``'s ``<string>``) is a
+    loose module, whatever directory the lint runs from."""
+    p = Path(path).resolve()
+    if not p.is_file():
+        return p.stem
+    parts = [] if p.name == "__init__.py" else [p.stem]
+    d = p.parent
+    while (d / "__init__.py").exists():
+        parts.insert(0, d.name)
+        parent = d.parent
+        if parent == d:
+            break
+        d = parent
+    return ".".join(parts) if parts else p.stem
+
+
+def _is_hot_module(name):
+    """Hot-path scope: the autograd substrate, plus loose (package-less)
+    modules so fixture trees exercise the rule."""
+    return name.startswith(("repro.tensor", "repro.nn")) or "." not in name
+
+
+def _functions(tree):
+    """The module's top-level functions and the methods of its top-level
+    classes; a nested function is part of its parent's walk."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, defs))
+
+
+def _numpy_imports(tree):
+    """Bare names that the module's top-level ``from numpy import
+    <name>`` binds to numpy's own ``<name>`` (a later ``from ...
+    import`` of the same name rebinds it)."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                bound[local] = (node.level == 0 and node.module == "numpy"
+                                and alias.name == local)
+    return {name for name, from_numpy in bound.items() if from_numpy}
 
 
 class _DVal:
@@ -110,27 +162,19 @@ def _dtype_from_annotation(node):
     return UNKNOWN
 
 
-def _is_numpy_func(func, module, project, names):
+def _is_numpy_func(func, numpy_imports, names):
     """True for ``np.<name>`` / ``numpy.<name>`` / ``from numpy import
-    <name>`` calls (and not a same-named project function)."""
+    <name>`` calls (and not a same-named module function)."""
     trailing = _trailing_name(func)
     if trailing not in names:
         return False
     if isinstance(func, ast.Attribute):
         return (isinstance(func.value, ast.Name)
                 and func.value.id in _NUMPY_ALIASES)
-    resolved = module.dotted_name(func)
-    return resolved == "numpy.%s" % trailing
+    return trailing in numpy_imports
 
 
-def _is_hot_module(module):
-    """Hot-path scope: the autograd substrate, plus loose (package-less)
-    modules so fixture trees exercise the rule."""
-    return module.name.startswith(("repro.tensor", "repro.nn")) \
-        or "." not in module.name
-
-
-class DtypeFlowRule(ProjectRule):
+class DtypeFlowRule(Rule):
     """FLOW-DTYPE: silent float64 promotion / implicit-width allocation."""
 
     id = "FLOW-DTYPE"
@@ -141,7 +185,7 @@ class DtypeFlowRule(ProjectRule):
     severity = "error"
 
     # -- abstract evaluation --------------------------------------------
-    def _infer(self, expr, env, module, project, summaries):
+    def _infer(self, expr, env, numpy_imports):
         if isinstance(expr, ast.Constant):
             if isinstance(expr.value, bool):
                 return _UNKNOWN
@@ -151,23 +195,23 @@ class DtypeFlowRule(ProjectRule):
         if isinstance(expr, ast.Name):
             return env.get(expr.id, _UNKNOWN)
         if isinstance(expr, ast.UnaryOp):
-            return self._infer(expr.operand, env, module, project, summaries)
+            return self._infer(expr.operand, env, numpy_imports)
         if isinstance(expr, ast.BinOp):
-            left = self._infer(expr.left, env, module, project, summaries)
-            right = self._infer(expr.right, env, module, project, summaries)
+            left = self._infer(expr.left, env, numpy_imports)
+            right = self._infer(expr.right, env, numpy_imports)
             return _join(left, right)
         if isinstance(expr, ast.Subscript):
-            return self._infer(expr.value, env, module, project, summaries)
+            return self._infer(expr.value, env, numpy_imports)
         if isinstance(expr, ast.Call):
-            return self._infer_call(expr, env, module, project, summaries)
+            return self._infer_call(expr, numpy_imports)
         if isinstance(expr, ast.IfExp):
             return _join(
-                self._infer(expr.body, env, module, project, summaries),
-                self._infer(expr.orelse, env, module, project, summaries),
+                self._infer(expr.body, env, numpy_imports),
+                self._infer(expr.orelse, env, numpy_imports),
             )
         return _UNKNOWN
 
-    def _infer_call(self, call, env, module, project, summaries):
+    def _infer_call(self, call, numpy_imports):
         trailing = _trailing_name(call.func)
         if trailing == "astype":
             if call.args:
@@ -177,35 +221,31 @@ class DtypeFlowRule(ProjectRule):
                     return _DVal(_dtype_from_annotation(kw.value))
             return _UNKNOWN
         if trailing in _F32_NAMES and _is_numpy_func(
-                call.func, module, project, _F32_NAMES):
+                call.func, numpy_imports, _F32_NAMES):
             return _DVal(F32)
         if trailing in _F64_NAMES and _is_numpy_func(
-                call.func, module, project, _F64_NAMES):
+                call.func, numpy_imports, _F64_NAMES):
             return _DVal(F64)
-        if _is_numpy_func(call.func, module, project, _IMPLICIT_F64_ALLOCS):
+        if _is_numpy_func(call.func, numpy_imports, _IMPLICIT_F64_ALLOCS):
             for kw in call.keywords:
                 if kw.arg == "dtype":
                     return _DVal(_dtype_from_annotation(kw.value))
             return _DVal(F64, implicit=call)
-        if _is_numpy_func(call.func, module, project, {"arange"}):
+        if _is_numpy_func(call.func, numpy_imports, {"arange"}):
             for kw in call.keywords:
                 if kw.arg == "dtype":
                     return _DVal(_dtype_from_annotation(kw.value))
             return _DVal(INT)
-        callee = project.resolve_call(module, call)
-        if callee is not None and callee in summaries:
-            return summaries[callee]
         return _UNKNOWN
 
-    def _local_env(self, fn, module, project, summaries):
+    def _local_env(self, nodes, numpy_imports):
         env = {}
         for _ in range(3):
             changed = False
-            for node in fn.nodes:
+            for node in nodes:
                 if not isinstance(node, ast.Assign):
                     continue
-                value = self._infer(node.value, env, module, project,
-                                    summaries)
+                value = self._infer(node.value, env, numpy_imports)
                 if value.dtype == UNKNOWN:
                     continue
                 for target in node.targets:
@@ -217,33 +257,9 @@ class DtypeFlowRule(ProjectRule):
                 break
         return env
 
-    def _summaries(self, project):
-        """Canonical name → return _DVal (implicit flag stripped: the
-        finding belongs at the allocation site, not the caller)."""
-        summaries = {}
-        for _ in range(len(project.functions) + 1):
-            changed = False
-            for fn in project.iter_functions():
-                if fn.qualname in summaries:
-                    continue
-                env = self._local_env(fn, fn.module, project, summaries)
-                result = None
-                for node in fn.nodes:
-                    if isinstance(node, ast.Return) and node.value is not None:
-                        value = self._infer(node.value, env, fn.module,
-                                            project, summaries)
-                        result = value if result is None \
-                            else _join(result, value)
-                if result is not None and result.dtype != UNKNOWN:
-                    summaries[fn.qualname] = _DVal(result.dtype)
-                    changed = True
-            if not changed:
-                break
-        return summaries
-
-    def _signature_defaults(self, fn, module):
+    def _signature_defaults(self, ctx, fn):
         """Findings for float64-pinned parameter defaults in hot modules."""
-        args = fn.node.args
+        args = fn.args
         positional = args.posonlyargs + args.args
         paired = list(
             zip(positional[len(positional) - len(args.defaults):],
@@ -259,80 +275,75 @@ class DtypeFlowRule(ProjectRule):
                 continue
             if _dtype_from_annotation(default) != F64:
                 continue
-            yield module.ctx.finding(
-                self.id,
+            yield self.finding(
+                ctx,
                 default,
                 "signature default pins %r to float64, bypassing the "
                 "switchable substrate default; use None and resolve "
                 "default_dtype() in the body" % arg.arg,
-                severity=self.severity,
             )
 
     # -- rule body -------------------------------------------------------
-    def check_project(self, project):
-        summaries = self._summaries(project)
-        for fn in project.iter_functions():
-            module = fn.module
-            env = self._local_env(fn, module, project, summaries)
-            flagged_allocs = set()
+    def check(self, ctx):
+        hot = _is_hot_module(module_name_for(ctx.path))
+        numpy_imports = _numpy_imports(ctx.tree)
+        for fn in _functions(ctx.tree):
+            yield from self._check_function(ctx, fn, hot, numpy_imports)
 
-            if _is_hot_module(module):
-                yield from self._signature_defaults(fn, module)
+    def _check_function(self, ctx, fn, hot, numpy_imports):
+        nodes = list(ast.walk(fn))
+        env = self._local_env(nodes, numpy_imports)
+        flagged_allocs = set()
 
-            for node in fn.nodes:
-                if isinstance(node, (ast.BinOp, ast.AugAssign)):
-                    if isinstance(node, ast.AugAssign):
-                        left = env.get(node.target.id, _UNKNOWN) \
-                            if isinstance(node.target, ast.Name) else _UNKNOWN
-                        right = self._infer(node.value, env, module,
-                                            project, summaries)
-                    else:
-                        left = self._infer(node.left, env, module, project,
-                                           summaries)
-                        right = self._infer(node.right, env, module, project,
-                                            summaries)
-                    if {left.dtype, right.dtype} == {F32, F64}:
-                        yield module.ctx.finding(
-                            self.id,
-                            node,
-                            "float32 operand meets float64 operand; numpy "
-                            "silently promotes — align dtypes explicitly "
-                            "before the float32 migration flips defaults",
-                            severity=self.severity,
-                        )
-                elif isinstance(node, ast.Call):
-                    trailing = _trailing_name(node.func)
-                    if trailing not in _TENSOR_SINKS:
-                        continue
-                    for value in list(node.args) + [
-                        kw.value for kw in node.keywords
-                    ]:
-                        inferred = self._infer(value, env, module, project,
-                                               summaries)
-                        alloc = inferred.implicit
-                        if alloc is None or id(alloc) in flagged_allocs:
-                            continue
-                        flagged_allocs.add(id(alloc))
-                        yield module.ctx.finding(
-                            self.id,
-                            alloc,
-                            "implicit float64 allocation flows into %s(); "
-                            "pass an explicit dtype so the float32 "
-                            "migration can retarget it" % trailing,
-                            severity=self.severity,
-                        )
-                elif isinstance(node, ast.Return) and node.value is not None \
-                        and _is_hot_module(module):
-                    inferred = self._infer(node.value, env, module, project,
-                                           summaries)
+        if hot:
+            yield from self._signature_defaults(ctx, fn)
+
+        for node in nodes:
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                if isinstance(node, ast.AugAssign):
+                    left = env.get(node.target.id, _UNKNOWN) \
+                        if isinstance(node.target, ast.Name) else _UNKNOWN
+                    right = self._infer(node.value, env, numpy_imports)
+                else:
+                    left = self._infer(node.left, env, numpy_imports)
+                    right = self._infer(node.right, env, numpy_imports)
+                if {left.dtype, right.dtype} == {F32, F64}:
+                    yield self.finding(
+                        ctx,
+                        node,
+                        "float32 operand meets float64 operand; numpy "
+                        "silently promotes — align dtypes explicitly "
+                        "before the float32 migration flips defaults",
+                    )
+            elif isinstance(node, ast.Call):
+                trailing = _trailing_name(node.func)
+                if trailing not in _TENSOR_SINKS:
+                    continue
+                for value in list(node.args) + [
+                    kw.value for kw in node.keywords
+                ]:
+                    inferred = self._infer(value, env, numpy_imports)
                     alloc = inferred.implicit
                     if alloc is None or id(alloc) in flagged_allocs:
                         continue
                     flagged_allocs.add(id(alloc))
-                    yield module.ctx.finding(
-                        self.id,
+                    yield self.finding(
+                        ctx,
                         alloc,
-                        "hot-path function %r returns an implicit float64 "
-                        "allocation; pass an explicit dtype" % fn.name,
-                        severity=self.severity,
+                        "implicit float64 allocation flows into %s(); "
+                        "pass an explicit dtype so the float32 "
+                        "migration can retarget it" % trailing,
                     )
+            elif isinstance(node, ast.Return) and node.value is not None \
+                    and hot:
+                inferred = self._infer(node.value, env, numpy_imports)
+                alloc = inferred.implicit
+                if alloc is None or id(alloc) in flagged_allocs:
+                    continue
+                flagged_allocs.add(id(alloc))
+                yield self.finding(
+                    ctx,
+                    alloc,
+                    "hot-path function %r returns an implicit float64 "
+                    "allocation; pass an explicit dtype" % fn.name,
+                )

@@ -58,11 +58,6 @@ class Module:
         self._buffers[name] = np.asarray(array, dtype=default_dtype())
         object.__setattr__(self, name, self._buffers[name])
 
-    def _set_buffer(self, name, array):
-        """Update a registered buffer in place, keeping the attribute alias."""
-        self._buffers[name] = np.asarray(array, dtype=default_dtype())
-        object.__setattr__(self, name, self._buffers[name])
-
     # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------

@@ -296,9 +296,16 @@ class ReproService:
                 shed.retry_after, shed.reason, detail=shed.detail
             )
         maybe_fire("serve.accept", kind=kind, client=client)
+        job_id = request.get("job_id")
+        if not job_id:
+            # An anonymous job takes the first free generated name: a
+            # client may already hold the next one as its own job id.
+            seq = self.queue._seq + 1
+            while "job-%08d" % seq in self.queue.accepted:
+                seq += 1
+            job_id = "job-%08d" % seq
         job = {
-            "job_id": str(request.get("job_id") or
-                          "job-%08d" % (self.queue._seq + 1)),
+            "job_id": str(job_id),
             "kind": kind,
             "client": client,
             "payload": request.get("payload") or {},

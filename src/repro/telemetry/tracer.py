@@ -103,9 +103,6 @@ class NullTracer:
     def event(self, name, **attrs):
         return None
 
-    def annotate(self, **attrs):
-        return None
-
     def merge(self, records, ts_offset=None):
         return None
 
@@ -149,11 +146,6 @@ class Tracer:
             "depth": len(self._stack),
             "attrs": attrs,
         })
-
-    def annotate(self, **attrs):
-        """Attach attributes to the innermost open span, if any."""
-        if self._stack:
-            self._stack[-1].attrs.update(attrs)
 
     def merge(self, records, ts_offset=None):
         """Forward records captured by another tracer (a worker process).

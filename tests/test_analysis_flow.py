@@ -1,24 +1,19 @@
-"""Tests for the whole-program dataflow analysis (repro.analysis.flow):
-the project model and FLOW-DTYPE abstract interpretation — plus family
-selection and the cross-file noqa edge cases."""
+"""Tests for the FLOW-DTYPE rule (repro.analysis.rules.dtype): module
+naming and the abstract dtype interpretation — plus family selection
+and the noqa edge cases of its findings."""
 
-import ast
 import textwrap
 
-from repro.analysis import LintEngine, ModuleContext
-from repro.analysis.flow import ProjectModel
-from repro.analysis.flow.project import module_name_for
+from repro.analysis import LintEngine
+from repro.analysis.rules.dtype import module_name_for
 
 
 def write_tree(root, files):
-    """Write ``{relpath: source}`` under root; returns list of paths."""
-    paths = []
+    """Write ``{relpath: source}`` under root."""
     for rel, source in files.items():
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-        paths.append(path)
-    return paths
 
 
 def run_flow(root, files, select=("FLOW",)):
@@ -31,18 +26,8 @@ def rule_ids(findings):
     return {f.rule for f in findings}
 
 
-def build_project(paths):
-    """A ProjectModel over the files, from one ModuleContext each, as
-    the engine builds it."""
-    contexts = []
-    for path in paths:
-        source = path.read_text(encoding="utf-8")
-        contexts.append(ModuleContext(path, source, ast.parse(source)))
-    return ProjectModel.build(contexts)
-
-
 # ----------------------------------------------------------------------
-# Project model
+# Module names (the hot-module test reads them)
 # ----------------------------------------------------------------------
 class TestProjectModel:
     def test_module_name_walks_init_ancestry(self, tmp_path):
@@ -59,34 +44,11 @@ class TestProjectModel:
         assert module_name_for(tmp_path / "pkg/__init__.py") == "pkg"
         assert module_name_for(tmp_path / "loose.py") == "loose"
 
-    def test_canonical_follows_reexports(self, tmp_path):
-        paths = write_tree(
-            tmp_path,
-            {
-                "pkg/__init__.py": "from .impl import work\n",
-                "pkg/impl.py": "def work():\n    return 1\n",
-            },
-        )
-        project = build_project(paths)
-        assert project.canonical("pkg.work") == "pkg.impl.work"
-        assert project.functions["pkg.impl.work"].name == "work"
-
-    def test_call_graph_links_cross_module_calls(self, tmp_path):
-        paths = write_tree(
-            tmp_path,
-            {
-                "util.py": "def helper():\n    return 3\n",
-                "app.py": (
-                    "from util import helper\n"
-                    "def main():\n"
-                    "    return helper()\n"
-                ),
-            },
-        )
-        project = build_project(paths)
-        main = project.functions["app.main"]
-        call = next(n for n in main.nodes if isinstance(n, ast.Call))
-        assert project.resolve_call(main.module, call) == "util.helper"
+    def test_source_that_is_not_a_file_is_a_loose_module(
+            self, tmp_path, monkeypatch):
+        write_tree(tmp_path, {"pkg/__init__.py": ""})
+        monkeypatch.chdir(tmp_path / "pkg")
+        assert module_name_for("<string>") == "<string>"
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +112,21 @@ class TestFlowDtype:
         assert [f.line for f in flagged] == [6]  # the np.zeros(n) line
         assert "pass an explicit dtype" in flagged[0].message
 
+    def test_check_source_runs_flow_dtype(self):
+        findings, _ = LintEngine(select=["FLOW"]).check_source(
+            textwrap.dedent(
+                """
+                import numpy as np
+                from repro.tensor import Tensor
+
+                def init(n):
+                    w = np.zeros(n)
+                    return Tensor(w)
+                """
+            )
+        )
+        assert [(f.rule, f.line) for f in findings] == [("FLOW-DTYPE", 6)]
+
     def test_explicit_dtype_alloc_is_clean(self, tmp_path):
         findings = run_flow(
             tmp_path,
@@ -165,30 +142,6 @@ class TestFlowDtype:
             },
         )
         assert "FLOW-DTYPE" not in rule_ids(findings)
-
-    def test_interprocedural_dtype_summary(self, tmp_path):
-        findings = run_flow(
-            tmp_path,
-            {
-                "alloc.py": """
-                import numpy as np
-
-                def f32(n):
-                    return np.zeros(n, dtype=np.float32)
-                """,
-                "mix.py": """
-                import numpy as np
-                from alloc import f32
-
-                def mix(n):
-                    a = f32(n)
-                    b = np.ones(n, dtype=np.float64)
-                    return a * b
-                """,
-            },
-        )
-        flagged = [f for f in findings if f.rule == "FLOW-DTYPE"]
-        assert any(f.path.endswith("mix.py") for f in flagged)
 
     def test_float64_signature_default_flagged(self, tmp_path):
         findings = run_flow(
@@ -348,59 +301,9 @@ class TestTreeDtypeFixes:
 
 
 # ----------------------------------------------------------------------
-# noqa edge cases for cross-file findings
+# noqa edge cases for FLOW-DTYPE findings
 # ----------------------------------------------------------------------
 class TestCrossFileNoqa:
-    DTYPE_TREE = {
-        "helper.py": """
-        import numpy as np
-
-        def make():
-            return np.ones(3).astype(np.float32)  # repro: noqa[FLOW-DTYPE] helper under test
-        """,
-        "app.py": """
-        import numpy as np
-        from helper import make
-
-        def run():
-            wide = np.zeros(3, dtype=np.float64)
-            return wide + make()
-        """,
-    }
-
-    def test_noqa_in_source_file_does_not_suppress_sink_finding(
-        self, tmp_path
-    ):
-        """A noqa in the helper whose float32 return feeds the mix must
-        not silence the FLOW-DTYPE finding anchored at the *sink* in
-        app.py — suppression resolves against the anchored file — and
-        it is itself reported as unused."""
-        write_tree(tmp_path, self.DTYPE_TREE)
-        report = LintEngine(select=["FLOW-DTYPE", "NOQA001"]).run([tmp_path])
-        flow = [f for f in report.findings if f.rule == "FLOW-DTYPE"]
-        assert [(f.path, f.line) for f in flow] == [
-            (str(tmp_path / "app.py"), 7)
-        ]
-        unused = [f for f in report.findings if f.rule == "NOQA001"]
-        assert [(f.path, f.line) for f in unused] == [
-            (str(tmp_path / "helper.py"), 5)
-        ]
-
-    def test_noqa_on_sink_line_suppresses_flow_finding(self, tmp_path):
-        tree = dict(self.DTYPE_TREE)
-        tree["app.py"] = """
-        import numpy as np
-        from helper import make
-
-        def run():
-            wide = np.zeros(3, dtype=np.float64)
-            return wide + make()  # repro: noqa[FLOW-DTYPE] widening on purpose
-        """
-        write_tree(tmp_path, tree)
-        report = LintEngine(select=["FLOW-DTYPE"]).run([tmp_path])
-        assert "FLOW-DTYPE" not in rule_ids(report.findings)
-        assert any(f.rule == "FLOW-DTYPE" for f in report.suppressed)
-
     def test_multi_id_noqa_parses_flow_ids(self, tmp_path):
         write_tree(
             tmp_path,

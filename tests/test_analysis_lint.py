@@ -858,8 +858,6 @@ class TestEngineConfig:
     def test_registry_has_sixteen_rules(self):
         assert len(all_rules()) == 16
         assert len(rule_index()) == 16
-        flow = [r for r in all_rules() if r.requires_project]
-        assert {r.id for r in flow} == {"FLOW-DTYPE"}
 
 
 # ----------------------------------------------------------------------

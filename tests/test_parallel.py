@@ -230,8 +230,8 @@ class TestPoolInterruption:
         assert signal.getsignal(signal.SIGTERM) is before
 
     def test_pool_interrupted_is_a_keyboard_interrupt(self):
-        # Existing except-KeyboardInterrupt handlers (the serve daemon's
-        # requeue path) must keep catching interruptions.
+        # Callers' existing except-KeyboardInterrupt handlers must keep
+        # catching the interrupt.
         assert issubclass(PoolInterrupted, KeyboardInterrupt)
         exc = PoolInterrupted("SIGTERM", [0], [1, 2])
         assert "SIGTERM" in str(exc)

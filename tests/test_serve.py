@@ -749,6 +749,29 @@ class TestServiceHandlers:
         assert "different kind/payload" in conflict["message"]
         service.queue.close()
 
+    def test_anonymous_ids_skip_a_claimed_generated_name(self, tmp_path):
+        # A client's own id may be the name the next anonymous job would
+        # generate; anonymous submits must keep working, and must keep
+        # working after a restart restores the sequence number.
+        service = _service(tmp_path)
+        claimed = service._handle_submit(
+            {"kind": "echo", "client": "a", "job_id": "job-00000002"}
+        )
+        assert claimed["status"] == "ok"
+        seen = {"job-00000002"}
+        for restart in (False, True):
+            if restart:
+                service.queue.close()
+                service = _service(tmp_path)
+            for _ in range(2):
+                response = service._handle_submit(
+                    {"kind": "echo", "client": "a"}
+                )
+                assert response["status"] == "ok", response
+                assert response["job_id"] not in seen
+                seen.add(response["job_id"])
+        service.queue.close()
+
     def test_peer_reset_and_broken_pipe_do_not_crash(self, tmp_path):
         # A client that resets the connection or closes before reading
         # the response (routine when it times out during a slow batch)
