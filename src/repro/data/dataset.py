@@ -60,9 +60,10 @@ class ArrayDataset:
         return np.bincount(self.labels, minlength=k)
 
     def subset(self, indices):
-        """Return a new dataset containing only ``indices`` (copies)."""
+        """Return a new dataset containing only ``indices`` (copies:
+        indexing with an array always does)."""
         indices = np.asarray(indices)
-        return ArrayDataset(self.images[indices].copy(), self.labels[indices].copy())
+        return ArrayDataset(self.images[indices], self.labels[indices])
 
     def class_indices(self, label):
         """Indices of all samples with the given label."""

@@ -131,13 +131,20 @@ class SyntheticImageFamily:
         self._image_shape = (c.channels, size, size)
 
     def decode(self, latents, rng=None):
-        """Decode (N, latent_dim) latents to (N, C, H, W) images in [0, 1]."""
-        flat = latents @ self.basis  # (N, C*H*W)
-        images = np.tanh(flat / np.sqrt(self.config.latent_dim))
-        images = (images + 1.0) / 2.0
+        """Decode (N, latent_dim) latents to (N, C, H, W) images in [0, 1].
+
+        Every step after the projection works in place on its (N, C*H*W)
+        result, so a decode holds one image block plus the pixel noise.
+        """
+        images = latents @ self.basis
+        images /= np.sqrt(self.config.latent_dim)
+        np.tanh(images, out=images)
+        images += 1.0
+        images /= 2.0
         if rng is not None and self.config.pixel_noise > 0:
-            images = images + rng.normal(0, self.config.pixel_noise, images.shape)
-        return np.clip(images, 0.0, 1.0).reshape((-1,) + self._image_shape)
+            images += rng.normal(0, self.config.pixel_noise, images.shape)
+        np.clip(images, 0.0, 1.0, out=images)
+        return images.reshape((-1,) + self._image_shape)
 
     def sample_latents(self, labels, rng):
         """Sample per-instance latents for the given integer labels."""

@@ -95,7 +95,8 @@ def _handle_resample(payload, seed):
     "sampler_kwargs": {...}}``; ``x`` packed
     (:func:`~repro.serve.protocol.pack_array`) or nested lists, which
     give the sampler the same float64 bytes, and labels reach the
-    sampler's check as sent.  The result's ``x`` is packed, its other
+    sampler's check as sent; ``k_neighbors`` must be an int or a float
+    with a whole value.  The result's ``x`` is packed, its other
     arrays lists.  The handler seeds the sampler from the job id so
     repeat executions are byte-identical.
     """
@@ -107,9 +108,15 @@ def _handle_resample(payload, seed):
     else:
         x = np.asarray(x, dtype=np.float64)
     y = payload["y"]
+    # A cast would run 2.9 as K=2 and true as K=1.
+    k = payload.get("k_neighbors", 5)
+    if isinstance(k, float) and k.is_integer():
+        k = int(k)
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError("k_neighbors must be a whole number, got %r" % (k,))
     sampler = build_sampler(
         payload.get("sampler", "eos"),
-        k_neighbors=int(payload.get("k_neighbors", 5)),
+        k_neighbors=k,
         random_state=seed,
         **(payload.get("sampler_kwargs") or {}),
     )

@@ -10,9 +10,9 @@ im2col is one gather: ``np.take`` of each sample's flat (C, HP, WP)
 values at a per-sample (OH*OW, C*KH*KW) window index.  The index depends
 only on (C, HP, WP, KH, KW, stride) and the sample's element strides,
 never on the batch size, and lives read-only in a bounded LRU cache (64
-geometries, the scratch pool's bound).  A sample stored as one
-contiguous block in another axis order (an NHWC-ordered input) is read
-in place through its strides rather than copied into C order first.
+geometries).  A sample stored as one contiguous block in another axis
+order (an NHWC-ordered input) is read in place through its strides
+rather than copied into C order first.
 col2im reorders the columns once so that each kernel offset's
 block is contiguous, accumulates the KH*KW window adds in (i, j) order
 from +0.0 in an (HP, WP, N, C) buffer, where each add runs over long
@@ -29,12 +29,13 @@ a layout a reduction reads can still change the results.  That is why
 ``conv2d`` still returns an NCHW-ordered view of NHWC memory.
 
 Hot-path buffer reuse: the per-batch intermediates (padded inputs,
-column matrices, backward gradient columns) come from the per-shape
-scratch pool in :mod:`repro.tensor.pool`.  Only buffers whose lifetime
-provably ends inside the op call are pooled — training-mode forward
-columns escape into backward closures and stay heap-allocated, while
-the no-grad forward path and the (serially executed) backward closures
-reuse scratch freely.  Backward passes also skip whole gradient
+column matrices, backward gradient columns) are views of the per-site
+scratch workspace in :mod:`repro.tensor.pool`, valid until the next
+request at the same site.  Only buffers whose lifetime provably ends
+inside the op call come from it — training-mode forward columns escape
+into backward closures and stay heap-allocated, while the no-grad
+forward path and the (serially executed) backward closures reuse
+scratch freely.  Backward passes also skip whole gradient
 computations for parents that don't require grad: the first conv layer
 of a network never pays for col2im, since image batches are constants.
 """
@@ -113,8 +114,9 @@ def im2col(x, kernel, stride=1, padding=0, out=None):
     :func:`col2im`) the backward pass of :func:`conv2d`.  ``out``, when
     given, must be a C-contiguous (N*OH*OW, C*KH*KW) buffer the columns
     are written into (callers pass pool scratch on paths where the
-    columns don't outlive the op).  Padding always uses pool scratch —
-    the padded copy never escapes this function.
+    columns don't outlive the op).  Padding always goes to the
+    ``im2col.pad`` scratch, on the taped paths too: the gather below
+    reads it before this function returns, so it never escapes.
     """
     n, c, h, w = x.shape
     kh, kw = kernel

@@ -266,6 +266,26 @@ class TestMakeDataset:
         train, _, info = make_dataset("cifar10_like", scale="tiny", image_size=8)
         assert train.image_shape == (3, 8, 8)
 
+    def test_transient_memory_is_at_most_two_and_a_half_image_blocks(self):
+        """The decode works in place, so building a dataset holds about
+        two float64 copies of its balanced train images at once (the
+        decoded block and its pixel noise), not three."""
+        import tracemalloc
+
+        from repro.data.synthetic import DATASET_PROFILES, SCALE_PRESETS
+
+        config = DATASET_PROFILES["cifar10_like"]["config"]
+        images = SCALE_PRESETS["small"]["n_max_train"] * config.num_classes
+        block = images * config.channels * config.image_size ** 2 * 8
+        tracemalloc.start()
+        try:
+            make_dataset("cifar10_like", scale="small", seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * block, (
+            "peak %.2f float64 image blocks" % (peak / block))
+
 
 class TestTransforms:
     def test_flip_all(self, rng):

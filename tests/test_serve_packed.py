@@ -9,9 +9,10 @@ its list payload, journals the same floats, and falls back to the list
 where ``x`` does not convert; that ``unpack_array`` round-trips every
 shape, still reads a nested list (a result journaled before packing,
 which a daemon answers as it was journaled) and rejects malformed
-input; that labels a cast would have truncated fail their job; and that
-a compacted job whose ``done`` line no longer verifies settles
-``failed``/``lost`` instead of vanishing.
+input; that labels or a ``k_neighbors`` a cast would have truncated
+fail their job, while a whole float ``k_neighbors`` runs as its int;
+and that a compacted job whose ``done`` line no longer verifies
+settles ``failed``/``lost`` instead of vanishing.
 """
 
 import copy
@@ -340,7 +341,7 @@ def test_nested_list_result_in_the_journal_still_answers(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Labels a cast would truncate fail the job
+# Labels and a k_neighbors that a cast would truncate fail the job
 # ----------------------------------------------------------------------
 def test_fractional_label_fails_the_resample_job(tmp_path):
     x = np.random.default_rng(5).normal(size=(40, 4))
@@ -355,6 +356,23 @@ def test_fractional_label_fails_the_resample_job(tmp_path):
     assert answer["status"] == "failed" and answer["reason"] == "ValueError"
     assert "row 30" in answer["message"]
     service.queue.close()
+
+
+@pytest.mark.parametrize("k", [2.9, True, "3"], ids=["fraction", "bool",
+                                                     "string"])
+def test_k_neighbors_a_cast_would_change_fails_the_resample_job(k):
+    payload = {**_resample_payload(1), "k_neighbors": k}
+    with pytest.raises(ValueError, match="k_neighbors"):
+        default_router().dispatch(_job("k-bad", payload))
+
+
+def test_whole_float_k_neighbors_runs_as_its_int():
+    payload = _resample_payload(1)
+    as_int = default_router().dispatch(
+        _job("k-whole", {**payload, "k_neighbors": 2}))
+    as_float = default_router().dispatch(
+        _job("k-whole", {**payload, "k_neighbors": 2.0}))
+    assert _canonical(as_float) == _canonical(as_int)
 
 
 # ----------------------------------------------------------------------

@@ -215,15 +215,36 @@ class TestScratchPool:
     def test_same_key_reuses_buffer(self):
         a = scratch("t.site", (4, 4), np.float32)
         b = scratch("t.site", (4, 4), np.float32)
-        assert a is b
+        assert np.shares_memory(a, b)
         stats = pool_stats()
         assert stats["misses"] >= 1 and stats["hits"] >= 1
 
-    def test_distinct_shapes_get_distinct_buffers(self):
+    def test_distinct_sites_never_share_memory(self):
         a = scratch("t.site", (4, 4), np.float32)
-        b = scratch("t.site", (4, 5), np.float32)
-        c = scratch("t.other", (4, 4), np.float32)
-        assert a is not b and a is not c
+        b = scratch("t.other", (4, 4), np.float32)
+        c = scratch("t.site", (4, 4), np.float64)
+        assert not np.shares_memory(a, b)
+        assert not np.shares_memory(a, c)
+        assert not np.shares_memory(b, c)
+
+    def test_smaller_request_reuses_the_site_buffer(self):
+        a = scratch("t.site", (4, 5), np.float32)
+        misses = pool_stats()["misses"]
+        b = scratch("t.site", (3, 2), np.float32)
+        assert np.shares_memory(a, b)
+        assert b.shape == (3, 2) and b.flags.c_contiguous
+        assert pool_stats()["misses"] == misses
+
+    def test_larger_request_grows_the_site_buffer(self):
+        scratch("t.site", (4, 4), np.float32)
+        scratch("t.other", (2, 3), np.float64)
+        misses = pool_stats()["misses"]
+        big = scratch("t.site", (4, 5), np.float32)
+        assert big.shape == (4, 5) and big.flags.c_contiguous
+        assert pool_stats()["misses"] == misses + 1
+        scratch("t.site", (2, 2), np.float32)
+        # Each site holds its largest request so far, and no more.
+        assert pool_stats()["bytes"] == 4 * 5 * 4 + 2 * 3 * 8
 
     def test_clear_pool_resets_entries(self):
         scratch("t.site", (2, 2), np.float32)
@@ -231,14 +252,14 @@ class TestScratchPool:
         clear_pool()
         assert pool_stats()["entries"] == 0
 
-    def test_lru_eviction_is_bounded(self):
-        from repro.tensor.pool import MAX_ENTRIES
-
-        for i in range(MAX_ENTRIES + 8):
-            scratch("t.evict", (1, i + 1), np.float32)
+    def test_entries_are_bounded_by_site_and_dtype(self):
+        for i in range(80):
+            scratch("t.grow", (1, i + 1), np.float32)
+            scratch("t.grow", (i + 1, 2), np.float64)
+            scratch("t.other", (i % 7 + 1,), np.float32)
         stats = pool_stats()
-        assert stats["entries"] <= MAX_ENTRIES
-        assert stats["evictions"] >= 8
+        assert stats["entries"] == 3
+        assert stats["bytes"] == 80 * 4 + 80 * 2 * 8 + 7 * 4
 
     def test_training_never_leaks_pooled_buffers_into_grads(self):
         """Two training steps whose scratch is clobbered in between must
@@ -260,7 +281,13 @@ class TestScratchPool:
             return x.grad.copy(), w.grad.copy()
 
         gx1, gw1 = step()
-        # Clobber every pooled buffer with garbage between steps.
+        # Between the steps, run the same sites over a different batch
+        # size, then clobber every pooled buffer with garbage.
+        with no_grad():
+            for batch in (1, 3):
+                other = Tensor(rng.normal(size=(batch, 2, 6, 6)),
+                               dtype=default_dtype())
+                max_pool2d(conv2d(other, w.detach(), stride=1, padding=1), 2)
         from repro.tensor.pool import _POOL
 
         for buf in _POOL.values():

@@ -14,9 +14,9 @@ EOS spans from 0.03-0.05 s to 0.006-0.008 s of a 0.35-0.51 s rest
 
 The work ledger runs the same workload once and pins what it did as
 exact counts: tape ops forward and backward, Module calls, scratch-pool
-misses and evictions, and the rows each sampler synthesized.  Counts do
-not depend on the host, so they catch the same regressions without
-noise; a change that moves one must say why in CHANGES.md.
+misses and retained bytes, and the rows each sampler synthesized.
+Counts do not depend on the host, so they catch the same regressions
+without noise; a change that moves one must say why in CHANGES.md.
 """
 
 from repro import telemetry
@@ -66,8 +66,9 @@ def test_train_batch_share_has_not_regressed():
 
 
 # Counts of one tiny Table II run (seed 0): tape ops by name, forward
-# calls by Module class, scratch-pool deltas after clear_pool(), and
-# per sampler the number of fit_resample spans and synthetic rows.
+# calls by Module class, scratch-pool misses after clear_pool() and the
+# bytes the pool then holds, and per sampler the number of
+# fit_resample spans and synthetic rows.
 FORWARD_OPS = {
     "__add__": 220, "__matmul__": 180, "__mul__": 280, "__neg__": 80,
     "__pow__": 80, "__sub__": 200, "__truediv__": 80,
@@ -88,7 +89,7 @@ LAYER_CALLS = {
     "BatchNorm2d": 540, "Conv2d": 540, "GlobalAvgPool2d": 180,
     "Linear": 180, "SmallConvNet": 160,
 }
-POOL_DELTAS = {"misses": 22, "evictions": 0}
+POOL = {"misses": 9, "bytes": 1282048}
 SAMPLER_WORK = {
     "BalancedSVMSampler": (4, 1824), "BorderlineSMOTE": (4, 1824),
     "EOS": (4, 1824), "SMOTE": (8, 3648),
@@ -117,7 +118,8 @@ def table2_work_ledger():
                      for op, entry in stats["backward"].items()},
         "layers": {name: entry["count"]
                    for name, entry in stats["layers"].items()},
-        "pool": {key: after[key] - before[key] for key in POOL_DELTAS},
+        "pool": {"misses": after["misses"] - before["misses"],
+                 "bytes": after["bytes"]},
         "samplers": samplers,
     }
 
@@ -127,5 +129,5 @@ def test_table2_work_ledger_is_unchanged():
     assert ledger["forward_ops"] == FORWARD_OPS
     assert ledger["backward"] == BACKWARD_OPS
     assert ledger["layers"] == LAYER_CALLS
-    assert ledger["pool"] == POOL_DELTAS
+    assert ledger["pool"] == POOL
     assert ledger["samplers"] == SAMPLER_WORK
