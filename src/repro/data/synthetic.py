@@ -37,6 +37,10 @@ __all__ = [
     "list_datasets",
 ]
 
+#: Image rows whose pixel noise :meth:`SyntheticImageFamily.decode`
+#: draws at once.
+_NOISE_ROWS = 100
+
 
 @dataclass
 class SyntheticConfig:
@@ -134,7 +138,9 @@ class SyntheticImageFamily:
         """Decode (N, latent_dim) latents to (N, C, H, W) images in [0, 1].
 
         Every step after the projection works in place on its (N, C*H*W)
-        result, so a decode holds one image block plus the pixel noise.
+        result, and the pixel noise is drawn and added ``_NOISE_ROWS``
+        rows at a time (the same draws, in the same order, as one
+        whole-block draw), so a decode holds about one image block.
         """
         images = latents @ self.basis
         images /= np.sqrt(self.config.latent_dim)
@@ -142,7 +148,9 @@ class SyntheticImageFamily:
         images += 1.0
         images /= 2.0
         if rng is not None and self.config.pixel_noise > 0:
-            images += rng.normal(0, self.config.pixel_noise, images.shape)
+            for start in range(0, len(images), _NOISE_ROWS):
+                rows = images[start:start + _NOISE_ROWS]
+                rows += rng.normal(0, self.config.pixel_noise, rows.shape)
         np.clip(images, 0.0, 1.0, out=images)
         return images.reshape((-1,) + self._image_shape)
 

@@ -10,8 +10,8 @@
   resilience/guard contract — the one entry point for every paper
   view.
 * :class:`ResultStore` is the append-only, schema-versioned sqlite
-  archive of every cell result, telemetry snapshot, config/git
-  fingerprint, and ingested benchmark record across runs.
+  archive of every finished run (its cell results, telemetry snapshot
+  and config/git fingerprint) and of ingested benchmark records.
 * :func:`regenerate` / :func:`perf_report` and the ``repro-report``
   CLI render tables and the perf trajectory as views over the store —
   no retraining.
@@ -21,6 +21,7 @@ from .matrix import (
     ALL_VIEWS,
     FIGURE_VIEWS,
     TABLE_VIEWS,
+    VIEW_KEYS,
     MatrixCell,
     MatrixPlan,
     MatrixSpec,
@@ -38,6 +39,7 @@ __all__ = [
     "ALL_VIEWS",
     "FIGURE_VIEWS",
     "TABLE_VIEWS",
+    "VIEW_KEYS",
     "MatrixCell",
     "MatrixPlan",
     "MatrixSpec",

@@ -26,19 +26,11 @@ import os
 import sys
 
 from ..telemetry.summarize import render_trace_report, summarize_trace
-from .matrix import ALL_VIEWS
+from .matrix import ALL_VIEWS, VIEW_KEYS
 from .report import perf_report, regenerate, runs_report
 from .store import EvalsStoreError, ResultStore
 
 __all__ = ["main"]
-
-_ALIASES = {
-    "t1": "table1", "t2": "table2", "t3": "table3", "t4": "table4",
-    "t5": "table5",
-    "f3": "figure3", "f4": "figure4", "f5": "figure5", "f6": "figure6",
-    "f7": "figure7",
-    "rt": "runtime_comparison", "px": "eos_pixel_vs_embedding",
-}
 
 
 def _bench_entries(payload, path):
@@ -138,7 +130,7 @@ def main(argv=None):
                              "only)")
     args = parser.parse_intermixed_args(argv)
 
-    target = _ALIASES.get(args.target, args.target)
+    target = VIEW_KEYS.get(args.target, args.target)
     commands = ("runs", "perf", "ingest-bench", "trace")
     if target not in ALL_VIEWS + commands:
         parser.error(

@@ -32,6 +32,7 @@ __all__ = [
     "ALL_VIEWS",
     "FIGURE_VIEWS",
     "TABLE_VIEWS",
+    "VIEW_KEYS",
     "MatrixCell",
     "MatrixPlan",
     "MatrixSpec",
@@ -53,6 +54,16 @@ FIGURE_VIEWS = (
     "eos_pixel_vs_embedding",
 )
 ALL_VIEWS = TABLE_VIEWS + FIGURE_VIEWS
+
+#: The short key of each view, as ``python -m repro.experiments`` and
+#: ``repro-report`` take it.
+VIEW_KEYS = {
+    "t1": "table1", "t2": "table2", "t3": "table3", "t4": "table4",
+    "t5": "table5",
+    "f3": "figure3", "f4": "figure4", "f5": "figure5", "f6": "figure6",
+    "f7": "figure7",
+    "rt": "runtime_comparison", "px": "eos_pixel_vs_embedding",
+}
 
 #: The axes each view reads, with their paper defaults.
 _DEFAULTS = {

@@ -7,16 +7,14 @@ seed-bump + LR-backoff, FAILED-cell degradation, circuit breakers,
 bit-identical results at any worker count).  Figure views execute
 their dedicated implementations directly.
 
-With ``store=`` and ``registry=`` both set, every cell outcome is
-appended to the :class:`~repro.evals.store.ResultStore` *as it
-completes*, from the parent process only: the store subscribes to the
-:class:`~repro.resilience.RunRegistry` cell sink, which fires after
-each manifest flush.  A killed run therefore leaves its completed
-cells both in the checkpoint manifest and in the store; resuming with
-the same registry re-binds to the same store run (matched by spec
-fingerprint) and the idempotent insert discipline guarantees no
-duplicate rows.  With a store but no registry there is no sink, and
-the cells reach the store together at ``finish_run``.
+With ``store=``, the finished run — report, every cell outcome and the
+telemetry snapshot — is written to the
+:class:`~repro.evals.store.ResultStore` once, in one transaction, after
+the view has run.  Nothing reaches the store before that: a run in
+progress is recorded only in the checkpoint manifest of ``registry=``
+(a :class:`~repro.resilience.RunRegistry`).  A killed run therefore
+leaves nothing in the store, and its resume, which reads the completed
+cells back from the manifest, records the whole run once it finishes.
 """
 
 from __future__ import annotations
@@ -45,8 +43,9 @@ def run_matrix(spec, *, store=None, cache=None, registry=None,
     On table views, ``registry`` checkpoints cells and artifacts,
     ``retry_policy`` / ``fail_soft`` / ``breaker`` control the failure
     path, and ``workers`` fans cells out across processes.  ``store`` —
-    a :class:`ResultStore` or a path — records the run; pass a path to
-    have the store opened and closed around this call.
+    a :class:`ResultStore` or a path — records the run once it has
+    finished; pass a path to have the store opened and closed around
+    this call.
     """
     from ..experiments.result import RunResult
 
@@ -61,12 +60,12 @@ def run_matrix(spec, *, store=None, cache=None, registry=None,
     try:
         with tracer.span("runner", runner=spec.view):
             if spec.view in TABLE_VIEWS:
-                data, run_id, cell_rows = _run_grid(
-                    spec, store, cache, registry, retry_policy,
-                    fail_soft, workers, breaker,
+                data, record = _run_grid(
+                    spec, cache, registry, retry_policy, fail_soft,
+                    workers, breaker,
                 )
             else:
-                data, run_id, cell_rows = _run_figure(spec, store, cache)
+                data, record = _run_figure(spec, cache)
         info = {
             "runner": spec.view,
             "enabled": tracer.enabled,
@@ -74,26 +73,44 @@ def run_matrix(spec, *, store=None, cache=None, registry=None,
         }
         if tracer.enabled:
             info["metrics"] = get_metrics().snapshot()
-        if store is not None and run_id is not None:
-            store.finish_run(
-                run_id,
-                report=data.get("report", ""),
-                extras=_json_safe_extras(data),
-                cells=cell_rows,
-                telemetry=info.get("metrics"),
-                seconds=info["seconds"],
-            )
+        run_id = None
+        if store is not None:
+            run_id = _record_run(store, spec, data, info, **record)
         return RunResult(data, telemetry=info, store_run_id=run_id)
     finally:
         if own_store:
             store.close()
 
 
+def _record_run(store, spec, data, info, config, plan=None, cells=()):
+    """Write one finished run to the store, in one transaction.
+
+    ``config`` is what the fingerprint covers: a table's resolved
+    config, stored with its plan, or a figure's ``spec.config``.
+    """
+    spec_payload = spec_to_payload(spec)
+    return store.record_run(
+        spec.view,
+        fingerprint=fingerprint_of(
+            "evals", json.dumps(spec_payload, sort_keys=True), repr(config)
+        ),
+        spec=spec_payload,
+        plan=None if plan is None else plan_to_payload(plan),
+        config=None if plan is None else _config_payload(config),
+        git_sha=_git_sha(),
+        report=data.get("report", ""),
+        extras=_json_safe_extras(data),
+        cells=cells,
+        telemetry=info.get("metrics"),
+        seconds=info["seconds"],
+    )
+
+
 # ----------------------------------------------------------------------
 # Table views: compiled plan -> cell grid -> rendered view
 # ----------------------------------------------------------------------
-def _run_grid(spec, store, cache, registry, retry_policy, fail_soft,
-              workers, breaker):
+def _run_grid(spec, cache, registry, retry_policy, fail_soft, workers,
+              breaker):
     from ..experiments import runners as R
     from ..experiments.config import bench_config
     from ..experiments.pipeline import prewarm_extractors
@@ -105,62 +122,41 @@ def _run_grid(spec, store, cache, registry, retry_policy, fail_soft,
             raise KeyError("unknown config field %r" % name)
     plan = compile_matrix(spec)
     cache = R._make_cache(cache, registry, retry_policy)
-
-    run_id = None
-    if store is not None:
-        run_id = _bind_run(store, spec, plan, config, registry)
-        if registry is not None:
-            positions = {cell.cell_id: (index, cell)
-                         for index, cell in enumerate(plan.cells)}
-
-            def sink(cell_id, payload, status):
-                entry = positions.get(cell_id)
-                if entry is None:
-                    return
-                index, cell = entry
-                store.record_cell(run_id, cell_id, index, cell.key,
-                                  status, payload)
-
-            registry.set_cell_sink(sink)
-    try:
-        prewarm_extractors(
-            cache,
-            [(config.with_overrides(**overrides), loss)
-             for overrides, loss in plan.prewarm],
-            max_workers=workers,
-        )
-        # A cell whose extractor failed keeps that CellFailure; every
-        # other cell becomes a (cell_id, thunk) task for run_cells.
-        outcomes, keys, tasks = {}, [], []
-        artifacts_memo = {}
-        for cell in plan.cells:
-            cfg = (config.with_overrides(**cell.overrides)
-                   if cell.overrides else config)
-            if cell.kind == "preprocessed":
-                thunk = R._preprocessed_cell(cfg, cell.loss, cell.sampler)
-            else:
-                memo_key = (repr(sorted(cell.overrides.items(), key=repr)),
-                            cell.loss)
-                if memo_key not in artifacts_memo:
-                    artifacts_memo[memo_key] = R._get_artifacts(
-                        cache, cfg, cell.loss, fail_soft
-                    )
-                artifacts = artifacts_memo[memo_key]
-                if isinstance(artifacts, CellFailure):
-                    outcomes[cell.key] = artifacts
-                    continue
-                make = (R._timed_sampler_cell
-                        if cell.kind == "timed_sampler" else R._sampler_cell)
-                thunk = make(artifacts, cell.sampler, cfg, **cell.eval_kwargs)
-            keys.append(cell.key)
-            tasks.append((cell.cell_id, thunk))
-        outcomes.update(zip(keys, run_cells(
-            tasks, registry=registry, retry_policy=retry_policy,
-            fail_soft=fail_soft, max_workers=workers, breaker=breaker,
-        )))
-    finally:
-        if store is not None and registry is not None:
-            registry.set_cell_sink(None)
+    prewarm_extractors(
+        cache,
+        [(config.with_overrides(**overrides), loss)
+         for overrides, loss in plan.prewarm],
+        max_workers=workers,
+    )
+    # A cell whose extractor failed keeps that CellFailure; every other
+    # cell becomes a (cell_id, thunk) task for run_cells.
+    outcomes, keys, tasks = {}, [], []
+    artifacts_memo = {}
+    for cell in plan.cells:
+        cfg = (config.with_overrides(**cell.overrides)
+               if cell.overrides else config)
+        if cell.kind == "preprocessed":
+            thunk = R._preprocessed_cell(cfg, cell.loss, cell.sampler)
+        else:
+            memo_key = (repr(sorted(cell.overrides.items(), key=repr)),
+                        cell.loss)
+            if memo_key not in artifacts_memo:
+                artifacts_memo[memo_key] = R._get_artifacts(
+                    cache, cfg, cell.loss, fail_soft
+                )
+            artifacts = artifacts_memo[memo_key]
+            if isinstance(artifacts, CellFailure):
+                outcomes[cell.key] = artifacts
+                continue
+            make = (R._timed_sampler_cell
+                    if cell.kind == "timed_sampler" else R._sampler_cell)
+            thunk = make(artifacts, cell.sampler, cfg, **cell.eval_kwargs)
+        keys.append(cell.key)
+        tasks.append((cell.cell_id, thunk))
+    outcomes.update(zip(keys, run_cells(
+        tasks, registry=registry, retry_policy=retry_policy,
+        fail_soft=fail_soft, max_workers=workers, breaker=breaker,
+    )))
 
     results, timing, cell_rows = _assemble(plan, outcomes)
     report, summary_extras = render_view(plan, results, timing)
@@ -170,7 +166,7 @@ def _run_grid(spec, store, cache, registry, retry_policy, fail_soft,
     data.update(plan.extras)
     data.update(summary_extras)
     data["report"] = report
-    return data, run_id, cell_rows
+    return data, {"config": config, "plan": plan, "cells": cell_rows}
 
 
 def _assemble(plan, outcomes):
@@ -196,29 +192,6 @@ def _assemble(plan, outcomes):
                      "key": cell.key, "status": status,
                      "payload": payload})
     return results, timing, rows
-
-
-def _bind_run(store, spec, plan, config, registry):
-    """Open a store run, or re-bind to the one a resumed registry holds."""
-    spec_payload = spec_to_payload(spec)
-    fingerprint = fingerprint_of(
-        "evals", json.dumps(spec_payload, sort_keys=True), repr(config)
-    )
-    if registry is not None:
-        prior = registry.evals_run_id()
-        if prior is not None and store.is_resumable_run(prior, fingerprint):
-            return prior
-    run_id = store.begin_run(
-        spec.view,
-        fingerprint=fingerprint,
-        spec=spec_payload,
-        plan=plan_to_payload(plan),
-        config=_config_payload(config),
-        git_sha=_git_sha(),
-    )
-    if registry is not None:
-        registry.bind_evals_run(run_id)
-    return run_id
 
 
 def _config_payload(config):
@@ -270,24 +243,13 @@ def _coerce_scalar(value):
 # ----------------------------------------------------------------------
 # Figure views: direct execution of the dedicated implementations
 # ----------------------------------------------------------------------
-def _run_figure(spec, store, cache):
+def _run_figure(spec, cache):
     from ..experiments import runners as R
     from ..experiments.config import bench_config
 
     config = spec.config if spec.config is not None else bench_config()
     cache = R._make_cache(cache, None, None)
     options = dict(spec.options or {})
-    run_id = None
-    if store is not None:
-        run_id = store.begin_run(
-            spec.view,
-            fingerprint=fingerprint_of(
-                "evals", json.dumps(spec_to_payload(spec), sort_keys=True),
-                repr(spec.config),
-            ),
-            spec=spec_to_payload(spec),
-            git_sha=_git_sha(),
-        )
     view = spec.view
     if view == "figure3":
         data = R._figure3_impl(config, losses=spec.resolved("losses"),
@@ -312,4 +274,4 @@ def _run_figure(spec, store, cache):
         )
     else:
         data = R._eos_pixel_vs_embedding_impl(config, cache=cache)
-    return data, run_id, ()
+    return data, {"config": spec.config}

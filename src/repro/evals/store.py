@@ -1,25 +1,28 @@
-"""Append-only sqlite result store: every cell result, across runs.
+"""Append-only sqlite result store: every finished run, across runs.
 
 One :class:`ResultStore` owns one sqlite database (WAL mode,
 schema-versioned) accumulating experiment history:
 
-* ``runs`` — one row per ``run_matrix`` invocation: view, spec/plan
-  snapshots, config + git fingerprint, final report, wall time;
-* ``cells`` — one row per recorded cell outcome.  The
-  ``(run_id, cell_id, status)`` unique index plus ``INSERT OR IGNORE``
-  makes recording idempotent: a resumed run may replay every
-  checkpointed cell without creating duplicate rows;
+* ``runs`` — one row per finished ``run_matrix`` invocation: view,
+  spec/plan snapshots, config + git fingerprint, final report, wall
+  time;
+* ``cells`` — one row per recorded cell outcome, unique per
+  ``(run_id, cell_id, status)``;
 * ``telemetry`` — the metrics snapshot captured as a run finished;
 * ``bench`` — ingested benchmark records (``perfbench/bench.py --out``
   files), so the perf-trajectory view can diff speed against prior
   recorded runs.
 
-Writes happen from the parent process only: ``run_matrix`` records
-cells through the :class:`~repro.resilience.RunRegistry` cell sink,
-which :mod:`repro.parallel.run_cells` invokes in the parent as worker
-results arrive.  Rows are never updated or deleted once written — the
-only mutation is flipping a run's ``status`` from ``running`` to
-``complete`` when it finishes.
+``run_matrix`` writes a run once, when it has finished: one
+:meth:`ResultStore.record_run` transaction holds the run row (as
+``complete``), its cells and its telemetry, so a killed run leaves
+nothing here.  Its progress lives in the checkpoint manifest of its
+:class:`~repro.resilience.RunRegistry`, and the resumed run is
+recorded once it finishes.  Rows are never updated or deleted once
+written.  Stores written by older code may still hold ``running``
+rows, and runs that re-bound to them on resume; the read side
+(:mod:`repro.evals.report`) prefers complete runs and refuses to
+regenerate a run with missing cells.
 
 EVAL001 pins every other module to this file: direct
 ``sqlite3.connect`` elsewhere would bypass the schema versioning and
@@ -94,6 +97,10 @@ def _json(value):
     return json.dumps(value, sort_keys=True, default=_coerce)
 
 
+def _json_or_none(value):
+    return None if value is None else _json(value)
+
+
 def _coerce(value):
     # numpy scalars reach payloads from metric dicts; their float/int
     # conversion is exact for the dtypes the metrics layer produces.
@@ -142,61 +149,43 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Runs
     # ------------------------------------------------------------------
-    def begin_run(self, view, fingerprint=None, spec=None, plan=None,
-                  config=None, git_sha=None):
-        """Open a run row (status ``running``) and return its id."""
-        with self._conn:
-            cursor = self._conn.execute(
-                "INSERT INTO runs(view, status, fingerprint, git_sha, "
-                "config_json, spec_json, plan_json, created_wall) "
-                "VALUES (?, 'running', ?, ?, ?, ?, ?, ?)",
-                (view, fingerprint, git_sha,
-                 _json(config) if config is not None else None,
-                 _json(spec) if spec is not None else None,
-                 _json(plan) if plan is not None else None,
-                 wall_time()),
-            )
-        return cursor.lastrowid
+    def record_run(self, view, fingerprint=None, spec=None, plan=None,
+                   config=None, git_sha=None, report=None, extras=None,
+                   cells=(), telemetry=None, seconds=None):
+        """Record one finished run, its cells and telemetry; return its id.
 
-    def is_resumable_run(self, run_id, fingerprint):
-        """True when ``run_id`` is still open under the same fingerprint.
-
-        A resumed sweep re-binds to its original run row only when the
-        spec fingerprint matches — resuming under a different
-        configuration must open a fresh run, never mix rows.
-        """
-        row = self._conn.execute(
-            "SELECT status, fingerprint FROM runs WHERE run_id=?",
-            (run_id,),
-        ).fetchone()
-        return (row is not None and row["status"] == "running"
-                and row["fingerprint"] == fingerprint)
-
-    def finish_run(self, run_id, report=None, extras=None, cells=(),
-                   telemetry=None, seconds=None):
-        """Seal a run: replay any unrecorded cells, stamp the report.
-
-        The cell replay is idempotent (``INSERT OR IGNORE`` against the
-        unique index), so finishing a resumed run re-presents every
-        checkpointed cell without duplicating the rows the interrupted
-        run already wrote.
+        One transaction: a run is in the store whole, as ``complete``,
+        or not at all.  ``cells`` are ``{"position", "cell_id", "key",
+        "status", "payload"}`` dicts, inserted with ``INSERT OR IGNORE``
+        against the ``(run_id, cell_id, status)`` unique index.
         """
         now = wall_time()
         with self._conn:
-            for row in cells:
-                self._insert_cell(run_id, row, now)
+            cursor = self._conn.execute(
+                "INSERT INTO runs(view, status, fingerprint, git_sha, "
+                "config_json, spec_json, plan_json, extras_json, report, "
+                "seconds, created_wall, finished_wall) "
+                "VALUES (?, 'complete', ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (view, fingerprint, git_sha, _json_or_none(config),
+                 _json_or_none(spec), _json_or_none(plan),
+                 _json_or_none(extras), report, seconds, now, now),
+            )
+            run_id = cursor.lastrowid
+            self._conn.executemany(
+                "INSERT OR IGNORE INTO cells(run_id, position, cell_id, "
+                "key_json, status, payload_json, recorded_wall) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                [(run_id, row["position"], row["cell_id"],
+                  _json(list(row["key"])), row["status"],
+                  _json(row["payload"]), now) for row in cells],
+            )
             if telemetry is not None:
                 self._conn.execute(
                     "INSERT INTO telemetry(run_id, snapshot_json, "
                     "recorded_wall) VALUES (?, ?, ?)",
                     (run_id, _json(telemetry), now),
                 )
-            self._conn.execute(
-                "UPDATE runs SET status='complete', report=?, "
-                "extras_json=?, seconds=?, finished_wall=? WHERE run_id=?",
-                (report, _json(extras) if extras is not None else None,
-                 seconds, now, run_id),
-            )
+        return run_id
 
     def run_row(self, run_id):
         """The full ``runs`` row, or None."""
@@ -232,26 +221,6 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Cells
     # ------------------------------------------------------------------
-    def _insert_cell(self, run_id, row, now):
-        self._conn.execute(
-            "INSERT OR IGNORE INTO cells(run_id, position, cell_id, "
-            "key_json, status, payload_json, recorded_wall) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (run_id, row["position"], row["cell_id"],
-             _json(list(row["key"])), row["status"],
-             _json(row["payload"]), now),
-        )
-
-    def record_cell(self, run_id, cell_id, position, key, status, payload):
-        """Record one cell outcome (idempotent)."""
-        with self._conn:
-            self._insert_cell(
-                run_id,
-                {"position": position, "cell_id": cell_id, "key": key,
-                 "status": status, "payload": payload},
-                wall_time(),
-            )
-
     def cell_rows(self, run_id):
         """Every raw cell row of a run, in insertion order."""
         rows = self._conn.execute(

@@ -17,8 +17,9 @@ reports are bit-identical to ``--workers 1`` for any N.
 
 Result store: ``--store PATH`` appends every run — cell results,
 telemetry snapshot, config/git fingerprint — to the sqlite store at
-PATH (``repro.evals``).  Tables regenerate from it without retraining:
-``repro-report t2 --store PATH``.
+PATH (``repro.evals``) when it finishes; an interrupted run's progress
+lives in ``--checkpoint-dir``.  Tables regenerate from the store
+without retraining: ``repro-report t2 --store PATH``.
 
 Hardening (``repro.guard``): ``--task-deadline`` arms the pool's
 hung-worker watchdog (SIGKILL + same-seed re-dispatch past the
@@ -43,12 +44,28 @@ import argparse
 import sys
 
 from .. import telemetry
-from ..evals import MatrixSpec, run_matrix
+from ..evals import VIEW_KEYS, MatrixSpec, run_matrix
 from ..guard import CircuitBreaker
 from ..resilience import RetryPolicy, RunRegistry, fingerprint_of
 from . import ExtractorCache, bench_config
 
 __all__ = ["build_registry", "main"]
+
+#: The title printed above each view; ``VIEW_KEYS`` maps keys to views.
+_TITLES = {
+    "t1": "Table I (pre vs post over-sampling)",
+    "t2": "Table II (losses x samplers)",
+    "t3": "Table III (GAN comparison)",
+    "t4": "Table IV (EOS K sweep)",
+    "t5": "Table V (architectures)",
+    "f3": "Figure 3 (gap curves)",
+    "f4": "Figure 4 (TP vs FP gap)",
+    "f5": "Figure 5 (weight norms)",
+    "f6": "Figure 6 (t-SNE boundary)",
+    "f7": "Figure 7 (fine-tune epochs)",
+    "rt": "Runtime comparison (V-E2)",
+    "px": "EOS pixel vs embedding (V-E3)",
+}
 
 
 def build_registry(config, datasets, cache, run_registry=None,
@@ -72,35 +89,15 @@ def build_registry(config, datasets, cache, run_registry=None,
         "breaker": breaker,
     }
 
-    def entry(title, spec):
-        return (title, lambda: run_matrix(spec, **run_kwargs))
+    def entry(view):
+        # Only the views that read a datasets axis are given one.
+        axes = ({"datasets": datasets}
+                if MatrixSpec(view).resolved("datasets") is not None else {})
+        spec = MatrixSpec(view, config=config, **axes)
+        return lambda: run_matrix(spec, **run_kwargs)
 
-    return {
-        "t1": entry("Table I (pre vs post over-sampling)",
-                    MatrixSpec("table1", config=config, datasets=datasets)),
-        "t2": entry("Table II (losses x samplers)",
-                    MatrixSpec("table2", config=config, datasets=datasets)),
-        "t3": entry("Table III (GAN comparison)",
-                    MatrixSpec("table3", config=config, datasets=datasets)),
-        "t4": entry("Table IV (EOS K sweep)",
-                    MatrixSpec("table4", config=config, datasets=datasets)),
-        "t5": entry("Table V (architectures)",
-                    MatrixSpec("table5", config=config)),
-        "f3": entry("Figure 3 (gap curves)",
-                    MatrixSpec("figure3", config=config)),
-        "f4": entry("Figure 4 (TP vs FP gap)",
-                    MatrixSpec("figure4", config=config, datasets=datasets)),
-        "f5": entry("Figure 5 (weight norms)",
-                    MatrixSpec("figure5", config=config)),
-        "f6": entry("Figure 6 (t-SNE boundary)",
-                    MatrixSpec("figure6", config=config)),
-        "f7": entry("Figure 7 (fine-tune epochs)",
-                    MatrixSpec("figure7", config=config)),
-        "rt": entry("Runtime comparison (V-E2)",
-                    MatrixSpec("runtime_comparison", config=config)),
-        "px": entry("EOS pixel vs embedding (V-E3)",
-                    MatrixSpec("eos_pixel_vs_embedding", config=config)),
-    }
+    return {key: (_TITLES[key], entry(view))
+            for key, view in VIEW_KEYS.items()}
 
 
 def main(argv=None):
@@ -190,6 +187,8 @@ def main(argv=None):
         parser.error("--strict-resume requires --checkpoint-dir")
     if args.breaker_threshold is not None and args.breaker_threshold < 1:
         parser.error("--breaker-threshold must be >= 1")
+    if args.trial_timeout is not None and args.trial_timeout <= 0:
+        parser.error("--trial-timeout must be positive")
     if args.task_deadline is not None and args.task_deadline <= 0:
         parser.error("--task-deadline must be positive")
 

@@ -86,7 +86,7 @@ class CircuitBreaker:
 
     def __init__(self, threshold=3, store=None):
         if threshold < 1:
-            raise ValueError("threshold must be >= 1")
+            raise ValueError("breaker threshold must be >= 1")
         self.threshold = int(threshold)
         self.store = store
         self._state = {}

@@ -17,6 +17,9 @@ atomic writer in :mod:`repro.utils.serialization`, and the manifest is
 re-flushed after each cell, so a killed process loses at most the cell
 it was computing.  Failed cells are *not* treated as complete — a
 resumed run re-attempts them (their failure may have been transient).
+The manifest is the only record of a run in progress: the sqlite
+result store (:class:`repro.evals.ResultStore`) sees a run only once
+it has finished, whole.
 
 Resume never trusts an artifact blindly: :meth:`RunRegistry.has_phase1`
 verifies every file against its sha256 sidecar
@@ -65,7 +68,6 @@ class RunRegistry:
     def __init__(self, root, strict=False):
         self.root = os.fspath(root)
         self.strict = bool(strict)
-        self._cell_sink = None
         os.makedirs(self.root, exist_ok=True)
         self.manifest_path = os.path.join(self.root, _MANIFEST)
         if os.path.exists(self.manifest_path):
@@ -130,39 +132,10 @@ class RunRegistry:
         return entry["payload"]
 
     def record_cell(self, cell_id, payload, status="done"):
-        """Record a cell outcome (JSON-serializable payload) and flush.
-
-        After the manifest flush the cell sink (if one is attached) is
-        notified, so downstream archives observe the cell only once it
-        is durable in the checkpoint.
-        """
+        """Record a cell outcome (JSON-serializable payload) and flush."""
         self.manifest["cells"][cell_id] = {"status": status,
                                            "payload": payload}
         self.flush()
-        if self._cell_sink is not None:
-            self._cell_sink(cell_id, payload, status)
-
-    def set_cell_sink(self, sink):
-        """Attach ``sink(cell_id, payload, status)`` to cell writes.
-
-        The hook :func:`repro.evals.run_matrix` uses to mirror every
-        checkpointed cell into the sqlite result store from the parent
-        process.  Pass None to detach.
-        """
-        self._cell_sink = sink
-
-    def bind_evals_run(self, run_id):
-        """Remember the result-store run this checkpoint feeds.
-
-        A resumed sweep reads it back via :meth:`evals_run_id` and
-        re-binds to the same store run instead of opening a new one.
-        """
-        self.manifest["evals_run_id"] = int(run_id)
-        self.flush()
-
-    def evals_run_id(self):
-        """The bound result-store run id, or None."""
-        return self.manifest.get("evals_run_id")
 
     def cell_statuses(self):
         """Mapping of cell id -> status string."""

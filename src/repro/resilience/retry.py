@@ -66,8 +66,8 @@ class RetryPolicy:
         Per-retry learning-rate multiplier (attempt ``i`` trains at
         ``lr * lr_backoff ** i``).
     trial_timeout:
-        Optional per-attempt wall-clock budget in seconds, carried on
-        each :class:`Attempt` for the trial to enforce.
+        Optional per-attempt wall-clock budget in seconds (positive),
+        carried on each :class:`Attempt` for the trial to enforce.
     retry_on:
         Exception types that trigger a retry; anything else propagates
         immediately.  Defaults to divergence and timeout.
@@ -89,6 +89,8 @@ class RetryPolicy:
             raise ValueError("max_retries must be >= 0")
         if not (0.0 < lr_backoff <= 1.0):
             raise ValueError("lr_backoff must be in (0, 1]")
+        if trial_timeout is not None and trial_timeout <= 0:
+            raise ValueError("trial_timeout must be positive")
         if task_deadline is not None and task_deadline <= 0:
             raise ValueError("task_deadline must be positive")
         self.max_retries = int(max_retries)

@@ -36,6 +36,7 @@ replay recovers every accepted job exactly once.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -63,40 +64,42 @@ def _install_chaos(spec):
 
 
 def _cmd_start(args):
+    from .. import telemetry
     from .service import ReproService, ServiceAlreadyRunning
 
     if args.chaos:
         _install_chaos(args.chaos)
-    telemetry_session = None
-    if args.trace_out:
-        from .. import telemetry
-
-        telemetry_session = telemetry.session(trace_out=args.trace_out)
-        telemetry_session.__enter__()
-    service = ReproService(
-        args.socket,
-        args.journal,
-        max_depth=args.max_depth,
-        per_client_limit=args.per_client_limit,
-        workers=args.workers,
-        task_deadline=args.task_deadline,
-        breaker_threshold=args.breaker_threshold,
-        drain_seconds=args.drain_seconds,
-        recycle_after=args.recycle_after,
-        compact_every=args.compact_every,
-        degraded_threshold=args.degraded_threshold,
-    )
-    print(service.describe(), flush=True)
-    try:
-        final = service.serve_forever()
-    except ServiceAlreadyRunning as exc:
-        print("repro-serve: error: %s" % exc, file=sys.stderr)
-        return 2
-    finally:
-        if telemetry_session is not None:
-            telemetry_session.__exit__(None, None, None)
+    traced = (telemetry.session(trace_out=args.trace_out)
+              if args.trace_out else contextlib.nullcontext())
+    with traced:
+        try:
+            service = ReproService(
+                args.socket,
+                args.journal,
+                max_depth=args.max_depth,
+                per_client_limit=args.per_client_limit,
+                workers=args.workers,
+                task_deadline=args.task_deadline,
+                breaker_threshold=args.breaker_threshold,
+                drain_seconds=args.drain_seconds,
+                recycle_after=args.recycle_after,
+                compact_every=args.compact_every,
+                degraded_threshold=args.degraded_threshold,
+            )
+        except ValueError as exc:  # a limit out of range
+            return _error(exc)
+        print(service.describe(), flush=True)
+        try:
+            final = service.serve_forever()
+        except ServiceAlreadyRunning as exc:
+            return _error(exc)
     print(json.dumps(final, indent=2, sort_keys=True))
     return 0
+
+
+def _error(exc):
+    print("repro-serve: error: %s" % exc, file=sys.stderr)
+    return 2
 
 
 def _client(args):
@@ -240,8 +243,7 @@ def main(argv=None):
     except BrokenPipeError:  # downstream closed the pipe early (e.g. head)
         return 0
     except (OSError, json.JSONDecodeError, ServeError) as exc:
-        print("repro-serve: error: %s" % exc, file=sys.stderr)
-        return 2
+        return _error(exc)
 
 
 if __name__ == "__main__":

@@ -158,10 +158,10 @@ class ReproService:
         re-dispatched under the same ``job_seed``, so results stay
         byte-identical to inline.
     task_deadline, deadline_retries:
-        Per-job wall-clock budget enforced by the pool watchdog, and
-        re-dispatches allowed after a watchdog kill or a worker death
-        (``workers > 1`` only — inline dispatch has no supervisor
-        process to preempt a hung call).
+        Per-job wall-clock budget (positive) enforced by the pool
+        watchdog, and re-dispatches allowed after a watchdog kill or a
+        worker death (``workers > 1`` only — inline dispatch has no
+        supervisor process to preempt a hung call).
     breaker_threshold:
         Equivalent failures per job kind before its breaker opens.
     drain_seconds:
@@ -186,12 +186,16 @@ class ReproService:
                  compact_every=None, degraded_threshold=3):
         self.socket_path = os.fspath(socket_path)
         self.journal_path = os.fspath(journal_path)
-        self.queue, self.replay_stats = recover(self.journal_path)
+        # A limit out of range raises here, before recover() creates the
+        # journal.
+        if task_deadline is not None and task_deadline <= 0:
+            raise ValueError("task_deadline must be positive")
         self.admission = AdmissionController(
             max_depth=max_depth, per_client_limit=per_client_limit
         )
         self.router = router if router is not None else default_router()
         self.breaker = CircuitBreaker(threshold=breaker_threshold)
+        self.queue, self.replay_stats = recover(self.journal_path)
         self.workers = max(1, int(workers))
         self.task_deadline = task_deadline
         self.deadline_retries = int(deadline_retries)

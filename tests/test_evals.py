@@ -1,6 +1,7 @@
 """Tests for repro.evals: the declarative experiment matrix and its
 axis checks, the seed-mean view, the sqlite result store, store-backed
-regeneration, the ``repro-report`` CLI, and the EVAL001 lint rule.
+regeneration, the ``repro-report`` CLI and the view keys it shares with
+``python -m repro.experiments``, and the EVAL001 lint rule.
 
 The store/regeneration tests run on synthetic cell payloads (no
 training); the worker-determinism test and the seed-mean view tests
@@ -22,6 +23,8 @@ import pytest
 from repro import telemetry
 from repro.analysis import LintEngine
 from repro.evals import (
+    ALL_VIEWS,
+    VIEW_KEYS,
     EvalsStoreError,
     MatrixSpec,
     ResultStore,
@@ -412,30 +415,28 @@ class TestSeedMeanView:
 # ----------------------------------------------------------------------
 class TestResultStore:
     def test_round_trip_and_idempotent_recording(self, tmp_path):
+        cell = {"position": 0, "cell_id": "t2/cifar10_like/ce/none",
+                "key": ("cifar10_like", "ce", "none"), "status": "done",
+                "payload": fake_metrics(0)}
         with ResultStore(tmp_path / "evals.sqlite") as store:
-            run_id = store.begin_run("table2", fingerprint="fp",
-                                     spec={"view": "table2"})
-            assert store.run_row(run_id)["status"] == "running"
-            assert store.is_resumable_run(run_id, "fp")
-            assert not store.is_resumable_run(run_id, "other-fp")
-
-            key = ("cifar10_like", "ce", "none")
-            for _ in range(3):  # replays must not duplicate rows
-                store.record_cell(run_id, "t2/cifar10_like/ce/none", 0,
-                                  key, "done", fake_metrics(0))
-            assert len(store.cell_rows(run_id)) == 1
-
-            store.finish_run(
-                run_id, report="the table", extras={"eos_wins": 1},
-                cells=[{"position": 0, "cell_id": "t2/cifar10_like/ce/none",
-                        "key": key, "status": "done",
-                        "payload": fake_metrics(0)}],
+            # A repeated cell must not duplicate rows.
+            run_id = store.record_run(
+                "table2", fingerprint="fp", spec={"view": "table2"},
+                report="the table", extras={"eos_wins": 1},
+                cells=[cell] * 3, telemetry={"counters": {}}, seconds=1.5,
             )
             assert len(store.cell_rows(run_id)) == 1
+            assert store.cell_results(run_id)[cell["cell_id"]] == {
+                "status": "done", "position": 0, "key": cell["key"],
+                "payload": fake_metrics(0)}
             row = store.run_row(run_id)
             assert row["status"] == "complete"
             assert row["report"] == "the table"
-            assert not store.is_resumable_run(run_id, "fp")
+            assert row["fingerprint"] == "fp"
+            assert json.loads(row["extras_json"]) == {"eos_wins": 1}
+            assert row["seconds"] == 1.5
+            assert row["created_wall"] == row["finished_wall"]
+            assert len(store.telemetry_rows(run_id)) == 1
             assert store.latest_run_id("table2") == run_id
             assert store.latest_run_id("table2", status="complete") == run_id
             assert store.latest_run_id("table5") is None
@@ -443,14 +444,15 @@ class TestResultStore:
 
     def test_cell_results_prefers_done_over_failed(self, tmp_path):
         with ResultStore(tmp_path / "evals.sqlite") as store:
-            run_id = store.begin_run("table2")
             key = ("cifar10_like", "ce", "smote")
             failure = CellFailure("diverged", error_type="DivergenceError",
                                   attempts=2)
-            store.record_cell(run_id, "t2/c/ce/smote", 0, key, "failed",
-                              failure.to_payload())
-            store.record_cell(run_id, "t2/c/ce/smote", 0, key, "done",
-                              fake_metrics(1))
+            run_id = store.record_run("table2", cells=[
+                {"position": 0, "cell_id": "t2/c/ce/smote", "key": key,
+                 "status": status, "payload": payload}
+                for status, payload in (("failed", failure.to_payload()),
+                                        ("done", fake_metrics(1)))
+            ])
             assert len(store.cell_rows(run_id)) == 2
             best = store.cell_results(run_id)["t2/c/ce/smote"]
             assert best["status"] == "done"
@@ -483,22 +485,21 @@ def synthetic_run(store, failing=(), plan=None):
     spec = MatrixSpec("table2", losses=("ce",), samplers=("none", "eos"))
     plan = plan or compile_matrix(spec)
     results = {}
-    run_id = store.begin_run("table2", fingerprint="fp",
-                             spec=spec_to_payload(spec),
-                             plan=plan_to_payload(plan))
+    cells = []
     for index, cell in enumerate(plan.cells):
         if cell.key in failing:
             failure = CellFailure("diverged",
                                   error_type="DivergenceError", attempts=2)
             results[cell.key] = failure
-            store.record_cell(run_id, cell.cell_id, index, cell.key,
-                              "failed", failure.to_payload())
+            status, payload = "failed", failure.to_payload()
         else:
             results[cell.key] = fake_metrics(index)
-            store.record_cell(run_id, cell.cell_id, index, cell.key,
-                              "done", results[cell.key])
+            status, payload = "done", results[cell.key]
+        cells.append({"position": index, "cell_id": cell.cell_id,
+                      "key": cell.key, "status": status, "payload": payload})
     report, _ = render_view(plan, results)
-    store.finish_run(run_id, report=report)
+    store.record_run("table2", fingerprint="fp", spec=spec_to_payload(spec),
+                     plan=plan_to_payload(plan), report=report, cells=cells)
     return report
 
 
@@ -534,11 +535,10 @@ class TestRegenerate:
             spec = MatrixSpec("table2", losses=("ce",),
                               samplers=("none", "eos"))
             plan = compile_matrix(spec)
-            run_id = store.begin_run("table2",
-                                     plan=plan_to_payload(plan))
             cell = plan.cells[0]
-            store.record_cell(run_id, cell.cell_id, 0, cell.key, "done",
-                              fake_metrics(0))
+            store.record_run("table2", plan=plan_to_payload(plan), cells=[
+                {"position": 0, "cell_id": cell.cell_id, "key": cell.key,
+                 "status": "done", "payload": fake_metrics(0)}])
             with pytest.raises(EvalsStoreError, match="missing 1 cell"):
                 regenerate(store, "table2")
 
@@ -700,6 +700,51 @@ class TestReportCLI:
     def test_unknown_target_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             report_main(["table9", "--store", str(tmp_path / "s.sqlite")])
+
+
+# ----------------------------------------------------------------------
+# View keys: one table read by both CLIs
+# ----------------------------------------------------------------------
+class TestViewKeys:
+    def test_every_key_names_a_view_once(self):
+        assert sorted(VIEW_KEYS.values()) == sorted(ALL_VIEWS)
+
+    def test_both_clis_accept_the_same_keys(self, tmp_path, monkeypatch):
+        from repro.experiments import __main__ as experiments_cli
+
+        assert list(experiments_cli.build_registry(MICRO, (), None)) \
+            == list(VIEW_KEYS)
+        path = tmp_path / "evals.sqlite"
+        ResultStore(path).close()
+        regenerated = []
+        monkeypatch.setattr(
+            "repro.evals.__main__.regenerate",
+            lambda store, view, run_id=None: regenerated.append(view) or "",
+        )
+        for key in VIEW_KEYS:
+            assert report_main([key, "--store", str(path)]) == 0
+        assert regenerated == list(VIEW_KEYS.values())
+
+    def test_experiments_cli_builds_the_same_specs(self, monkeypatch):
+        from repro.experiments import __main__ as experiments_cli
+
+        monkeypatch.setattr(experiments_cli, "run_matrix",
+                            lambda spec, **kwargs: spec)
+        datasets = ("svhn_like", "celeba_like")
+        registry = experiments_cli.build_registry(MICRO, datasets, None)
+        specs = {key: runner() for key, (_, runner) in registry.items()}
+        read = {"t1", "t2", "t3", "t4", "f4"}
+        assert specs == {
+            key: MatrixSpec(view, config=MICRO,
+                            datasets=datasets if key in read else None)
+            for key, view in {
+                "t1": "table1", "t2": "table2", "t3": "table3",
+                "t4": "table4", "t5": "table5", "f3": "figure3",
+                "f4": "figure4", "f5": "figure5", "f6": "figure6",
+                "f7": "figure7", "rt": "runtime_comparison",
+                "px": "eos_pixel_vs_embedding",
+            }.items()
+        }
 
 
 # ----------------------------------------------------------------------

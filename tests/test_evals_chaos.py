@@ -1,8 +1,9 @@
 """Acceptance scenario for the result store: a Table-II matrix run
 writing to the store is SIGKILLed mid-sweep (simulated process death),
-resumed, and must end with no duplicate or lost rows — and
-``repro-report table2`` must regenerate the table byte-identical to an
-uninterrupted reference run, without retraining anything.
+leaves nothing in the store, is resumed from its checkpoint, and must
+end with no duplicate or lost rows — and ``repro-report table2`` must
+regenerate the table byte-identical to an uninterrupted reference run,
+without retraining anything.
 
 Mirrors the micro harness of ``test_resilience_sweeps`` (same config,
 samplers, and kill cell) with the sqlite store attached.
@@ -12,8 +13,8 @@ import pytest
 
 from repro.evals import MatrixSpec, ResultStore, regenerate, run_matrix
 from repro.experiments import ExtractorCache, bench_config
-from repro.resilience import FaultPlan, RunRegistry, SimulatedKill, \
-    inject_faults
+from repro.resilience import FaultInjected, FaultPlan, RunRegistry, \
+    SimulatedKill, inject_faults
 
 MICRO = bench_config(phase1_epochs=2, finetune_epochs=2,
                      model_kwargs={"width": 4})
@@ -46,18 +47,14 @@ class TestKillResumeStore:
                                cache=ExtractorCache(registry=registry),
                                registry=registry)
 
-            # The kill lost only the in-flight cell; the cells recorded
-            # before it are already durable in the store, and the run
-            # row is still open.
-            run_id = registry.evals_run_id()
-            assert run_id is not None
-            rows = store.cell_rows(run_id)
-            assert [row["cell_id"] for row in rows] == [
-                "t2/cifar10_like/ce/none",
-                "t2/cifar10_like/ce/smote",
-            ]
-            assert all(row["status"] == "done" for row in rows)
-            assert store.run_row(run_id)["status"] == "running"
+            # The kill lost only the in-flight cell; the cells finished
+            # before it are durable in the checkpoint manifest, and the
+            # store holds nothing of the unfinished run.
+            assert RunRegistry(tmp_path / "run").cell_statuses() == {
+                "t2/cifar10_like/ce/none": "done",
+                "t2/cifar10_like/ce/smote": "done",
+            }
+            assert store.runs() == []
 
         # Resume in a fresh process-equivalent: new store handle, new
         # registry handle, new cache, no faults.
@@ -68,11 +65,11 @@ class TestKillResumeStore:
                 registry=RunRegistry(tmp_path / "run"),
             )
 
-            # Re-bound to the same store run, reproduced the reference
-            # exactly, and the idempotent insert discipline left exactly
-            # one row per cell — the interrupted run's rows were
-            # re-presented, not duplicated.
-            assert resumed.store_run_id == run_id
+            # The resumed run is the store's only run, reproduced the
+            # reference exactly, and holds exactly one row per cell: the
+            # cells resumed from the manifest and the recomputed one.
+            run_id = resumed.store_run_id
+            assert [run["run_id"] for run in store.runs()] == [run_id]
             assert resumed.report == reference.report
             assert resumed.cells == reference.cells
             assert resumed.degraded == []
@@ -101,3 +98,29 @@ class TestKillResumeStore:
             assert regenerate(store, "table2",
                               run_id=replayed.store_run_id) \
                 == reference.report
+
+
+class TestNoRunBeforeItFinishes:
+    """The store sees a run only once it has finished: an interrupted
+    run leaves no row, with or without a checkpoint registry."""
+
+    def test_killed_table_run_without_registry_leaves_no_run(self, tmp_path):
+        plan = FaultPlan()
+        plan.inject("sweep.cell", action="kill", when={"cell": KILL_CELL})
+        with ResultStore(tmp_path / "evals.sqlite") as store:
+            with inject_faults(plan):
+                with pytest.raises(SimulatedKill):
+                    run_matrix(sweep_spec(), store=store,
+                               cache=ExtractorCache())
+            assert store.runs() == []
+            assert "0 run(s), 0 cell row(s)" in store.summary()
+
+    def test_figure_that_raises_leaves_no_run(self, tmp_path):
+        plan = FaultPlan()
+        plan.inject("phase1.trial", action="raise")
+        with ResultStore(tmp_path / "evals.sqlite") as store:
+            with inject_faults(plan):
+                with pytest.raises(FaultInjected):
+                    run_matrix(MatrixSpec("figure4", config=MICRO),
+                               store=store, cache=ExtractorCache())
+            assert store.runs() == []

@@ -180,3 +180,28 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main(["t99"])
+
+    @pytest.mark.parametrize("seconds", ["0", "-2"])
+    def test_main_rejects_non_positive_trial_timeout_before_any_work(
+            self, seconds, monkeypatch, capsys):
+        from repro.experiments import __main__ as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the CLI started work")
+
+        monkeypatch.setattr(cli, "run_matrix", no_work)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["t2", "--scale", "tiny", "--trial-timeout", seconds])
+        assert exit_info.value.code == 2
+        assert "--trial-timeout must be positive" in capsys.readouterr().err
+
+
+class TestRetryPolicySettings:
+    @pytest.mark.parametrize("seconds", [0, -1.5])
+    def test_non_positive_trial_timeout_is_rejected(self, seconds):
+        # Trainer.fit would otherwise time out every trial before its
+        # first batch, and every cell would degrade.
+        from repro.resilience import RetryPolicy
+
+        with pytest.raises(ValueError, match="trial_timeout must be positive"):
+            RetryPolicy(trial_timeout=seconds)

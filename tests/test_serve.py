@@ -4,6 +4,8 @@ itself (both handler-level and end-to-end over a real Unix socket)."""
 
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -1242,3 +1244,35 @@ class TestServiceEndToEnd:
         with pytest.raises(ServiceAlreadyRunning):
             rival._claim_socket()
         rival.queue.close()
+
+
+# ----------------------------------------------------------------------
+# `repro-serve start` refuses a limit out of range before any work
+# ----------------------------------------------------------------------
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class TestStartValidation:
+    @pytest.mark.parametrize("flag, setting", [
+        ("--max-depth", "max_depth"),
+        ("--per-client-limit", "per_client_limit"),
+        ("--breaker-threshold", "breaker threshold"),
+        ("--task-deadline", "task_deadline"),
+    ])
+    def test_bad_limit_exits_2_before_the_journal_exists(
+            self, flag, setting, tmp_path):
+        journal = tmp_path / "serve" / "journal.jsonl"
+        socket_path = tmp_path / "repro.sock"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.serve", "start",
+             "--socket", str(socket_path), "--journal", str(journal),
+             "--workers", "2", flag, "0"],
+            cwd=_REPO, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("repro-serve: error: %s" % setting)
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not journal.exists()
+        assert not socket_path.exists()
